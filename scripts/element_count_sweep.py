@@ -19,9 +19,6 @@ def main() -> int:
         "--outdir", type=Path, default=Path("out"),
         help="directory for the CSV and SVG outputs (default: out/)",
     )
-    parser.add_argument(
-        "--workers", type=int, default=1, help="sweep evaluation threads"
-    )
     args = parser.parse_args()
     args.outdir.mkdir(parents=True, exist_ok=True)
 
@@ -31,7 +28,6 @@ def main() -> int:
     status = modxl([
         "sweep",
         "--preset", "element-count",
-        "--workers", str(args.workers),
         "--out", str(csv_path),
     ])
     if status != 0:

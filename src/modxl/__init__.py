@@ -26,6 +26,7 @@ from .errors import (
     DegenerateGeometryError,
     ElementIndexError,
     MalformedDataError,
+    ModelBreakdownError,
     ModelMismatchError,
     QuadratureAccuracyError,
     SweepPointError,
@@ -87,6 +88,7 @@ __all__ = [
     "ElementIndexError",
     "LinkBudget",
     "MalformedDataError",
+    "ModelBreakdownError",
     "ModelMismatchError",
     "QuadratureAccuracyError",
     "Scenario",

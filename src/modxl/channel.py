@@ -32,12 +32,9 @@ class LinkBudget:
     transmit_snr: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.wavelength_m > 0:
-            raise ValueError("wavelength_m must be positive")
-        if not self.reference_gain > 0:
-            raise ValueError("reference_gain must be positive")
-        if not self.transmit_snr > 0:
-            raise ValueError("transmit_snr must be positive")
+        for name in ("wavelength_m", "reference_gain", "transmit_snr"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
     @property
     def effective_power(self) -> float:

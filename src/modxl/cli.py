@@ -6,8 +6,8 @@ suite).  Every subcommand accepts ``--config`` (flat ``key = value`` file,
 ``#`` comments, explicit flags win), ``--seed`` and ``--out``.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or invalid
-configuration, 3 degenerate geometry or diverging model, 4 I/O failure,
-5 malformed tabular input.
+configuration, 3 degenerate geometry or a diverging or failed model, 4 I/O
+failure, 5 malformed tabular input.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import csv
 import json
 import math
 import sys
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -25,15 +26,17 @@ from .errors import (
     SweepPointError,
 )
 from .channel import LinkBudget
-from .geometry import ArrayGeometry, UserLocation, aperture, normalized_spacing
+from .geometry import ArrayGeometry, aperture, normalized_spacing
 from .numerics import db_to_linear, linear_to_db
 from .snr_models import ENDFIRE_COS_FLOOR, SnrModel
 from .sweep import (
     MODEL_ORDER,
+    PRESETS,
     Scenario,
     SweepScale,
     SweepSpec,
     SweepVariable,
+    default_scenario,
     evaluate_models,
     run_sweep,
 )
@@ -47,34 +50,15 @@ EXIT_DEGENERATE = 3
 EXIT_IO = 4
 EXIT_MALFORMED = 5
 
-CSV_HEADER = (
-    "index,var_name,var_value,M,N,d_m,D_m,r_m,theta_rad,txsnr_db,"
-    "snr_exact_db,snr_closed_db,snr_collocated_db,snr_asymptotic_db,"
-    "snr_upw_db,snr_integral_db,flags"
-)
+_SNR_DB_COLUMNS = tuple(f"snr_{model.token}_db" for model in SnrModel)
+_MODEL_BY_TOKEN = {model.token: model for model in SnrModel}
+
+CSV_HEADER = ",".join((
+    "index", "var_name", "var_value", "M", "N", "d_m", "D_m", "r_m",
+    "theta_rad", "txsnr_db", *_SNR_DB_COLUMNS, "flags",
+))
 
 _SPEED_OF_LIGHT = 2.99792458e8
-
-_DEFAULT_WAVELENGTH_M = 0.1256
-_DEFAULT_ELEMENTS = 16
-_DEFAULT_MODULES = 20
-_DEFAULT_SEPARATION_RATIO = 20.0
-_DEFAULT_RANGE_M = 35.0
-_DEFAULT_THETA_DEG = 0.0
-_DEFAULT_TXSNR_DB = 50.0
-_DEFAULT_SEED = 7
-
-_MODEL_TOKENS: Dict[str, SnrModel] = {
-    "exact": SnrModel.EXACT_SUM,
-    "closed": SnrModel.CLOSED_FORM,
-    "collocated": SnrModel.COLLOCATED,
-    "asymptotic": SnrModel.ASYMPTOTIC,
-    "upw": SnrModel.UPW,
-    "integral": SnrModel.INTEGRAL,
-}
-_TOKEN_BY_MODEL = {model: token for token, model in _MODEL_TOKENS.items()}
-
-_SNR_DB_COLUMNS = tuple(f"snr_{_TOKEN_BY_MODEL[m]}_db" for m in MODEL_ORDER)
 
 
 class UsageError(ValueError):
@@ -112,7 +96,6 @@ _CONFIG_TYPES = {
     "stop": float,
     "steps": int,
     "scale": str,
-    "workers": int,
     "seed": int,
     "out": str,
     "input_path": str,
@@ -124,13 +107,15 @@ _CONFIG_TYPES = {
 
 _KEY_TO_DEST = {"in": "input_path"}
 
-#: Alternative-representation families: an explicit flag from a family makes
-#: the config file's values for the whole family inert.
+#: Families of alternative representations of one quantity, each
+#: representation a group of destinations.  At most one representation per
+#: family may be set, and an explicit flag from a family makes the config
+#: file's values for the whole family inert.
 _FLAG_FAMILIES = (
-    ("spacing_m", "spacing_wl"),
-    ("separation_m", "separation_ratio"),
-    ("frequency_ghz", "wavelength_m"),
-    ("txsnr_db", "power_db", "ref_gain_db"),
+    (("spacing_m",), ("spacing_wl",)),
+    (("separation_m",), ("separation_ratio",)),
+    (("frequency_ghz",), ("wavelength_m",)),
+    (("txsnr_db",), ("power_db", "ref_gain_db")),
 )
 
 
@@ -197,8 +182,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     scenario.add_argument(
         "--models", metavar="LIST",
-        help="comma-separated subset of exact,closed,collocated,asymptotic,"
-        "upw,integral, or 'all' for every applicable model",
+        help="comma-separated subset of "
+        + ",".join(model.token for model in SnrModel)
+        + ", or 'all' for every applicable model",
     )
 
     parser = argparse.ArgumentParser(
@@ -218,7 +204,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="sweep one variable and write a CSV of model SNRs",
     )
     p_sweep.add_argument(
-        "--preset", choices=("element-count", "separation"),
+        "--preset", choices=tuple(PRESETS),
         help="named sweep configuration (default: element-count)",
     )
     p_sweep.add_argument(
@@ -232,9 +218,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--stop", type=float, help="sweep stop")
     p_sweep.add_argument("--steps", type=int, help="number of sweep points")
     p_sweep.add_argument("--scale", choices=("linear", "log"))
-    p_sweep.add_argument(
-        "--workers", type=int, help="evaluation threads (default 1)"
-    )
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_plot = sub.add_parser(
@@ -290,16 +273,19 @@ def _apply_config(args: argparse.Namespace) -> None:
         dest for dest in _CONFIG_TYPES
         if getattr(args, dest, None) is not None
     }
+    inert = set(given)  # an explicit flag silences its whole family
+    for family in _FLAG_FAMILIES:
+        members = {dest for rep in family for dest in rep}
+        if given & members:
+            inert |= members
     for key, raw in entries.items():
         dest = _KEY_TO_DEST.get(key, key)
         if dest not in _CONFIG_TYPES:
             raise UsageError(f"{args.config}: unknown config key {key!r}")
         if not hasattr(args, dest):
             continue  # setting for a different subcommand
-        if dest in given:
-            continue  # explicit flag wins
-        if any(dest in family and given & set(family) for family in _FLAG_FAMILIES):
-            continue  # an explicit sibling representation wins
+        if dest in inert:
+            continue
         try:
             value = _CONFIG_TYPES[dest](raw)
         except ValueError:
@@ -311,19 +297,13 @@ def _apply_config(args: argparse.Namespace) -> None:
 
 def _check_exclusive(args: argparse.Namespace) -> None:
     "Re-check one-of constraints after the config merge."
-    pairs = (
-        ("spacing_m", "spacing_wl"),
-        ("separation_m", "separation_ratio"),
-        ("frequency_ghz", "wavelength_m"),
-    )
-    for left, right in pairs:
-        if getattr(args, left, None) is not None and getattr(args, right, None) is not None:
-            raise UsageError(f"give only one of {left} and {right}")
-    if getattr(args, "txsnr_db", None) is not None and (
-        getattr(args, "power_db", None) is not None
-        or getattr(args, "ref_gain_db", None) is not None
-    ):
-        raise UsageError("txsnr_db conflicts with power_db/ref_gain_db")
+    for family in _FLAG_FAMILIES:
+        chosen = [
+            "/".join(rep) for rep in family
+            if any(getattr(args, dest, None) is not None for dest in rep)
+        ]
+        if len(chosen) > 1:
+            raise UsageError(f"give only one of {' and '.join(chosen)}")
 
 
 def _default(value, fallback):
@@ -331,41 +311,44 @@ def _default(value, fallback):
 
 
 def _resolve_scenario(args: argparse.Namespace) -> Scenario:
+    "The reference scenario with the given flags applied."
+    base = default_scenario()
     if args.wavelength_m is not None:
         wavelength = args.wavelength_m
     elif args.frequency_ghz is not None:
         wavelength = _SPEED_OF_LIGHT / (args.frequency_ghz * 1e9)
     else:
-        wavelength = _DEFAULT_WAVELENGTH_M
+        wavelength = base.link.wavelength_m
     if args.spacing_m is not None:
         spacing = args.spacing_m
-    elif args.spacing_wl is not None:
-        spacing = args.spacing_wl * wavelength
     else:
-        spacing = 0.5 * wavelength
+        base_spacing_wl = base.geometry.element_spacing / base.link.wavelength_m
+        spacing = _default(args.spacing_wl, base_spacing_wl) * wavelength
     if args.separation_ratio is not None:
         ratio = args.separation_ratio
     elif args.separation_m is not None:
         ratio = args.separation_m / spacing
     else:
-        ratio = _DEFAULT_SEPARATION_RATIO
+        ratio = base.geometry.separation_ratio
     geometry = ArrayGeometry(
-        elements_per_module=_default(args.elements_per_module, _DEFAULT_ELEMENTS),
-        module_count=_default(args.modules, _DEFAULT_MODULES),
+        elements_per_module=_default(
+            args.elements_per_module, base.geometry.elements_per_module
+        ),
+        module_count=_default(args.modules, base.geometry.module_count),
         element_spacing=spacing,
         separation_ratio=ratio,
     )
-    theta_deg = _default(args.theta_deg, _DEFAULT_THETA_DEG)
-    user = UserLocation(
-        range_m=_default(args.range_m, _DEFAULT_RANGE_M),
-        angle_rad=math.radians(theta_deg),
-    )
+    user = base.user
+    if args.range_m is not None:
+        user = replace(user, range_m=args.range_m)
+    if args.theta_deg is not None:
+        user = replace(user, angle_rad=math.radians(args.theta_deg))
+    transmit_snr, gain = base.link.transmit_snr, base.link.reference_gain
     if args.power_db is not None or args.ref_gain_db is not None:
         transmit_snr = db_to_linear(_default(args.power_db, 0.0))
         gain = db_to_linear(_default(args.ref_gain_db, 0.0))
-    else:
-        transmit_snr = db_to_linear(_default(args.txsnr_db, _DEFAULT_TXSNR_DB))
-        gain = 1.0
+    elif args.txsnr_db is not None:
+        transmit_snr = db_to_linear(args.txsnr_db)
     link = LinkBudget(
         wavelength_m=wavelength, reference_gain=gain, transmit_snr=transmit_snr
     )
@@ -373,12 +356,8 @@ def _resolve_scenario(args: argparse.Namespace) -> Scenario:
 
 
 def _resolve_models(
-    models_text: Optional[str],
-    scenario: Scenario,
-    swept: Optional[SweepVariable],
-    default_text: str,
+    text: str, scenario: Scenario, swept: Optional[SweepVariable]
 ) -> frozenset:
-    text = _default(models_text, default_text)
     tokens = [t.strip().lower() for t in text.split(",") if t.strip()]
     if not tokens:
         raise UsageError("empty models list")
@@ -403,8 +382,8 @@ def _resolve_models(
             )
             if asymptotic_ok:
                 chosen.add(SnrModel.ASYMPTOTIC)
-        elif token in _MODEL_TOKENS:
-            chosen.add(_MODEL_TOKENS[token])
+        elif token in _MODEL_BY_TOKEN:
+            chosen.add(_MODEL_BY_TOKEN[token])
         else:
             raise UsageError(f"unknown model token {token!r}")
     return frozenset(chosen)
@@ -425,19 +404,16 @@ def _fmt9(value: float) -> str:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     scenario = _resolve_scenario(args)
-    models = _resolve_models(args.models, scenario, None, default_text="all")
+    models = _resolve_models(_default(args.models, "all"), scenario, None)
     reports = evaluate_models(scenario, models)
 
     geom = scenario.geometry
     span, augmented = aperture(geom)
     snr_block: Dict[str, float] = {}
-    for model in MODEL_ORDER:
-        if model in reports:
-            token = _TOKEN_BY_MODEL[model]
-            snr_block[f"snr_{token}_linear"] = reports[model].value_linear
-            snr_block[f"snr_{token}_db"] = reports[model].value_db
     flags = set()
-    for report in reports.values():
+    for model, report in reports.items():
+        snr_block[f"snr_{model.token}_linear"] = report.value_linear
+        snr_block[f"snr_{model.token}_db"] = report.value_db
         flags |= report.validity_flags
     payload = {
         "geometry": {
@@ -469,15 +445,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _resolve_sweep_spec(args: argparse.Namespace, scenario: Scenario) -> SweepSpec:
-    d = scenario.geometry.element_spacing
-    presets = {
-        "element-count": (SweepVariable.MODULE_COUNT, 1.0, 625.0, 40),
-        "separation": (SweepVariable.SEPARATION, d, 40.0 * d, 50),
-    }
+    "The chosen preset on the given scenario, with the sweep flags applied."
     preset_name = _default(args.preset, "element-count")
-    if preset_name not in presets:
+    if preset_name not in PRESETS:
         raise UsageError(f"unknown preset {preset_name!r}")
-    variable0, start0, stop0, steps0 = presets[preset_name]
+    preset = PRESETS[preset_name](scenario)
 
     if args.var is not None:
         try:
@@ -485,23 +457,22 @@ def _resolve_sweep_spec(args: argparse.Namespace, scenario: Scenario) -> SweepSp
         except ValueError:
             raise UsageError(f"unknown sweep variable {args.var!r}") from None
     else:
-        variable = variable0
+        variable = preset.variable
 
-    if variable is variable0:
-        start, stop = start0, stop0
+    if variable is preset.variable:
+        start, stop = preset.start, preset.stop
     else:
         start = stop = None
+    # CLI angles are degrees; the engine works in radians.
+    to_native = math.radians if variable is SweepVariable.THETA else float
     if args.start is not None:
-        start = args.start
+        start = to_native(args.start)
     if args.stop is not None:
-        stop = args.stop
+        stop = to_native(args.stop)
     if start is None or stop is None:
         raise UsageError(
             f"sweeping {variable.value} needs explicit --start and --stop"
         )
-    if variable is SweepVariable.THETA:
-        # CLI angles are degrees; the engine works in radians.
-        start, stop = math.radians(start), math.radians(stop)
 
     scale_token = _default(args.scale, "linear")
     scales = {
@@ -512,21 +483,19 @@ def _resolve_sweep_spec(args: argparse.Namespace, scenario: Scenario) -> SweepSp
     if scale_token not in scales:
         raise UsageError(f"unknown scale {scale_token!r}")
 
-    models = _resolve_models(
-        args.models, scenario, variable, default_text="exact,closed,upw"
+    if args.models is None:
+        models = preset.models
+    else:
+        models = _resolve_models(args.models, scenario, variable)
+    return replace(
+        preset,
+        variable=variable,
+        start=start,
+        stop=stop,
+        steps=_default(args.steps, preset.steps),
+        scale=scales[scale_token],
+        models=models,
     )
-    try:
-        return SweepSpec(
-            base=scenario,
-            variable=variable,
-            start=start,
-            stop=stop,
-            steps=_default(args.steps, steps0),
-            scale=scales[scale_token],
-            models=models,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
 
 
 def _render_csv(spec: SweepSpec, records) -> str:
@@ -547,10 +516,8 @@ def _render_csv(spec: SweepSpec, records) -> str:
             _fmt9(linear_to_db(sc.link.effective_power)),
         ]
         for model in MODEL_ORDER:
-            if model in record.reports:
-                fields.append(_fmt9(record.reports[model].value_db))
-            else:
-                fields.append("")
+            report = record.reports.get(model)
+            fields.append("" if report is None else _fmt9(report.value_db))
         fields.append(";".join(sorted(record.validity_flags)))
         lines.append(",".join(fields))
     return "\n".join(lines) + "\n"
@@ -561,8 +528,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise UsageError("sweep requires --out PATH")
     scenario = _resolve_scenario(args)
     spec = _resolve_sweep_spec(args, scenario)
-    workers = _default(args.workers, 1)
-    records = run_sweep(spec, workers=workers)
+    records = run_sweep(spec)
     _write_text(args.out, _render_csv(spec, records))
     return EXIT_OK
 
@@ -662,7 +628,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    results = run_checks(seed=_default(args.seed, _DEFAULT_SEED))
+    results = run_checks() if args.seed is None else run_checks(seed=args.seed)
     lines = [result.line() for result in results]
     passed = sum(1 for result in results if result.passed)
     lines.append(f"{passed}/{len(results)} checks passed")
@@ -682,7 +648,7 @@ def _exit_code_for(exc: Exception) -> Optional[int]:
     if isinstance(exc, DegenerateGeometryError):
         return EXIT_DEGENERATE
     if isinstance(exc, ArithmeticError):
-        return EXIT_DEGENERATE  # unbounded limit, quadrature failure
+        return EXIT_DEGENERATE  # unbounded limit, model breakdown, quadrature
     if isinstance(exc, OSError):
         return EXIT_IO
     return None

@@ -18,6 +18,10 @@ class UnboundedLimitError(ArithmeticError):
     """Requested limit diverges for the given configuration."""
 
 
+class ModelBreakdownError(ArithmeticError):
+    """A model's formula lost all accuracy and produced no usable value."""
+
+
 class QuadratureAccuracyError(ArithmeticError):
     """Adaptive quadrature could not reach the requested tolerance.
 

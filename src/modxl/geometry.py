@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Iterator, Tuple
 
 import numpy as np
@@ -55,14 +56,15 @@ class ArrayGeometry:
     separation_ratio: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.elements_per_module < 1:
-            raise ValueError("elements_per_module must be >= 1")
-        if self.module_count < 1:
-            raise ValueError("module_count must be >= 1")
-        if not self.element_spacing > 0:
-            raise ValueError("element_spacing must be positive")
-        if not self.separation_ratio >= 1:
-            raise ValueError("separation_ratio must be >= 1")
+        m, n = self.elements_per_module, self.module_count
+        if not (isinstance(m, Integral) and m >= 1):
+            raise ValueError("elements_per_module must be an integer >= 1")
+        if not (isinstance(n, Integral) and n >= 1):
+            raise ValueError("module_count must be an integer >= 1")
+        if not 0 < self.element_spacing < math.inf:
+            raise ValueError("element_spacing must be positive and finite")
+        if not 1 <= self.separation_ratio < math.inf:
+            raise ValueError("separation_ratio must be finite and >= 1")
 
     @property
     def module_separation(self) -> float:
@@ -101,8 +103,8 @@ class UserLocation:
     angle_rad: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.range_m > 0:
-            raise ValueError("range_m must be positive")
+        if not 0 < self.range_m < math.inf:
+            raise ValueError("range_m must be positive and finite")
         if not abs(self.angle_rad) <= 0.5 * math.pi:
             raise ValueError("angle_rad must lie in [-pi/2, pi/2]")
 
@@ -170,23 +172,25 @@ def normalized_spacing(geom: ArrayGeometry, user: UserLocation) -> float:
     return geom.element_spacing / user.range_m
 
 
-def _distance_ratios(offsets: np.ndarray, user: UserLocation, spacing: float) -> np.ndarray:
-    """Element-to-user distances over the user range for given axis offsets.
+def _distance_components(
+    offsets: np.ndarray, user: UserLocation, spacing: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Components (1 - u*eps*sin, u*eps*cos) of the element-to-user distances
+    over the user range, for given axis offsets u and eps = spacing/range.
 
-    Evaluates sqrt(1 - 2*u*eps*sin + (u*eps)^2) in the cancellation-free
-    grouping hypot(1 - u*eps*sin, u*eps*cos), which is algebraically identical
-    but keeps full precision when the user is nearly collinear with the array.
+    Their Euclidean norm equals sqrt(1 - 2*u*eps*sin + (u*eps)^2), but this
+    grouping keeps full precision when the user is nearly collinear with the
+    array: nothing cancels.
     """
     ue = offsets * (spacing / user.range_m)
-    return np.hypot(1.0 - ue * math.sin(user.angle_rad), ue * math.cos(user.angle_rad))
+    return 1.0 - ue * math.sin(user.angle_rad), ue * math.cos(user.angle_rad)
 
 
 def distance(geom: ArrayGeometry, user: UserLocation, idx: ElementIndex) -> float:
     "Distance from the user to one array element, metres."
     u = element_index_offset(geom, idx)
-    value = user.range_m * float(
-        _distance_ratios(np.array([u]), user, geom.element_spacing)[0]
-    )
+    along, across = _distance_components(np.array([u]), user, geom.element_spacing)
+    value = user.range_m * float(np.hypot(along, across)[0])
     if value < DISTANCE_FLOOR_M:
         raise DegenerateGeometryError(
             f"user lies on array element ({idx.element}, {idx.module}): "
@@ -197,8 +201,10 @@ def distance(geom: ArrayGeometry, user: UserLocation, idx: ElementIndex) -> floa
 
 def distances(geom: ArrayGeometry, user: UserLocation) -> np.ndarray:
     "Distances from the user to every element, module-major order, metres."
-    ratios = _distance_ratios(element_offsets(geom), user, geom.element_spacing)
-    values = user.range_m * ratios
+    along, across = _distance_components(
+        element_offsets(geom), user, geom.element_spacing
+    )
+    values = user.range_m * np.hypot(along, across)
     smallest = values.min()
     if smallest < DISTANCE_FLOOR_M:
         raise DegenerateGeometryError(

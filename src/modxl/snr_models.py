@@ -24,6 +24,7 @@ from scipy.integrate import IntegrationWarning, dblquad
 from .channel import LinkBudget
 from .errors import (
     DegenerateGeometryError,
+    ModelBreakdownError,
     ModelMismatchError,
     QuadratureAccuracyError,
     UnboundedLimitError,
@@ -32,6 +33,7 @@ from .geometry import (
     DISTANCE_FLOOR_M,
     ArrayGeometry,
     UserLocation,
+    _distance_components,
     aperture,
     element_offsets,
     normalized_spacing,
@@ -40,12 +42,24 @@ from .numerics import compensated_sum, linear_to_db
 
 
 class SnrModel(Enum):
-    EXACT_SUM = "exact_sum"
-    CLOSED_FORM = "closed_form"
-    COLLOCATED = "collocated"
-    ASYMPTOTIC = "asymptotic"
-    UPW = "upw"
-    INTEGRAL = "integral"
+    """The six models, in the canonical order of every serialized output.
+
+    ``token`` names a model on the command line and in the ``snr_<token>_*``
+    fields of the sweep CSV and the ``eval`` report.
+    """
+
+    EXACT_SUM = "exact_sum", "exact"
+    CLOSED_FORM = "closed_form", "closed"
+    COLLOCATED = "collocated", "collocated"
+    ASYMPTOTIC = "asymptotic", "asymptotic"
+    UPW = "upw", "upw"
+    INTEGRAL = "integral", "integral"
+
+    def __new__(cls, value: str, token: str) -> "SnrModel":
+        member = object.__new__(cls)
+        member._value_ = value
+        member.token = token
+        return member
 
 
 #: Spacing-to-range ratio above which the continuum approximation is suspect.
@@ -90,20 +104,15 @@ def h_aux(x: float) -> float:
     return ax * math.atan(ax) - 0.5 * math.log1p(ax * ax)
 
 
-def _squared_distance_ratios(geom, user):
-    "Per-element (distance/range)^2 in module-major order; grouping as in geometry."
-    ue = element_offsets(geom) * normalized_spacing(geom, user)
-    a = 1.0 - ue * math.sin(user.angle_rad)
-    b = ue * math.cos(user.angle_rad)
-    return a * a + b * b
-
-
 def snr_exact_sum(
     geom: ArrayGeometry, user: UserLocation, link: LinkBudget
 ) -> SnrReport:
     """Exact SNR: effective power times the compensated sum of inverse squared
     element distances.  Deterministic for a fixed geometry ordering."""
-    ratios = _squared_distance_ratios(geom, user)
+    along, across = _distance_components(
+        element_offsets(geom), user, geom.element_spacing
+    )
+    ratios = along * along + across * across
     floor_ratio = (DISTANCE_FLOOR_M / user.range_m) ** 2
     if ratios.min() < floor_ratio:
         raise DegenerateGeometryError(
@@ -128,7 +137,9 @@ def snr_closed_form(
 
     Accurate when the element spacing is small against the user range; a
     validity flag is raised otherwise.  Near endfire the expression
-    degenerates and the exact sum is returned instead, flagged.
+    degenerates and the exact sum is returned instead, flagged.  Raises
+    :class:`ModelBreakdownError` when the bracket of ``h_aux`` differences
+    cancels to a non-positive value, as it does far out in the far field.
     """
     flags = set()
     if normalized_spacing(geom, user) > EPSILON_WARN_THRESHOLD:
@@ -148,6 +159,11 @@ def snr_closed_form(
         - h_aux(inner - tan_t)
         - h_aux(inner + tan_t)
     )
+    if not bracket > 0:
+        raise ModelBreakdownError(
+            f"closed form cancelled to {bracket:.3e} at range {user.range_m:.6g} m; "
+            "use the exact sum"
+        )
     prefactor = link.effective_power / (
         (geom.elements_per_module - 1) * d * d + geom.module_separation * d
     )

@@ -2,14 +2,13 @@
 
 A sweep takes a base scenario, varies one quantity between two bounds, and
 evaluates a chosen set of models at every point.  Points are pure functions
-of the sweep definition, may run on a thread pool, and are always emitted
-in index order, so output is deterministic regardless of worker count.
+of the sweep definition and are evaluated in index order, so reruns give
+bit-identical records.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Dict, Iterable, List, Tuple
@@ -28,15 +27,9 @@ from .snr_models import (
     snr_upw,
 )
 
-#: Canonical model ordering used for serialized output.
-MODEL_ORDER: Tuple[SnrModel, ...] = (
-    SnrModel.EXACT_SUM,
-    SnrModel.CLOSED_FORM,
-    SnrModel.COLLOCATED,
-    SnrModel.ASYMPTOTIC,
-    SnrModel.UPW,
-    SnrModel.INTEGRAL,
-)
+#: ``tuple(SnrModel)``, the canonical output order.  Per-point loops iterate
+#: it because iterating the Enum class runs a slower Python-level generator.
+MODEL_ORDER: Tuple[SnrModel, ...] = tuple(SnrModel)
 
 _EVALUATORS: Dict[SnrModel, Callable] = {
     SnrModel.EXACT_SUM: snr_exact_sum,
@@ -178,13 +171,11 @@ def evaluate_models(
 ) -> Dict[SnrModel, SnrReport]:
     "Evaluate the requested models in canonical order."
     wanted = set(models)
-    out: Dict[SnrModel, SnrReport] = {}
-    for model in MODEL_ORDER:
-        if model in wanted:
-            out[model] = _EVALUATORS[model](
-                scenario.geometry, scenario.user, scenario.link
-            )
-    return out
+    return {
+        model: _EVALUATORS[model](scenario.geometry, scenario.user, scenario.link)
+        for model in MODEL_ORDER
+        if model in wanted
+    }
 
 
 def _evaluate_point(spec: SweepSpec, index: int) -> SweepRecord:
@@ -194,32 +185,18 @@ def _evaluate_point(spec: SweepSpec, index: int) -> SweepRecord:
     return SweepRecord(index, value, scenario, reports)
 
 
-def run_sweep(spec: SweepSpec, workers: int = 1) -> List[SweepRecord]:
+def run_sweep(spec: SweepSpec) -> List[SweepRecord]:
     """Evaluate every sweep point and return records in index order.
 
     Any point failing with a hard error aborts the sweep; the raised
-    error names the failing index.  Results do not depend on ``workers``.
+    error names the failing index.
     """
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-    indices = range(spec.steps)
-    if workers == 1:
-        futures = [(i, None) for i in indices]
-        records = []
-        for i, _ in futures:
-            try:
-                records.append(_evaluate_point(spec, i))
-            except Exception as exc:
-                raise SweepPointError(i, exc) from exc
-        return records
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = [(i, pool.submit(_evaluate_point, spec, i)) for i in indices]
-        records = []
-        for i, future in pending:
-            try:
-                records.append(future.result())
-            except Exception as exc:
-                raise SweepPointError(i, exc) from exc
+    records = []
+    for i in range(spec.steps):
+        try:
+            records.append(_evaluate_point(spec, i))
+        except Exception as exc:
+            raise SweepPointError(i, exc) from exc
     return records
 
 
@@ -239,38 +216,40 @@ def default_scenario() -> Scenario:
     return Scenario(geom, user, link)
 
 
-def element_count_preset() -> SweepSpec:
-    """Sweep the module count from 1 to 625 on the reference scenario,
-    comparing the exact sum, the closed form and the plane-wave value."""
+_PRESET_MODELS = frozenset({SnrModel.EXACT_SUM, SnrModel.CLOSED_FORM, SnrModel.UPW})
+
+
+def _element_count_sweep(base: Scenario) -> SweepSpec:
     return SweepSpec(
-        base=default_scenario(),
-        variable=SweepVariable.MODULE_COUNT,
-        start=1.0,
-        stop=625.0,
-        steps=40,
-        scale=SweepScale.LINEAR,
-        models=frozenset(
-            {SnrModel.EXACT_SUM, SnrModel.CLOSED_FORM, SnrModel.UPW}
-        ),
+        base, SweepVariable.MODULE_COUNT, 1.0, 625.0, steps=40, models=_PRESET_MODELS
     )
 
 
+def _separation_sweep(base: Scenario) -> SweepSpec:
+    d = base.geometry.element_spacing
+    return SweepSpec(
+        base, SweepVariable.SEPARATION, d, 40.0 * d, steps=50, models=_PRESET_MODELS
+    )
+
+
+#: Named sweeps over a base scenario, comparing the exact sum, the closed form
+#: and the plane-wave value: the module count from 1 to 625, or the module
+#: separation from one element spacing up to 40 spacings.
+PRESETS: Dict[str, Callable[[Scenario], SweepSpec]] = {
+    "element-count": _element_count_sweep,
+    "separation": _separation_sweep,
+}
+
+
+def element_count_preset() -> SweepSpec:
+    "The element-count preset on the reference scenario."
+    return _element_count_sweep(default_scenario())
+
+
 def separation_preset(theta_deg: float = 0.0) -> SweepSpec:
-    """Sweep the module separation from one element spacing up to 40 spacings
-    at a chosen user angle (degrees), on the reference scenario."""
+    "The separation preset on the reference scenario, user at ``theta_deg``."
     base = default_scenario()
     base = replace(
         base, user=replace(base.user, angle_rad=math.radians(theta_deg))
     )
-    d = base.geometry.element_spacing
-    return SweepSpec(
-        base=base,
-        variable=SweepVariable.SEPARATION,
-        start=d,
-        stop=40.0 * d,
-        steps=50,
-        scale=SweepScale.LINEAR,
-        models=frozenset(
-            {SnrModel.EXACT_SUM, SnrModel.CLOSED_FORM, SnrModel.UPW}
-        ),
-    )
+    return _separation_sweep(base)

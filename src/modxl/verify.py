@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -262,11 +263,9 @@ def _check_separation_monotonic(base: Scenario) -> Tuple[float, float, str]:
 
 
 def _check_sweep_determinism(base: Scenario) -> Tuple[float, float, str]:
-    "Sweep records are bit-identical across worker counts."
+    "Sweep records are bit-identical across reruns."
     spec = element_count_preset()
-    serial = run_sweep(spec, workers=1)
-    threaded = run_sweep(spec, workers=4)
-    for a, b in zip(serial, threaded):
+    for a, b in zip(run_sweep(spec), run_sweep(spec)):
         if a.variable_value != b.variable_value:
             return 0.0, math.inf, f"variable mismatch at index {a.index}"
         if a.validity_flags != b.validity_flags:
@@ -276,10 +275,10 @@ def _check_sweep_determinism(base: Scenario) -> Tuple[float, float, str]:
             right = b.reports[model].value_linear
             if left != right:
                 return 0.0, abs(left - right), f"value mismatch at index {a.index}"
-    return 0.0, 0.0, "1 vs 4 workers"
+    return 0.0, 0.0, "two serial runs"
 
 
-def _check_uplink_simulation(base: Scenario, seed: int = 7) -> Tuple[float, float, str]:
+def _check_uplink_simulation(base: Scenario, seed: int) -> Tuple[float, float, str]:
     "Seeded Monte-Carlo uplink SNR sits close to the analytic value."
     resp = array_response_nusw(base.geometry, base.user, base.link)
     weights = mrc_weights(resp)
@@ -304,37 +303,32 @@ def _check_endfire_fallback(base: Scenario) -> Tuple[float, float, str]:
     return 0.0, abs(closed.value_linear - exact.value_linear), "angle 90 deg"
 
 
-_CHECKS: List[Tuple[str, Callable]] = [
-    ("response_norm_identity", _check_response_norm_identity),
-    ("closed_form_grid", _check_closed_form_grid),
-    ("collocated_reduction", _check_collocated_reduction),
-    ("asymptotic_convergence", _check_asymptotic_convergence),
-    ("far_field_consistency", _check_far_field_consistency),
-    ("plane_wave_sign", _check_plane_wave_sign),
-    ("asymptotic_gap", _check_asymptotic_gap),
-    ("closed_vs_quadrature", _check_closed_vs_quadrature),
-    ("mrc_optimality", _check_mrc_optimality),
-    ("mrc_phase_invariance", _check_mrc_phase_invariance),
-    ("upw_sweep_linearity", _check_upw_sweep_linearity),
-    ("separation_monotonic", _check_separation_monotonic),
-    ("sweep_determinism", _check_sweep_determinism),
-    ("uplink_simulation", _check_uplink_simulation),
-    ("endfire_fallback", _check_endfire_fallback),
-]
-
-
 def run_checks(base: Optional[Scenario] = None, seed: int = 7) -> List[CheckResult]:
     """Run every verification check against ``base`` (default: the reference
     scenario).  ``seed`` feeds the Monte-Carlo check.  A check that raises is
     reported as failed, not propagated."""
     scenario = default_scenario() if base is None else base
+    checks: List[Tuple[str, Callable[[Scenario], Tuple[float, float, str]]]] = [
+        ("response_norm_identity", _check_response_norm_identity),
+        ("closed_form_grid", _check_closed_form_grid),
+        ("collocated_reduction", _check_collocated_reduction),
+        ("asymptotic_convergence", _check_asymptotic_convergence),
+        ("far_field_consistency", _check_far_field_consistency),
+        ("plane_wave_sign", _check_plane_wave_sign),
+        ("asymptotic_gap", _check_asymptotic_gap),
+        ("closed_vs_quadrature", _check_closed_vs_quadrature),
+        ("mrc_optimality", _check_mrc_optimality),
+        ("mrc_phase_invariance", _check_mrc_phase_invariance),
+        ("upw_sweep_linearity", _check_upw_sweep_linearity),
+        ("separation_monotonic", _check_separation_monotonic),
+        ("sweep_determinism", _check_sweep_determinism),
+        ("uplink_simulation", partial(_check_uplink_simulation, seed=seed)),
+        ("endfire_fallback", _check_endfire_fallback),
+    ]
     results = []
-    for name, func in _CHECKS:
+    for name, func in checks:
         try:
-            if func is _check_uplink_simulation:
-                tolerance, observed, detail = func(scenario, seed)
-            else:
-                tolerance, observed, detail = func(scenario)
+            tolerance, observed, detail = func(scenario)
         except Exception as exc:
             results.append(
                 CheckResult(name, False, math.nan, math.nan, f"raised {exc!r}")

@@ -40,6 +40,9 @@ class TestLinkBudget:
             dict(wavelength_m=-0.1),
             dict(wavelength_m=0.1, reference_gain=0.0),
             dict(wavelength_m=0.1, transmit_snr=-2.0),
+            dict(wavelength_m=math.inf),
+            dict(wavelength_m=0.1, reference_gain=math.nan),
+            dict(wavelength_m=0.1, transmit_snr=math.inf),
         ],
     )
     def test_validation(self, kwargs):

@@ -85,6 +85,9 @@ class TestEval:
             (("eval", "--modules", "0"), 2),
             (("eval", "--theta-deg", "91"), 2),
             (("eval", "--separation-ratio", "0.5"), 2),
+            (("eval", "--range-m", "inf", "--models", "upw"), 2),
+            (("eval", "--range-m", "1e9", "--theta-deg", "60",
+              "--models", "exact,closed"), 3),
         ],
     )
     def test_error_exit_codes(self, capsys, argv, code):
@@ -129,7 +132,11 @@ class TestSweep:
         assert code == 0
         text = target.read_text()
         lines = text.splitlines()
-        assert lines[0] == CSV_HEADER
+        assert lines[0] == CSV_HEADER == (
+            "index,var_name,var_value,M,N,d_m,D_m,r_m,theta_rad,txsnr_db,"
+            "snr_exact_db,snr_closed_db,snr_collocated_db,snr_asymptotic_db,"
+            "snr_upw_db,snr_integral_db,flags"
+        )
         assert len(lines) == 41
         header, rows = read_rows(target)
         ix = {name: header.index(name) for name in header}
@@ -147,13 +154,10 @@ class TestSweep:
     def test_runs_are_byte_identical(self, capsys, tmp_path):
         first = tmp_path / "a.csv"
         second = tmp_path / "b.csv"
-        third = tmp_path / "c.csv"
         assert main(["sweep", "--out", str(first)]) == 0
         assert main(["sweep", "--out", str(second)]) == 0
-        assert main(["sweep", "--out", str(third), "--workers", "4"]) == 0
         capsys.readouterr()
         assert first.read_bytes() == second.read_bytes()
-        assert first.read_bytes() == third.read_bytes()
 
     def test_explicit_variable_needs_bounds(self, capsys, tmp_path):
         code = main(["sweep", "--var", "theta", "--out",
@@ -189,6 +193,15 @@ class TestSweep:
         for row in rows:
             assert float(row[ei]) > float(row[ui])
 
+    def test_separation_preset_starts_at_given_spacing(self, capsys, tmp_path):
+        target = tmp_path / "sep.csv"
+        code, _ = run_cli(
+            capsys, "sweep", "--preset", "separation", "--spacing-m", "0.1",
+            "--steps", "2", "--models", "upw", "--out", str(target),
+        )
+        assert code == 0
+        assert [float(v) for v in column(target, "D_m")] == [0.1, 4.0]
+
     def test_all_token_filters_inapplicable_models(self, capsys, tmp_path):
         target = tmp_path / "range.csv"
         code, _ = run_cli(
@@ -208,6 +221,15 @@ class TestSweep:
             "--out", str(tmp_path / "bad.csv"),
         ])
         assert code == 2
+        capsys.readouterr()
+
+    def test_closed_form_breakdown_maps_to_model_failure(self, capsys, tmp_path):
+        code = main([
+            "sweep", "--var", "range", "--start", "35", "--stop", "1e9",
+            "--scale", "log", "--theta-deg", "-45",
+            "--out", str(tmp_path / "far.csv"),
+        ])
+        assert code == 3
         capsys.readouterr()
 
     def test_unwritable_out_gives_io_exit(self, capsys, tmp_path):

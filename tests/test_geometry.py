@@ -56,11 +56,23 @@ class TestArrayGeometry:
                 elements_per_module=1, module_count=1,
                 element_spacing=0.1, separation_ratio=0.5,
             ),
+            dict(elements_per_module=16.5, module_count=20, element_spacing=0.1),
+            dict(elements_per_module=16, module_count=20.0, element_spacing=0.1),
+            dict(elements_per_module=16, module_count=20, element_spacing=math.inf),
+            dict(elements_per_module=16, module_count=20, element_spacing=math.nan),
+            dict(
+                elements_per_module=16, module_count=20,
+                element_spacing=0.1, separation_ratio=math.inf,
+            ),
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             ArrayGeometry(**kwargs)
+
+    def test_numpy_integer_counts_accepted(self):
+        geom = ArrayGeometry(np.int64(16), np.int32(20), 0.0628, 20.0)
+        assert geom.total_elements == 320
 
     def test_stride(self):
         assert REF.stride == 35.0
@@ -171,6 +183,10 @@ class TestUserLocation:
             UserLocation(-3.0)
         with pytest.raises(ValueError):
             UserLocation(5.0, 1.6)
+        with pytest.raises(ValueError):
+            UserLocation(math.inf)
+        with pytest.raises(ValueError):
+            UserLocation(math.nan)
 
     @given(users())
     def test_cartesian_norm_is_range(self, user):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from modxl.channel import LinkBudget
 from modxl.errors import (
     DegenerateGeometryError,
+    ModelBreakdownError,
     ModelMismatchError,
     QuadratureAccuracyError,
     UnboundedLimitError,
@@ -139,6 +140,14 @@ class TestClosedForm:
         assert FLAG_THETA_NEAR_ENDFIRE in report.validity_flags
         assert report.value_linear == snr_exact_sum(geom, user, LINK).value_linear
         assert report.model is SnrModel.CLOSED_FORM
+
+    @pytest.mark.parametrize("theta_deg", [60.0, -45.0])
+    def test_far_field_cancellation_raises(self, reference, theta_deg):
+        # At 1e9 m the bracket cancels to exactly 0 (60 deg) or below it
+        # (-45 deg); no value would be better than a silently wrong one.
+        user = UserLocation(1e9, math.radians(theta_deg))
+        with pytest.raises(ModelBreakdownError):
+            snr_closed_form(reference.geometry, user, LINK)
 
 
 class TestCollocated:

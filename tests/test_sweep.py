@@ -149,23 +149,6 @@ class TestRunSweep:
             assert record.variable_value == spec.point_value(record.index)
             assert record.scenario.user.range_m == record.variable_value
 
-    def test_workers_do_not_change_results(self):
-        spec = element_count_preset()
-        serial = run_sweep(spec, workers=1)
-        threaded = run_sweep(spec, workers=3)
-        assert len(serial) == len(threaded) == spec.steps
-        for a, b in zip(serial, threaded):
-            assert a.variable_value == b.variable_value
-            for model in a.reports:
-                assert (a.reports[model].value_linear
-                        == b.reports[model].value_linear)
-
-    def test_invalid_worker_count(self):
-        spec = SweepSpec(default_scenario(), SweepVariable.RANGE, 1.0, 2.0,
-                         steps=2, models=frozenset({EXACT}))
-        with pytest.raises(ValueError):
-            run_sweep(spec, workers=0)
-
     def test_failing_point_names_its_index(self):
         # The collocated model stops applying once the separation leaves 1.
         d = 0.0628
@@ -196,7 +179,7 @@ class TestPresets:
         assert spec.steps == 50
 
     def test_element_count_behaviour(self):
-        records = run_sweep(element_count_preset(), workers=4)
+        records = run_sweep(element_count_preset())
         for record in records:
             exact = record.reports[EXACT].value_linear
             closed = record.reports[SnrModel.CLOSED_FORM].value_linear
@@ -207,7 +190,7 @@ class TestPresets:
         assert gap_db > 10.0
 
     def test_separation_behaviour_at_broadside(self):
-        records = run_sweep(separation_preset(0.0), workers=4)
+        records = run_sweep(separation_preset(0.0))
         upw = [r.reports[SnrModel.UPW].value_linear for r in records]
         assert all(v == upw[0] for v in upw)
         exact = [r.reports[EXACT].value_linear for r in records]
