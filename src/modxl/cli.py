@@ -5,9 +5,9 @@ sweep), ``plot`` (SVG chart from sweep CSV), ``verify`` (built-in check
 suite).  Every subcommand accepts ``--config`` (flat ``key = value`` file,
 ``#`` comments, explicit flags win), ``--seed`` and ``--out``.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or invalid
-configuration, 3 degenerate geometry or a diverging or failed model, 4 I/O
-failure, 5 malformed tabular input.
+Exit codes: 0 success, 1 verification failure, 2 usage, invalid
+configuration or out-of-range input, 3 degenerate geometry or a diverging or
+failed model, 4 I/O failure, 5 malformed tabular input.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .errors import (
 from .channel import LinkBudget
 from .geometry import ArrayGeometry, aperture, normalized_spacing
 from .numerics import db_to_linear, linear_to_db
-from .snr_models import ENDFIRE_COS_FLOOR, SnrModel
+from .snr_models import SnrModel
 from .sweep import (
     MODEL_ORDER,
     PRESETS,
@@ -36,6 +36,7 @@ from .sweep import (
     SweepScale,
     SweepSpec,
     SweepVariable,
+    applicable_models,
     default_scenario,
     evaluate_models,
     run_sweep,
@@ -60,6 +61,9 @@ CSV_HEADER = ",".join((
 
 _SPEED_OF_LIGHT = 2.99792458e8
 
+#: ``--scale`` choices and the sweep scale each one names.
+_SCALES = {"linear": SweepScale.LINEAR, "log": SweepScale.LOGARITHMIC}
+
 
 class UsageError(ValueError):
     "Invalid flag/config combination; maps to exit code 2."
@@ -73,39 +77,6 @@ def _parse_bool(raw: str) -> bool:
         return False
     raise ValueError(f"not a boolean: {raw!r}")
 
-
-#: Converters for config-file values, keyed by argparse destination.
-_CONFIG_TYPES = {
-    "elements_per_module": int,
-    "modules": int,
-    "spacing_m": float,
-    "spacing_wl": float,
-    "separation_m": float,
-    "separation_ratio": float,
-    "frequency_ghz": float,
-    "wavelength_m": float,
-    "range_m": float,
-    "theta_deg": float,
-    "txsnr_db": float,
-    "power_db": float,
-    "ref_gain_db": float,
-    "models": str,
-    "preset": str,
-    "var": str,
-    "start": float,
-    "stop": float,
-    "steps": int,
-    "scale": str,
-    "seed": int,
-    "out": str,
-    "input_path": str,
-    "x": str,
-    "y": str,
-    "logx": _parse_bool,
-    "title": str,
-}
-
-_KEY_TO_DEST = {"in": "input_path"}
 
 #: Families of alternative representations of one quantity, each
 #: representation a group of destinations.  At most one representation per
@@ -217,7 +188,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument("--stop", type=float, help="sweep stop")
     p_sweep.add_argument("--steps", type=int, help="number of sweep points")
-    p_sweep.add_argument("--scale", choices=("linear", "log"))
+    p_sweep.add_argument("--scale", choices=tuple(_SCALES))
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_plot = sub.add_parser(
@@ -265,34 +236,53 @@ def _read_config_file(path: str) -> Dict[str, str]:
     return entries
 
 
-def _apply_config(args: argparse.Namespace) -> None:
+def _config_actions(parser: argparse.ArgumentParser) -> Dict[str, argparse.Action]:
+    """Each config key's argparse action, over every subcommand: the key is the
+    long option without ``--``, dashes as underscores (``in`` is ``--in``)."""
+    actions: Dict[str, argparse.Action] = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for command in action.choices.values():
+                actions.update(_config_actions(command))
+        if action.dest in ("help", "config"):
+            continue
+        for option in action.option_strings:
+            if option.startswith("--"):
+                actions[option[2:].replace("-", "_")] = action
+    return actions
+
+
+def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     if getattr(args, "config", None) is None:
         return
     entries = _read_config_file(args.config)
-    given = {
-        dest for dest in _CONFIG_TYPES
-        if getattr(args, dest, None) is not None
-    }
+    actions = _config_actions(parser)
+    given = {dest for dest, value in vars(args).items() if value is not None}
     inert = set(given)  # an explicit flag silences its whole family
     for family in _FLAG_FAMILIES:
         members = {dest for rep in family for dest in rep}
         if given & members:
             inert |= members
     for key, raw in entries.items():
-        dest = _KEY_TO_DEST.get(key, key)
-        if dest not in _CONFIG_TYPES:
+        if key not in actions:
             raise UsageError(f"{args.config}: unknown config key {key!r}")
-        if not hasattr(args, dest):
-            continue  # setting for a different subcommand
-        if dest in inert:
-            continue
+        action = actions[key]
+        if not hasattr(args, action.dest) or action.dest in inert:
+            continue  # a setting for another subcommand, or overridden
+        # Parsed as its flag is; the store_true switch --logx takes a boolean.
+        parse = _parse_bool if action.nargs == 0 else action.type or str
         try:
-            value = _CONFIG_TYPES[dest](raw)
-        except ValueError:
+            value = parse(raw)
+        except (argparse.ArgumentTypeError, ValueError) as exc:
             raise UsageError(
-                f"{args.config}: config key {key!r}: cannot parse {raw!r}"
+                f"{args.config}: config key {key!r}: cannot parse {raw!r} ({exc})"
             ) from None
-        setattr(args, dest, value)
+        if action.choices is not None and value not in action.choices:
+            raise UsageError(
+                f"{args.config}: config key {key!r}: {raw!r} is not one of "
+                + ", ".join(action.choices)
+            )
+        setattr(args, action.dest, value)
 
 
 def _check_exclusive(args: argparse.Namespace) -> None:
@@ -364,24 +354,7 @@ def _resolve_models(
     chosen = set()
     for token in tokens:
         if token == "all":
-            chosen |= {
-                SnrModel.EXACT_SUM,
-                SnrModel.CLOSED_FORM,
-                SnrModel.UPW,
-                SnrModel.INTEGRAL,
-            }
-            collocated_ok = (
-                abs(scenario.geometry.separation_ratio - 1.0) <= 1e-12
-                and swept is not SweepVariable.SEPARATION
-            )
-            if collocated_ok:
-                chosen.add(SnrModel.COLLOCATED)
-            asymptotic_ok = (
-                abs(math.cos(scenario.user.angle_rad)) >= ENDFIRE_COS_FLOOR
-                and swept is not SweepVariable.THETA
-            )
-            if asymptotic_ok:
-                chosen.add(SnrModel.ASYMPTOTIC)
+            chosen.update(applicable_models(scenario, swept))
         elif token in _MODEL_BY_TOKEN:
             chosen.add(_MODEL_BY_TOKEN[token])
         else:
@@ -402,6 +375,11 @@ def _fmt9(value: float) -> str:
     return f"{value:.9g}"
 
 
+def _json_number(value: float) -> Optional[float]:
+    "JSON has no infinities or NaN: a non-finite value is written as null."
+    return value if math.isfinite(value) else None
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     scenario = _resolve_scenario(args)
     models = _resolve_models(_default(args.models, "all"), scenario, None)
@@ -409,11 +387,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     geom = scenario.geometry
     span, augmented = aperture(geom)
-    snr_block: Dict[str, float] = {}
+    snr_block: Dict[str, Optional[float]] = {}
     flags = set()
     for model, report in reports.items():
-        snr_block[f"snr_{model.token}_linear"] = report.value_linear
-        snr_block[f"snr_{model.token}_db"] = report.value_db
+        snr_block[f"snr_{model.token}_linear"] = _json_number(report.value_linear)
+        snr_block[f"snr_{model.token}_db"] = _json_number(report.value_db)
         flags |= report.validity_flags
     payload = {
         "geometry": {
@@ -435,29 +413,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
         },
         "link": {
             "wavelength_m": scenario.link.wavelength_m,
-            "txsnr_db": linear_to_db(scenario.link.effective_power),
+            "txsnr_db": _json_number(linear_to_db(scenario.link.effective_power)),
         },
         "snr": snr_block,
         "flags": sorted(flags),
     }
-    _write_text(args.out, json.dumps(payload, indent=2) + "\n")
+    _write_text(args.out, json.dumps(payload, indent=2, allow_nan=False) + "\n")
     return EXIT_OK
 
 
 def _resolve_sweep_spec(args: argparse.Namespace, scenario: Scenario) -> SweepSpec:
     "The chosen preset on the given scenario, with the sweep flags applied."
-    preset_name = _default(args.preset, "element-count")
-    if preset_name not in PRESETS:
-        raise UsageError(f"unknown preset {preset_name!r}")
-    preset = PRESETS[preset_name](scenario)
-
-    if args.var is not None:
-        try:
-            variable = SweepVariable(args.var)
-        except ValueError:
-            raise UsageError(f"unknown sweep variable {args.var!r}") from None
-    else:
-        variable = preset.variable
+    preset = PRESETS[_default(args.preset, "element-count")](scenario)
+    variable = preset.variable if args.var is None else SweepVariable(args.var)
 
     if variable is preset.variable:
         start, stop = preset.start, preset.stop
@@ -474,15 +442,6 @@ def _resolve_sweep_spec(args: argparse.Namespace, scenario: Scenario) -> SweepSp
             f"sweeping {variable.value} needs explicit --start and --stop"
         )
 
-    scale_token = _default(args.scale, "linear")
-    scales = {
-        "linear": SweepScale.LINEAR,
-        "log": SweepScale.LOGARITHMIC,
-        "logarithmic": SweepScale.LOGARITHMIC,
-    }
-    if scale_token not in scales:
-        raise UsageError(f"unknown scale {scale_token!r}")
-
     if args.models is None:
         models = preset.models
     else:
@@ -493,7 +452,7 @@ def _resolve_sweep_spec(args: argparse.Namespace, scenario: Scenario) -> SweepSp
         start=start,
         stop=stop,
         steps=_default(args.steps, preset.steps),
-        scale=scales[scale_token],
+        scale=_SCALES[_default(args.scale, "linear")],
         models=models,
     )
 
@@ -641,6 +600,8 @@ def _exit_code_for(exc: Exception) -> Optional[int]:
         inner = _exit_code_for(exc.__cause__)
         if inner is not None:
             return inner
+    if isinstance(exc, OverflowError):
+        return EXIT_USAGE  # an input so large or small that a model overflows
     if isinstance(exc, MalformedDataError):
         return EXIT_MALFORMED
     if isinstance(exc, ValueError):
@@ -654,18 +615,26 @@ def _exit_code_for(exc: Exception) -> Optional[int]:
     return None
 
 
+def _error_text(exc: Exception) -> str:
+    if isinstance(exc, OverflowError):
+        return "an input value is out of range (floating-point overflow)"
+    if isinstance(exc, SweepPointError) and exc.__cause__ is not None:
+        return f"sweep point {exc.index} failed: {_error_text(exc.__cause__)}"
+    return str(exc)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args)
+        _apply_config(args, parser)
         _check_exclusive(args)
         return args.func(args)
     except Exception as exc:  # mapped to documented exit codes
         code = _exit_code_for(exc)
         if code is None:
             raise
-        print(f"modxl: error: {exc}", file=sys.stderr)
+        print(f"modxl: error: {_error_text(exc)}", file=sys.stderr)
         return code
 
 

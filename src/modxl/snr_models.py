@@ -135,18 +135,23 @@ def snr_closed_form(
 ) -> SnrReport:
     """Closed-form SNR from the continuum limit of the exact sum.
 
-    Accurate when the element spacing is small against the user range; a
+    Accurate when the element spacing is small against the user range and
+    against ``r cos(angle)``, the user's distance from the array line; a
     validity flag is raised otherwise.  Near endfire the expression
     degenerates and the exact sum is returned instead, flagged.  Raises
     :class:`ModelBreakdownError` when the bracket of ``h_aux`` differences
     cancels to a non-positive value, as it does far out in the far field.
     """
     flags = set()
-    if normalized_spacing(geom, user) > EPSILON_WARN_THRESHOLD:
+    eps = normalized_spacing(geom, user)
+    if eps > EPSILON_WARN_THRESHOLD:
         flags.add(FLAG_EPSILON_NOT_SMALL)
     cos_t = math.cos(user.angle_rad)
     if abs(cos_t) < ENDFIRE_COS_FLOOR:
         return _endfire_fallback(geom, user, link, SnrModel.CLOSED_FORM, flags)
+    # Beside the array segment the continuum step is d / (r cos(angle)).
+    if eps / abs(cos_t) > EPSILON_WARN_THRESHOLD:
+        flags.add(FLAG_EPSILON_NOT_SMALL)
     tan_t = math.tan(user.angle_rad)
     d = geom.element_spacing
     _, augmented = aperture(geom)
@@ -170,12 +175,17 @@ def snr_closed_form(
     return SnrReport(SnrModel.CLOSED_FORM, prefactor * bracket, frozenset(flags))
 
 
+def is_collocated(geom: ArrayGeometry) -> bool:
+    "Whether the modules abut (separation ratio 1), the collocated model's domain."
+    return abs(geom.separation_ratio - 1.0) <= 1e-12
+
+
 def snr_collocated(
     geom: ArrayGeometry, user: UserLocation, link: LinkBudget
 ) -> SnrReport:
     """Closed-form SNR for the collocated special case (separation ratio 1),
     which depends on the geometry only through the total element count."""
-    if abs(geom.separation_ratio - 1.0) > 1e-12:
+    if not is_collocated(geom):
         raise ModelMismatchError(
             "collocated model requires separation_ratio == 1, got "
             f"{geom.separation_ratio}"

@@ -11,14 +11,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Dict, Iterable, List, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .channel import LinkBudget
 from .errors import SweepPointError
 from .geometry import ArrayGeometry, UserLocation
 from .snr_models import (
+    ENDFIRE_COS_FLOOR,
     SnrModel,
     SnrReport,
+    is_collocated,
     snr_asymptotic,
     snr_closed_form,
     snr_collocated,
@@ -176,6 +178,21 @@ def evaluate_models(
         for model in MODEL_ORDER
         if model in wanted
     }
+
+
+def applicable_models(
+    scenario: Scenario, swept: Optional[SweepVariable] = None
+) -> Tuple[SnrModel, ...]:
+    """The models valid at ``scenario`` and at every point of a sweep over
+    ``swept``, in canonical order: the collocated model only at unit
+    separation ratio, and the infinite-array limit away from endfire."""
+    excluded = set()
+    if not is_collocated(scenario.geometry) or swept is SweepVariable.SEPARATION:
+        excluded.add(SnrModel.COLLOCATED)
+    endfire = abs(math.cos(scenario.user.angle_rad)) < ENDFIRE_COS_FLOOR
+    if endfire or swept is SweepVariable.THETA:
+        excluded.add(SnrModel.ASYMPTOTIC)
+    return tuple(model for model in MODEL_ORDER if model not in excluded)
 
 
 def _evaluate_point(spec: SweepSpec, index: int) -> SweepRecord:

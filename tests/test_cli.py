@@ -88,11 +88,30 @@ class TestEval:
             (("eval", "--range-m", "inf", "--models", "upw"), 2),
             (("eval", "--range-m", "1e9", "--theta-deg", "60",
               "--models", "exact,closed"), 3),
+            (("eval", "--txsnr-db", "4000"), 2),
+            (("eval", "--range-m", "1e200"), 2),
         ],
     )
     def test_error_exit_codes(self, capsys, argv, code):
         assert main(list(argv)) == code
         capsys.readouterr()
+
+    def test_overflowing_input_named_as_out_of_range(self, capsys):
+        assert main(["eval", "--txsnr-db", "4000"]) == 2
+        assert "input value is out of range" in capsys.readouterr().err
+
+    def test_non_finite_value_written_as_null(self, capsys):
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        code, out = run_cli(
+            capsys, "eval", "--range-m", "1e150", "--txsnr-db", "-300",
+            "--models", "upw",
+        )
+        assert code == 0
+        payload = json.loads(out, parse_constant=reject)
+        assert payload["snr"]["snr_upw_linear"] == 0.0
+        assert payload["snr"]["snr_upw_db"] is None
 
     def test_degenerate_geometry_exit(self, capsys):
         code = main([
@@ -312,6 +331,39 @@ class TestConfig:
         cfg = self.write(tmp_path, "spacing_m = 0.1\nspacing_wl = 0.5\n")
         assert main(["eval", "--config", cfg]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "command,key,raw",
+        [
+            ("sweep", "seed", "-1"),
+            ("sweep", "seed", "18446744073709551616"),
+            ("verify", "seed", "-1"),
+            ("sweep", "preset", "bogus"),
+            ("sweep", "var", "bogus"),
+            ("sweep", "scale", "sideways"),
+            ("plot", "logx", "maybe"),
+        ],
+    )
+    def test_config_value_rejected_like_its_flag(
+        self, capsys, tmp_path, command, key, raw
+    ):
+        target = tmp_path / "out.txt"
+        with pytest.raises(SystemExit) as info:
+            main([command, f"--{key}={raw}", "--out", str(target)])
+        assert info.value.code == 2
+        capsys.readouterr()
+        cfg = self.write(tmp_path, f"{key} = {raw}\n")
+        assert main([command, "--config", cfg, "--out", str(target)]) == 2
+        assert f"config key {key!r}" in capsys.readouterr().err
+        assert not target.exists()
+
+    def test_config_seed_matches_flag(self, capsys, tmp_path):
+        cfg = self.write(tmp_path, "seed = 123\n")
+        code, from_config = run_cli(capsys, "verify", "--config", cfg)
+        assert code == 0
+        _, from_flag = run_cli(capsys, "verify", "--seed", "123")
+        assert from_config == from_flag
+        assert "seed 123" in from_config
 
     def test_sweep_settings_from_config(self, capsys, tmp_path):
         cfg = self.write(tmp_path, "preset = separation\nsteps = 5\n")

@@ -20,6 +20,7 @@ from modxl.snr_models import (
     SnrModel,
     SnrReport,
     h_aux,
+    is_collocated,
     snr_asymptotic,
     snr_closed_form,
     snr_collocated,
@@ -141,6 +142,38 @@ class TestClosedForm:
         assert report.value_linear == snr_exact_sum(geom, user, LINK).value_linear
         assert report.model is SnrModel.CLOSED_FORM
 
+    def test_endfire_fallback_carries_only_its_flag(self, reference):
+        user = UserLocation(35.0, math.pi / 2)
+        report = snr_closed_form(reference.geometry, user, LINK)
+        assert report.validity_flags == {FLAG_THETA_NEAR_ENDFIRE}
+
+    @pytest.mark.parametrize("theta_deg", [88.0, 89.0, 89.9])
+    def test_beside_the_array_near_endfire_flagged(self, theta_deg):
+        # 100 modules reach past the user, who stands r cos(theta) from the
+        # array line: 1.2 m at 88 deg, 6 cm at 89.9 deg, where the closed form
+        # is 75.73 dB against an exact 66.40 dB.
+        geom = ArrayGeometry(16, 100, 0.0628, 20.0)
+        user = UserLocation(35.0, math.radians(theta_deg))
+        closed = snr_closed_form(geom, user, LINK)
+        exact = snr_exact_sum(geom, user, LINK)
+        assert abs(closed.value_linear / exact.value_linear - 1.0) > 1e-2
+        assert closed.validity_flags == {FLAG_EPSILON_NOT_SMALL}
+
+    @given(
+        st.integers(1, 32),
+        st.integers(1, 625),
+        st.floats(1.0, 60.0),
+        st.floats(math.log10(35.0), 4.0),
+        st.floats(-89.999, 89.999),
+    )
+    def test_near_field_within_one_percent_or_flagged(self, m, n, ratio, log_r, deg):
+        geom = ArrayGeometry(m, n, 0.0628, ratio)
+        user = UserLocation(10.0**log_r, math.radians(deg))
+        closed = snr_closed_form(geom, user, LINK)
+        exact = snr_exact_sum(geom, user, LINK).value_linear
+        if not closed.validity_flags:
+            assert closed.value_linear == pytest.approx(exact, rel=1e-2)
+
     @pytest.mark.parametrize("theta_deg", [60.0, -45.0])
     def test_far_field_cancellation_raises(self, reference, theta_deg):
         # At 1e9 m the bracket cancels to exactly 0 (60 deg) or below it
@@ -151,6 +184,12 @@ class TestClosedForm:
 
 
 class TestCollocated:
+    def test_domain_is_unit_separation(self, reference):
+        assert is_collocated(ArrayGeometry(16, 20, 0.0628, 1.0))
+        assert is_collocated(ArrayGeometry(16, 20, 0.0628, 1.0 + 1e-13))
+        assert not is_collocated(ArrayGeometry(16, 20, 0.0628, 1.0 + 1e-9))
+        assert not is_collocated(reference.geometry)
+
     def test_requires_unit_separation(self, reference):
         with pytest.raises(ModelMismatchError):
             snr_collocated(reference.geometry, BROADSIDE, LINK)

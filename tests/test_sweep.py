@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -10,6 +11,8 @@ from modxl.sweep import (
     SweepScale,
     SweepSpec,
     SweepVariable,
+    MODEL_ORDER,
+    applicable_models,
     apply_variable,
     default_scenario,
     element_count_preset,
@@ -137,6 +140,34 @@ class TestEvaluateModels:
         reports = evaluate_models(scen, {SnrModel.CLOSED_FORM, SnrModel.UPW})
         record = SweepRecord(0, 0.0, scen, reports)
         assert record.validity_flags == {"far_field_assumed"}
+
+
+class TestApplicableModels:
+    COLLOCATED = replace(
+        default_scenario(),
+        geometry=replace(default_scenario().geometry, separation_ratio=1.0),
+    )
+
+    def test_reference_scenario(self):
+        got = applicable_models(default_scenario())
+        assert got == tuple(m for m in MODEL_ORDER if m is not SnrModel.COLLOCATED)
+
+    def test_unit_separation_adds_collocated(self):
+        assert applicable_models(self.COLLOCATED) == MODEL_ORDER
+
+    def test_separation_sweep_drops_collocated(self):
+        got = applicable_models(self.COLLOCATED, SweepVariable.SEPARATION)
+        assert SnrModel.COLLOCATED not in got
+
+    @pytest.mark.parametrize("angle,swept", [
+        (math.pi / 2, None),
+        (-math.pi / 2, SweepVariable.RANGE),
+        (0.0, SweepVariable.THETA),
+    ])
+    def test_endfire_or_theta_sweep_drops_asymptotic(self, angle, swept):
+        scen = replace(self.COLLOCATED, user=UserLocation(35.0, angle))
+        got = applicable_models(scen, swept)
+        assert got == tuple(m for m in MODEL_ORDER if m is not SnrModel.ASYMPTOTIC)
 
 
 class TestRunSweep:
