@@ -35,6 +35,11 @@ class LinkBudget:
         for name in ("wavelength_m", "reference_gain", "transmit_snr"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
+        if not 0 < self.effective_power < math.inf:
+            raise ValueError(
+                "effective_power (transmit_snr * reference_gain) must be "
+                "positive and finite"
+            )
 
     @property
     def effective_power(self) -> float:

@@ -19,8 +19,6 @@ import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 
-from scipy.integrate import IntegrationWarning, dblquad
-
 from .channel import LinkBudget
 from .errors import (
     DegenerateGeometryError,
@@ -276,6 +274,10 @@ def snr_double_integral(
     def integrand(x: float, y: float) -> float:
         off = x + stride * y - sin_t
         return 1.0 / (off * off + cos_sq)
+
+    # Imported here: scipy.integrate is most of the package's import time,
+    # and no other model needs it.
+    from scipy.integrate import IntegrationWarning, dblquad
 
     level_tol = 0.1 * rel_tol
     with warnings.catch_warnings(record=True) as caught:

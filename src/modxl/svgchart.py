@@ -7,10 +7,10 @@ quick inspection of sweep output, not for publication polish.
 
 from __future__ import annotations
 
+import html
 import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
-from xml.sax.saxutils import escape
 
 _WIDTH = 720
 _HEIGHT = 480
@@ -151,7 +151,8 @@ def render_line_chart(
     if title:
         parts.append(
             f'<text x="{_WIDTH / 2:.1f}" y="19" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{escape(title)}</text>'
+            'font-family="sans-serif" font-size="14">'
+            f"{html.escape(title, quote=False)}</text>"
         )
 
     if log_x:
@@ -189,13 +190,13 @@ def render_line_chart(
     parts.append(
         f'<text x="{(box_left + box_right) / 2:.1f}" y="{_HEIGHT - 12}" '
         'text-anchor="middle" font-family="sans-serif" font-size="12">'
-        f"{escape(x_label)}</text>"
+        f"{html.escape(x_label, quote=False)}</text>"
     )
     parts.append(
         f'<text x="16" y="{(box_top + box_bottom) / 2:.1f}" '
         'text-anchor="middle" font-family="sans-serif" font-size="12" '
         f'transform="rotate(-90 16 {(box_top + box_bottom) / 2:.1f})">'
-        f"{escape(y_label)}</text>"
+        f"{html.escape(y_label, quote=False)}</text>"
     )
 
     for i, s in enumerate(series):
@@ -219,7 +220,7 @@ def render_line_chart(
         )
         parts.append(
             f'<text x="{legend_x + 32}" y="{y + 4}" font-family="sans-serif" '
-            f'font-size="11">{escape(s.label)}</text>'
+            f'font-size="11">{html.escape(s.label, quote=False)}</text>'
         )
 
     parts.append("</svg>")

@@ -43,6 +43,8 @@ class TestLinkBudget:
             dict(wavelength_m=math.inf),
             dict(wavelength_m=0.1, reference_gain=math.nan),
             dict(wavelength_m=0.1, transmit_snr=math.inf),
+            dict(wavelength_m=0.1, reference_gain=1e300, transmit_snr=1e300),
+            dict(wavelength_m=0.1, reference_gain=1e-300, transmit_snr=1e-300),
         ],
     )
     def test_validation(self, kwargs):

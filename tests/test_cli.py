@@ -90,6 +90,8 @@ class TestEval:
               "--models", "exact,closed"), 3),
             (("eval", "--txsnr-db", "4000"), 2),
             (("eval", "--range-m", "1e200"), 2),
+            (("eval", "--power-db", "3000", "--ref-gain-db", "3000",
+              "--models", "exact"), 2),
         ],
     )
     def test_error_exit_codes(self, capsys, argv, code):
@@ -241,6 +243,16 @@ class TestSweep:
         ])
         assert code == 2
         capsys.readouterr()
+
+    def test_overflowing_link_budget_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "x.csv"
+        code = main([
+            "sweep", "--power-db", "3000", "--ref-gain-db", "3000",
+            "--steps", "2", "--models", "exact", "--out", str(target),
+        ])
+        assert code == 2
+        assert "effective_power" in capsys.readouterr().err
+        assert not target.exists()
 
     def test_closed_form_breakdown_maps_to_model_failure(self, capsys, tmp_path):
         code = main([

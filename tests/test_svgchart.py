@@ -55,6 +55,16 @@ class TestRenderLineChart:
         assert "a<&b" in texts
         assert "t<&t" in texts
 
+    def test_markup_characters_escaped_quotes_kept(self):
+        doc = render(
+            simple_series("s & <\"q\"> 'a'"),
+            title="t & <\"q\"> 'a'",
+            x_label="x & <\"q\"> 'a'",
+            y_label="y & <\"q\"> 'a'",
+        )
+        for stem in ("s", "t", "x", "y"):
+            assert f">{stem} &amp; &lt;\"q\"&gt; 'a'</text>" in doc
+
     def test_requires_series(self):
         with pytest.raises(ValueError):
             render_line_chart([], x_label="x", y_label="y")
