@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -290,14 +291,96 @@ class TestDoubleIntegral:
         with pytest.raises(ValueError):
             snr_double_integral(reference.geometry, BROADSIDE, LINK, rel_tol=0.0)
 
+    @pytest.mark.parametrize("rel_tol", [math.nan, math.inf])
+    def test_non_finite_tolerance_rejected(self, reference, rel_tol):
+        # An infinite tolerance would let any quadrature pass.
+        with pytest.raises(ValueError):
+            snr_double_integral(reference.geometry, BROADSIDE, LINK, rel_tol=rel_tol)
+
     def test_user_on_segment_rejected(self):
         geom = ArrayGeometry(3, 1, 1.0, 1.0)
         with pytest.raises(DegenerateGeometryError):
             snr_double_integral(geom, UserLocation(2.0, math.pi / 2), LINK)
 
+    @staticmethod
+    def endfire_tip(r):
+        """The user at endfire, r - 3 m beyond the tip of three elements 1 m
+        apart, and the SNR of the continuum integral there.
+
+        The integrand is 1/(x + 3y - 1)^2 over the rectangle of half-widths
+        1.5/r (x) and 0.5/r (y), which integrates to
+        ln(r^2 / ((r - 3)(r + 3))) / 3; r - 3 is exact in floating point.
+        """
+        exact = LINK.effective_power * math.log(r * r / ((r - 3.0) * (r + 3.0))) / 3.0
+        return ArrayGeometry(3, 1, 1.0, 1.0), UserLocation(r, math.pi / 2), exact
+
+    def test_near_singular_tip_matches_endfire_integral(self):
+        geom, user, exact = self.endfire_tip(3.0000001)
+        report = snr_double_integral(geom, user, LINK)
+        assert report.value_linear == pytest.approx(exact, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "gap_m", [1e-5, 1e-7, 1e-8, 1e-9, 3e-10, 1e-10, 5e-11, 3e-11]
+    )
+    def test_near_singular_tip_never_silently_off(self, gap_m):
+        # Within 1e-9 m of the tip, rounding in x + v - sin alone is worth up
+        # to 3e-7 of the value; the error estimate must count it and raise.
+        geom, user, exact = self.endfire_tip(3.0 + gap_m)
+        try:
+            report = snr_double_integral(geom, user, LINK)
+        except QuadratureAccuracyError:
+            return  # the right answer once rounding outweighs the tolerance
+        assert report.value_linear == pytest.approx(exact, rel=1e-8)
+
     def test_near_singular_reports_accuracy_failure(self):
-        geom = ArrayGeometry(3, 1, 1.0, 1.0)
-        user = UserLocation(3.0000001, math.pi / 2)
+        # With a 1e-11 m gap to the tip, rounding alone is worth more than
+        # 1e-8 of the value, so the cubature refines until its rectangles
+        # run out.
+        geom, user, _ = self.endfire_tip(3.0 + 1e-11)
         with pytest.raises(QuadratureAccuracyError) as info:
             snr_double_integral(geom, user, LINK)
         assert info.value.estimate > 0.0
+
+    def test_unreachable_tolerance_stops_at_the_rectangle_budget(self, reference):
+        start = time.monotonic()
+        with pytest.raises(QuadratureAccuracyError) as info:
+            snr_double_integral(reference.geometry, BROADSIDE, LINK, rel_tol=1e-17)
+        assert time.monotonic() - start < 2.0
+        assert "integrand evaluations" in str(info.value)
+        assert info.value.estimate == pytest.approx(
+            snr_double_integral(reference.geometry, BROADSIDE, LINK).value_linear,
+            rel=1e-12,
+        )
+
+    @pytest.mark.parametrize(
+        "modules,range_m,theta_deg", [(625, 4.0, 60.0), (400, 3.0, 80.0)]
+    )
+    def test_close_to_a_long_array(self, modules, range_m, theta_deg):
+        # The integrand's peak is a thin ridge across a rectangle about 900
+        # and 1400 times longer than wide; splitting every rectangle into
+        # quadrants runs out of rectangles in both cases.
+        geom = ArrayGeometry(16, modules, 0.0628, 20.0)
+        user = UserLocation(range_m, math.radians(theta_deg))
+        value = snr_double_integral(geom, user, LINK).value_linear
+        closed = snr_closed_form(geom, user, LINK).value_linear
+        assert value == pytest.approx(closed, rel=1e-6)
+
+    @given(
+        st.integers(1, 20),
+        st.integers(1, 30),
+        st.floats(1.0, 30.0),
+        st.floats(0.01, 0.1),
+        st.floats(1e-4, 2e-3),
+        st.floats(0.0, 80.0),
+    )
+    def test_criterion_domain_matches_closed_form(self, m, n, ratio, d, eps, deg):
+        # The domain of acceptance criterion 02; no case may run out of
+        # rectangles, so QuadratureAccuracyError fails the test.
+        geom = ArrayGeometry(m, n, d, ratio)
+        left = UserLocation(d / eps, math.radians(deg))
+        right = UserLocation(d / eps, -math.radians(deg))
+        value = snr_double_integral(geom, left, LINK).value_linear
+        closed = snr_closed_form(geom, left, LINK).value_linear
+        assert value == pytest.approx(closed, rel=1e-6)
+        mirrored = snr_double_integral(geom, right, LINK).value_linear
+        assert value == pytest.approx(mirrored, rel=1e-12)

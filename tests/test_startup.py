@@ -1,7 +1,7 @@
 """Start-up cost: modules that only one model or none needs stay unloaded.
 
-Each case runs in a fresh interpreter, because this test process has
-long since imported scipy for the quadrature tests.
+Each case runs in a fresh interpreter, so that modules this test process
+has already imported do not count.
 """
 
 import json
@@ -12,22 +12,28 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# scipy.integrate serves only snr_double_integral; xml.sax pulls in
-# urllib.request and was once loaded for SVG escaping alone.
-DEFERRED = ("scipy.integrate", "xml.sax")
+# numpy.polynomial supplies the quadrature model's Gauss-Legendre nodes and
+# nothing else; scipy is not a dependency; xml.sax pulls in urllib.request
+# and was once loaded for SVG escaping alone.
+DEFERRED = ("numpy.polynomial", "scipy", "xml.sax")
 
 _PROBE = """
 import json, sys
 import modxl.cli
 codes = [modxl.cli.main(argv) for argv in json.loads(sys.argv[1])]
-loaded = [name for name in json.loads(sys.argv[2]) if name in sys.modules]
+prefixes = tuple(json.loads(sys.argv[2]))
+loaded = sorted(
+    name for name in sys.modules
+    if name in prefixes or name.startswith(tuple(p + "." for p in prefixes))
+)
 print(json.dumps({"codes": codes, "loaded": loaded}))
 """
 
 
 def run_commands(*commands):
     """Import modxl.cli in a fresh interpreter, run each command through
-    ``cli.main`` and return the exit codes and which DEFERRED modules loaded."""
+    ``cli.main`` and return the exit codes and the loaded modules that fall
+    under a DEFERRED package."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
@@ -55,9 +61,13 @@ def test_sweep_and_plot_load_no_deferred_module(tmp_path):
     assert svg_path.read_text().startswith("<svg")
 
 
-def test_eval_all_still_runs_the_quadrature(tmp_path):
+def test_no_command_loads_scipy(tmp_path):
     report = tmp_path / "report.json"
-    codes, loaded = run_commands(["eval", "--models", "all", "--out", str(report)])
-    assert codes == [0]
+    codes, loaded = run_commands(
+        ["eval", "--models", "all", "--out", str(report)],
+        ["verify", "--out", str(tmp_path / "verify.txt")],
+    )
+    assert codes == [0, 0]
     assert "snr_integral_db" in json.loads(report.read_text())["snr"]
-    assert loaded == ["scipy.integrate"]
+    assert "numpy.polynomial.legendre" in loaded
+    assert [name for name in loaded if name.startswith("scipy")] == []
