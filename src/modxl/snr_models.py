@@ -8,8 +8,9 @@ Six routes to the same quantity, each with its own domain of validity:
 * collocated-array reduction (unit separation ratio),
 * infinite-array limit in the module count,
 * plane-wave far-field value,
-* adaptive tensor Gauss-Legendre cubature of the continuum integral, kept
-  as an independent numerical cross-check of the closed form.
+* adaptive Gauss-Legendre quadrature of the continuum integral, reduced
+  exactly to one dimension and kept as an independent numerical
+  cross-check of the closed form.
 """
 
 from __future__ import annotations
@@ -69,9 +70,12 @@ ENDFIRE_COS_FLOOR = 1e-9
 #: The plane-wave value is flagged when the range is closer than this multiple
 #: of the augmented span.
 FAR_FIELD_MARGIN = 5.0
-#: Rectangles the quadrature model's adaptive cubature may evaluate in all
-#: before it gives up.
-CUBATURE_MAX_RECTANGLES = 4096
+#: Relative error estimate the quadrature model must reach: a decade inside
+#: the 1e-8 to which it checks the closed form.
+QUADRATURE_REL_TOL = 1e-9
+#: Panels the quadrature model's adaptive rule may evaluate in all before it
+#: gives up.
+QUADRATURE_MAX_PANELS = 4096
 
 FLAG_EPSILON_NOT_SMALL = "epsilon_not_small"
 FLAG_THETA_NEAR_ENDFIRE = "theta_near_endfire"
@@ -149,9 +153,9 @@ def snr_closed_form(
     eps = normalized_spacing(geom, user)
     if eps > EPSILON_WARN_THRESHOLD:
         flags.add(FLAG_EPSILON_NOT_SMALL)
-    cos_t = math.cos(user.angle_rad)
-    if abs(cos_t) < ENDFIRE_COS_FLOOR:
+    if is_near_endfire(user):
         return _endfire_fallback(geom, user, link, SnrModel.CLOSED_FORM, flags)
+    cos_t = math.cos(user.angle_rad)
     # Beside the array segment the continuum step is d / (r cos(angle)).
     if eps / abs(cos_t) > EPSILON_WARN_THRESHOLD:
         flags.add(FLAG_EPSILON_NOT_SMALL)
@@ -183,6 +187,11 @@ def is_collocated(geom: ArrayGeometry) -> bool:
     return abs(geom.separation_ratio - 1.0) <= 1e-12
 
 
+def is_near_endfire(user: UserLocation) -> bool:
+    "Whether the user lies along the array axis, where the closed forms degenerate."
+    return abs(math.cos(user.angle_rad)) < ENDFIRE_COS_FLOOR
+
+
 def snr_collocated(
     geom: ArrayGeometry, user: UserLocation, link: LinkBudget
 ) -> SnrReport:
@@ -193,9 +202,9 @@ def snr_collocated(
             "collocated model requires separation_ratio == 1, got "
             f"{geom.separation_ratio}"
         )
-    cos_t = math.cos(user.angle_rad)
-    if abs(cos_t) < ENDFIRE_COS_FLOOR:
+    if is_near_endfire(user):
         return _endfire_fallback(geom, user, link, SnrModel.COLLOCATED, set())
+    cos_t = math.cos(user.angle_rad)
     tan_t = math.tan(user.angle_rad)
     d = geom.element_spacing
     half_extent = geom.total_elements * d / (2.0 * user.range_m * cos_t)
@@ -212,11 +221,11 @@ def snr_asymptotic(
 ) -> SnrReport:
     """Limit SNR as the module count grows without bound: independent of the
     module count, inversely proportional to the projected range."""
-    cos_t = math.cos(user.angle_rad)
-    if abs(cos_t) < ENDFIRE_COS_FLOOR:
+    if is_near_endfire(user):
         raise UnboundedLimitError(
             "infinite-array SNR diverges at endfire (cos(angle) == 0)"
         )
+    cos_t = math.cos(user.angle_rad)
     d = geom.element_spacing
     pitch = (geom.elements_per_module - 1) * d + geom.module_separation
     value = (
@@ -240,38 +249,39 @@ def snr_upw(geom: ArrayGeometry, user: UserLocation, link: LinkBudget) -> SnrRep
 
 
 def snr_double_integral(
-    geom: ArrayGeometry,
-    user: UserLocation,
-    link: LinkBudget,
-    rel_tol: float = 1e-8,
+    geom: ArrayGeometry, user: UserLocation, link: LinkBudget
 ) -> SnrReport:
-    """Adaptive cubature of the continuum integral behind the closed form.
+    """Adaptive quadrature of the continuum integral behind the closed form.
 
-    A globally adaptive tensor Gauss-Legendre rule over the element-axis by
-    module-axis rectangle (see :func:`_adaptive_gauss_legendre`), run a
-    decade tighter than ``rel_tol``.  Serves as an independent oracle for
-    the closed form.  Raises :class:`QuadratureAccuracyError`, carrying the
-    current estimate, when ``CUBATURE_MAX_RECTANGLES`` rectangles do not
-    reach that, as when the user is so close to the tip of the array
-    segment that rounding alone exceeds the tolerance.
+    The continuum integrand over the element-axis by module-axis rectangle
+    [-a, a] x [-b, b] depends on the two coordinates only through their sum
+    u = x + v, so the double integral is exactly the single integral of the
+    integrand times w(u) = min(a + b - |u|, 2 min(a, b)), the length of the
+    line x + v = u inside the rectangle.  That integral is taken with a
+    globally adaptive Gauss-Legendre rule (see
+    :func:`_adaptive_gauss_legendre`) to an estimated relative error of
+    ``QUADRATURE_REL_TOL``.  It uses neither :func:`h_aux` nor
+    :func:`aperture`, so it stays an independent oracle for the closed form.
+    Raises :class:`QuadratureAccuracyError`, carrying the current estimate,
+    when ``QUADRATURE_MAX_PANELS`` panels do not reach that, as when the
+    user is so close to the tip of the array segment that rounding alone
+    exceeds the tolerance.
     """
-    if not (rel_tol > 0 and math.isfinite(rel_tol)):
-        raise ValueError(f"rel_tol must be positive and finite, got {rel_tol}")
     eps = normalized_spacing(geom, user)
     stride = geom.stride
     sin_t = math.sin(user.angle_rad)
     cos_t = math.cos(user.angle_rad)
     cos_sq = cos_t * cos_t
-    m_half = 0.5 * geom.elements_per_module * eps
-    n_half = 0.5 * geom.module_count * eps
+    a = 0.5 * geom.elements_per_module * eps
+    b = stride * 0.5 * geom.module_count * eps
 
-    # The integrand 1/((u - sin)^2 + cos^2) with u = x + stride*y is the
-    # cancellation-safe regrouping of 1/(1 - 2*u*sin + u^2).  It is singular
-    # exactly where the user sits on the array segment: endfire direction
-    # with the range inside the augmented half-span.
-    u_max = m_half + stride * n_half
+    # The integrand 1/((u - sin)^2 + cos^2) is the cancellation-safe
+    # regrouping of 1/(1 - 2*u*sin + u^2).  It is singular exactly where the
+    # user sits on the array segment: endfire direction with the range
+    # inside the augmented half-span.
+    u_max = a + b
     if abs(sin_t) <= u_max:
-        if abs(cos_t) < ENDFIRE_COS_FLOOR:
+        if is_near_endfire(user):
             raise DegenerateGeometryError(
                 "integrand singular: user lies on the array segment"
             )
@@ -280,27 +290,31 @@ def snr_double_integral(
             "integrand singular: user at the tip of the array segment"
         )
 
-    # Integrated over (x, v) with v = stride*y: both axes are then in units
-    # of u, so the rectangles are refined to the integrand's own scale.
-    def integrand(x: np.ndarray, v: np.ndarray) -> tuple:
-        off = x + v - sin_t
-        value = 1.0 / (off * off + cos_sq)
-        # Rounding moves off by about one ulp of |x| + |v| + |sin|, and the
-        # value by that times |d value/d off| = 2*|off|*value^2.
-        shift = math.ulp(1.0) * (np.abs(x) + np.abs(v) + abs(sin_t))
-        return value, shift * 2.0 * np.abs(off) * value * value
+    # The weight w is linear on each of the three panels split at
+    # +-|a - b|: sloped on the two ends, flat between them.
+    knee, width = abs(a - b), 2.0 * min(a, b)
 
-    level_tol = 0.1 * rel_tol
+    def integrand(u: np.ndarray) -> tuple:
+        off = u - sin_t
+        value = 1.0 / (off * off + cos_sq)
+        weight = np.minimum(u_max - np.abs(u), width)
+        slope = np.where(np.abs(u) > knee, -np.sign(u), 0.0)
+        # Rounding moves u by about one ulp of |u| + |sin|, and value*weight
+        # by that times its derivative value*slope - 2*off*value^2*weight.
+        shift = math.ulp(1.0) * (np.abs(u) + abs(sin_t))
+        rounding = shift * np.abs(value * slope - 2.0 * off * value * value * weight)
+        return value * weight, rounding
+
     raw, abserr, evaluations = _adaptive_gauss_legendre(
-        integrand, m_half, stride * n_half, level_tol
+        integrand, (-u_max, -knee, knee, u_max), QUADRATURE_REL_TOL
     )
     value = link.effective_power / user.range_m**2 / eps**2 * (raw / stride)
-    if not abserr <= level_tol * abs(raw):
+    if not abserr <= QUADRATURE_REL_TOL * abs(raw):
         achieved = abserr / abs(raw) if raw != 0.0 else math.inf
         raise QuadratureAccuracyError(
             f"quadrature stopped at relative error estimate {achieved:.2e} "
-            f"after {evaluations} integrand evaluations; rel_tol {rel_tol:.0e} "
-            f"needs {level_tol:.0e}",
+            f"after {evaluations} integrand evaluations; needs "
+            f"{QUADRATURE_REL_TOL:.0e}",
             estimate=value,
         )
     return SnrReport(SnrModel.INTEGRAL, value)
@@ -316,76 +330,55 @@ def _gauss_legendre_rules() -> tuple:
     return leggauss(16), leggauss(8)
 
 
-def _adaptive_gauss_legendre(integrand, x_half: float, y_half: float, tol: float):
-    """Integrate ``integrand`` over [-x_half, x_half] x [-y_half, y_half].
+def _adaptive_gauss_legendre(integrand, edges: tuple, tol: float):
+    """Integrate ``integrand`` over the panels between consecutive ``edges``.
 
-    Globally adaptive tensor Gauss-Legendre cubature (Davis & Rabinowitz,
-    *Methods of Numerical Integration*, ch. 5).  A rectangle's value is its
-    16x16-point rule Q16.  Its error estimate is |Q16 - Q8| plus Q16 of the
-    integrand's own rounding estimate, which no refinement reduces; each
-    generation of rectangles is one vectorised pass.  The loop stops once
-    the summed estimate is at most ``tol`` times the total.  Otherwise it
-    accepts the rectangles whose estimate fits an equal share of the budget
-    left, and splits the rest (:func:`_split_rectangles`).  It also stops
-    when the next generation would take the count of rectangles evaluated
-    past ``CUBATURE_MAX_RECTANGLES``, so the caller tells the two stops
-    apart by testing the returned estimate against ``tol`` again.
+    Globally adaptive Gauss-Legendre quadrature (Davis & Rabinowitz,
+    *Methods of Numerical Integration*, ch. 5).  A panel's value is its
+    16-point rule Q16.  Its error estimate is |Q16 - Q8| plus Q16 of the
+    integrand's own rounding estimate, which no refinement reduces.  The
+    loop stops once the summed estimate is at most ``tol`` times the total.
+    Otherwise it halves every panel whose estimate exceeds an equal share of
+    that budget and keeps the rest, so each panel is weighed against the
+    current total in every generation and none is accepted for good.  It
+    also stops when the halves would take the count of panels evaluated past
+    ``QUADRATURE_MAX_PANELS``, so the caller tells the two stops apart by
+    testing the returned estimate against ``tol`` again.
 
-    ``integrand`` takes node arrays x of shape (rects, i, 1) and y of shape
-    (rects, 1, j), and returns its values there and an estimate of each
-    value's rounding error.  Returns the integral, its summed error
-    estimate and the number of integrand evaluations.
+    ``integrand`` takes a node array of shape (panels, nodes) and returns
+    its values there and an estimate of each value's rounding error.
+    Returns the integral, its summed error estimate and the number of
+    integrand evaluations.
     """
-    fine_rule, coarse_rule = _gauss_legendre_rules()
-    cx, cy = np.zeros(1), np.zeros(1)
-    hx, hy = np.full(1, float(x_half)), np.full(1, float(y_half))
-    done_value = done_error = 0.0
-    evaluations = rectangles = 0
-    while cx.size:
-        rectangles += cx.size
-        evaluations += cx.size * (fine_rule[0].size ** 2 + coarse_rule[0].size ** 2)
-        fine, rounding = _tensor_rule(integrand, cx, cy, hx, hy, *fine_rule)
-        coarse, _ = _tensor_rule(integrand, cx, cy, hx, hy, *coarse_rule)
-        error = np.abs(fine - coarse) + rounding
-        total = done_value + float(fine.sum())
-        total_error = done_error + float(error.sum())
+    (fine_x, fine_w), (coarse_x, coarse_w) = _gauss_legendre_rules()
+
+    def panel_rule(centre, half):
+        fine_values, rounding = integrand(centre[:, None] + half[:, None] * fine_x)
+        coarse_values, _ = integrand(centre[:, None] + half[:, None] * coarse_x)
+        fine = half * (fine_values @ fine_w)
+        coarse = half * (coarse_values @ coarse_w)
+        return fine, np.abs(fine - coarse) + half * (rounding @ fine_w)
+
+    edges = np.asarray(edges, dtype=float)
+    centre, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+    fine, error = panel_rule(centre, half)
+    panels = centre.size
+    while True:
+        total, total_error = float(fine.sum()), float(error.sum())
         budget = tol * abs(total)
-        if total_error <= budget:
+        split = error > budget / centre.size
+        # A NaN estimate stops the loop too: no panel would be split.
+        if not total_error > budget or panels + 2 * split.sum() > QUADRATURE_MAX_PANELS:
             break
-        split = error > (budget - done_error) / cx.size
-        children = _split_rectangles(cx[split], cy[split], hx[split], hy[split])
-        if rectangles + children[0].size > CUBATURE_MAX_RECTANGLES:
-            break
-        done_value += float(fine[~split].sum())
-        done_error += float(error[~split].sum())
-        cx, cy, hx, hy = children
+        quarter = 0.5 * half[split]
+        halves = np.concatenate((centre[split] - quarter, centre[split] + quarter))
+        quarter = np.tile(quarter, 2)
+        new_fine, new_error = panel_rule(halves, quarter)
+        keep = ~split
+        centre = np.concatenate((centre[keep], halves))
+        half = np.concatenate((half[keep], quarter))
+        fine = np.concatenate((fine[keep], new_fine))
+        error = np.concatenate((error[keep], new_error))
+        panels += halves.size
+    evaluations = panels * (fine_x.size + coarse_x.size)
     return total, total_error, evaluations
-
-
-def _tensor_rule(integrand, cx, cy, hx, hy, nodes, weights) -> list:
-    """One tensor Gauss-Legendre rule on each rectangle of centre (cx, cy)
-    and half-widths (hx, hy), applied to each array the integrand returns."""
-    x = cx[:, None] + hx[:, None] * nodes
-    y = cy[:, None] + hy[:, None] * nodes
-    return [
-        hx * hy * ((values @ weights) @ weights)
-        for values in integrand(x[:, :, None], y[:, None, :])
-    ]
-
-
-def _split_rectangles(cx, cy, hx, hy):
-    """Halve each side that is at least half as long as its rectangle's
-    longest side: a near-square splits into quadrants, a long strip only
-    across its length."""
-    halve_x, halve_y = 2.0 * hx > hy, 2.0 * hy > hx
-    hx = np.where(halve_x, 0.5 * hx, hx)
-    hy = np.where(halve_y, 0.5 * hy, hy)
-    shift_x, shift_y = hx * halve_x, hy * halve_y
-    signs = ((-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0), (1.0, 1.0))
-    keep = (np.ones_like(halve_x), halve_x, halve_y, halve_x & halve_y)
-    return (
-        np.concatenate([(cx + sx * shift_x)[k] for (sx, _), k in zip(signs, keep)]),
-        np.concatenate([(cy + sy * shift_y)[k] for (_, sy), k in zip(signs, keep)]),
-        np.concatenate([hx[k] for k in keep]),
-        np.concatenate([hy[k] for k in keep]),
-    )

@@ -17,10 +17,10 @@ from .channel import LinkBudget
 from .errors import SweepPointError
 from .geometry import ArrayGeometry, UserLocation
 from .snr_models import (
-    ENDFIRE_COS_FLOOR,
     SnrModel,
     SnrReport,
     is_collocated,
+    is_near_endfire,
     snr_asymptotic,
     snr_closed_form,
     snr_collocated,
@@ -189,8 +189,7 @@ def applicable_models(
     excluded = set()
     if not is_collocated(scenario.geometry) or swept is SweepVariable.SEPARATION:
         excluded.add(SnrModel.COLLOCATED)
-    endfire = abs(math.cos(scenario.user.angle_rad)) < ENDFIRE_COS_FLOOR
-    if endfire or swept is SweepVariable.THETA:
+    if is_near_endfire(scenario.user) or swept is SweepVariable.THETA:
         excluded.add(SnrModel.ASYMPTOTIC)
     return tuple(model for model in MODEL_ORDER if model not in excluded)
 

@@ -115,6 +115,20 @@ class TestEval:
         assert payload["snr"]["snr_upw_linear"] == 0.0
         assert payload["snr"]["snr_upw_db"] is None
 
+    def test_close_in_near_endfire_quadrature_converges(self, capsys):
+        # Close in near endfire the integrand is a thin ridge along
+        # x + v = sin(angle); the quadrature must still converge.
+        code, out = run_cli(
+            capsys, "eval", "--elements-per-module", "23", "--modules", "35",
+            "--separation-ratio", "23.296", "--range-m", "18.0176",
+            "--theta-deg", "-89.077",
+        )
+        assert code == 0
+        snr = json.loads(out)["snr"]
+        assert snr["snr_integral_linear"] == pytest.approx(
+            snr["snr_closed_linear"], rel=1e-6
+        )
+
     def test_degenerate_geometry_exit(self, capsys):
         code = main([
             "eval", "--elements-per-module", "3", "--modules", "1",
