@@ -14,6 +14,7 @@ from modxl.errors import (
     QuadratureAccuracyError,
     UnboundedLimitError,
 )
+from modxl import snr_models
 from modxl.geometry import ArrayGeometry, UserLocation, element_indices, element_position
 from modxl.snr_models import (
     FLAG_EPSILON_NOT_SMALL,
@@ -333,6 +334,20 @@ class TestDoubleIntegral:
         assert time.monotonic() - start < 2.0
         assert "integrand evaluations" in str(info.value)
         assert info.value.estimate == pytest.approx(exact, rel=1e-6)
+
+    def test_unreachable_tolerance_stops_at_the_rectangle_budget(
+        self, reference, monkeypatch
+    ):
+        # A tolerance below rounding on a smooth integrand: the quadrature
+        # must stop at the panel budget, quickly, with the converged value.
+        converged = snr_double_integral(reference.geometry, BROADSIDE, LINK)
+        monkeypatch.setattr(snr_models, "QUADRATURE_REL_TOL", 1e-17)
+        start = time.monotonic()
+        with pytest.raises(QuadratureAccuracyError) as info:
+            snr_double_integral(reference.geometry, BROADSIDE, LINK)
+        assert time.monotonic() - start < 2.0
+        assert "integrand evaluations" in str(info.value)
+        assert info.value.estimate == pytest.approx(converged.value_linear, rel=1e-12)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_panels_stop(self, reference):
