@@ -15,9 +15,6 @@ from .numerics import compensated_sum
 #: caller's environment; identical seeds give bit-identical estimates.
 _BATCH = 8192
 
-# Unit-modulus symbol alphabet on the axes: |s|^2 == 1.0 exactly in floats.
-_SYMBOLS = np.array([1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j])
-
 
 @dataclass(frozen=True, eq=False)
 class BeamformingWeights:
@@ -39,7 +36,7 @@ class BeamformingWeights:
 
 @dataclass(frozen=True)
 class UplinkSimulation:
-    """Monte-Carlo uplink setup: number of symbol draws, noise power, transmit
+    """Monte-Carlo uplink setup: number of noise draws, noise power, transmit
     power (so transmit_power/noise_power is the transmit SNR), and RNG seed."""
 
     sample_count: int
@@ -80,45 +77,41 @@ def complex_gaussian(
     rng: np.random.Generator, shape: tuple, variance: float
 ) -> np.ndarray:
     """Circularly-symmetric complex Gaussian samples of the given total
-    variance: two independent real normal draws per component, each scaled by
-    sqrt(variance/2)."""
-    scale = math.sqrt(variance / 2.0)
-    real = rng.standard_normal(shape)
-    imag = rng.standard_normal(shape)
-    return scale * (real + 1j * imag)
+    variance: one draw of interleaved real and imaginary parts, each scaled by
+    sqrt(variance/2) and viewed as complex."""
+    pairs = rng.standard_normal((*shape, 2))
+    pairs *= math.sqrt(variance / 2.0)
+    return pairs.view(np.complex128)[..., 0]
 
 
 def uplink_power_estimates(
     response: ArrayResponse, weights: BeamformingWeights, sim: UplinkSimulation
 ) -> tuple:
-    """Empirical (signal power, noise power) after beamforming.
+    """(signal power, empirical noise power) after beamforming.
 
-    Draws ``sample_count`` realisations of the combined received sample
-    g*sqrt(P)*s + w^H z with unit-power symbols s and white complex Gaussian
-    noise z.  Signal and noise powers are accumulated separately, which keeps
-    the estimator variance down to the noise term alone.
+    The signal power P*|g|^2, with g = w^H h, is computed: a unit-power
+    symbol makes it the same in every sample.  The noise power is the mean of
+    |w^H z|^2 over ``sample_count`` draws of white complex Gaussian noise z
+    across the elements.
     """
     if len(weights) != len(response):
         raise ValueError(
             f"weights length {len(weights)} != response length {len(response)}"
         )
-    gain = np.vdot(weights.weights, response.coefficients)
     conj_weights = np.conj(weights.weights)
     count = sim.sample_count
 
-    signal_samples = np.empty(count)
     noise_samples = np.empty(count)
     rng = np.random.Generator(np.random.PCG64(sim.seed))
     for start in range(0, count, _BATCH):
         stop = min(start + _BATCH, count)
         block = stop - start
-        symbols = _SYMBOLS[rng.integers(0, 4, size=block)]
         noise = complex_gaussian(rng, (block, len(response)), sim.noise_power)
         combined_noise = noise @ conj_weights
-        signal_samples[start:stop] = sim.transmit_power * np.abs(gain * symbols) ** 2
         noise_samples[start:stop] = np.abs(combined_noise) ** 2
 
-    signal_power = compensated_sum(signal_samples) / count
+    gain = np.vdot(weights.weights, response.coefficients)
+    signal_power = sim.transmit_power * abs(gain) ** 2
     noise_power = compensated_sum(noise_samples) / count
     return signal_power, noise_power
 

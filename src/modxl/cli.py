@@ -529,6 +529,10 @@ def _series_from_table(
             raise MalformedDataError(
                 f"{path}:{i}: non-numeric value in {x_name!r}/{y_name!r}"
             ) from None
+        if not (math.isfinite(xs[-1]) and math.isfinite(ys[-1])):
+            raise MalformedDataError(
+                f"{path}:{i}: non-finite value in {x_name!r}/{y_name!r}"
+            )
     if len(xs) < 2:
         raise MalformedDataError(
             f"{path}: column {y_name!r} has fewer than two plottable rows"

@@ -9,7 +9,7 @@ def compensated_sum(values: Iterable[float]) -> float:
 
     Backed by Shewchuk partial sums (``math.fsum``), so the result is the
     correctly rounded sum of the inputs and depends only on the input order,
-    never on chunking or thread count.
+    never on chunking.
     """
     return math.fsum(values)
 

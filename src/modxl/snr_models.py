@@ -280,14 +280,9 @@ def snr_double_integral(
     # user sits on the array segment: endfire direction with the range
     # inside the augmented half-span.
     u_max = a + b
-    if abs(sin_t) <= u_max:
-        if is_near_endfire(user):
-            raise DegenerateGeometryError(
-                "integrand singular: user lies on the array segment"
-            )
-    elif (abs(sin_t) - u_max) ** 2 + cos_sq <= 0.0:
+    if abs(sin_t) <= u_max and is_near_endfire(user):
         raise DegenerateGeometryError(
-            "integrand singular: user at the tip of the array segment"
+            "integrand singular: user lies on the array segment"
         )
 
     # The weight w is linear on each of the three panels split at

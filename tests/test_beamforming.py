@@ -110,6 +110,18 @@ class TestUplinkSimulation:
         assert samples.dtype == np.complex128
         assert np.mean(np.abs(samples) ** 2) == pytest.approx(4.0, rel=3e-2)
 
+    def test_complex_gaussian_components_of_a_2d_draw(self):
+        # Each of the 200x250 samples is one (real, imag) pair of the same
+        # draw: both halves carry variance/2 and are uncorrelated.
+        rng = np.random.Generator(np.random.PCG64(6))
+        samples = complex_gaussian(rng, (200, 250), 4.0)
+        assert samples.shape == (200, 250)
+        assert samples.dtype == np.complex128
+        real, imag = samples.real.ravel(), samples.imag.ravel()
+        assert np.var(real) == pytest.approx(2.0, rel=3e-2)
+        assert np.var(imag) == pytest.approx(2.0, rel=3e-2)
+        assert abs(np.corrcoef(real, imag)[0, 1]) < 2e-2
+
     def test_same_seed_is_bit_identical(self):
         geom = ArrayGeometry(4, 2, 0.0628, 3.0)
         response = array_response_nusw(geom, UserLocation(35.0, 0.3), LINK)
@@ -129,8 +141,8 @@ class TestUplinkSimulation:
         )
 
     def test_signal_power_is_exact_for_unit_symbols(self):
-        # |s|^2 == 1 exactly for the axis alphabet, and a 4096-sample mean of
-        # one repeated float is that float, so the signal estimate is exact.
+        # A unit-power symbol gives every sample the same signal power
+        # P*|w^H h|^2, so the estimate computes it exactly; only noise is drawn.
         response = ArrayResponse(np.array([0.02 + 0.01j, -0.03j, 0.015]))
         weights = mrc_weights(response)
         sim = UplinkSimulation(4096, noise_power=1.0, transmit_power=1e5, seed=3)
@@ -143,9 +155,14 @@ class TestUplinkSimulation:
         geom = ArrayGeometry(4, 2, 0.0628, 3.0)
         response = array_response_nusw(geom, UserLocation(35.0, 0.3), LINK)
         weights = mrc_weights(response)
-        sim = UplinkSimulation(30000, noise_power=1.0, transmit_power=1e5, seed=7)
-        estimate = simulate_uplink(response, weights, sim)
-        assert estimate == pytest.approx(snr(weights, response, LINK), rel=3e-2)
+        # Both cases have transmit SNR 1e5; the second checks that the noise
+        # power scales the noise draw, its only way into the estimate.
+        for noise_power, transmit_power in ((1.0, 1e5), (4.0, 4e5)):
+            sim = UplinkSimulation(
+                30000, noise_power=noise_power, transmit_power=transmit_power, seed=7
+            )
+            estimate = simulate_uplink(response, weights, sim)
+            assert estimate == pytest.approx(snr(weights, response, LINK), rel=3e-2)
 
     def test_length_mismatch_rejected(self):
         sim = UplinkSimulation(10, 1.0, 1.0, seed=0)

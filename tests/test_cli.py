@@ -496,6 +496,33 @@ class TestPlot:
         assert code == 5
         capsys.readouterr()
 
+    def test_non_finite_cell(self, capsys, tmp_path):
+        bad = tmp_path / "nan.csv"
+        bad.write_text("var_value,snr_exact_db\n1.0,44.0\n2.0,nan\n")
+        code = main(["plot", "--in", str(bad),
+                     "--out", str(tmp_path / "c.svg")])
+        err = capsys.readouterr().err
+        assert code == 5
+        assert f"{bad}:3: non-finite value" in err
+
+    def test_underflowed_sweep_round_trip(self, capsys, tmp_path):
+        # An SNR that underflows to 0 is written as -inf by sweep; plotting
+        # that CSV is malformed input, not a usage error.
+        sweep_out = tmp_path / "x.csv"
+        code = main([
+            "sweep", "--var", "range", "--start", "1e140", "--stop", "1e150",
+            "--scale", "log", "--txsnr-db", "-300", "--models", "upw",
+            "--steps", "3", "--out", str(sweep_out),
+        ])
+        capsys.readouterr()
+        assert code == 0
+        assert "-inf" in column(sweep_out, "snr_upw_db")
+        code = main(["plot", "--in", str(sweep_out),
+                     "--out", str(tmp_path / "x.svg")])
+        err = capsys.readouterr().err
+        assert code == 5
+        assert f"{sweep_out}:" in err and "non-finite value" in err
+
 
 class TestVerify:
     def test_all_checks_pass(self, capsys):
