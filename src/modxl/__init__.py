@@ -45,12 +45,12 @@ from .geometry import (
     element_offsets,
     element_position,
     normalized_spacing,
+    squared_distance_ratios,
 )
 from .numerics import compensated_sum, db_to_linear, linear_to_db
 from .snr_models import (
     SnrModel,
     SnrReport,
-    h_aux,
     snr_asymptotic,
     snr_closed_form,
     snr_collocated,
@@ -118,7 +118,6 @@ __all__ = [
     "element_offsets",
     "element_position",
     "evaluate_models",
-    "h_aux",
     "linear_to_db",
     "mrc_weights",
     "normalized_spacing",
@@ -134,5 +133,6 @@ __all__ = [
     "snr_double_integral",
     "snr_exact_sum",
     "snr_upw",
+    "squared_distance_ratios",
     "uplink_power_estimates",
 ]

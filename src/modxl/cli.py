@@ -599,32 +599,29 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if passed == len(results) else EXIT_VERIFY_FAILED
 
 
-def _exit_code_for(exc: Exception) -> Optional[int]:
+#: Exit code of each reported exception family, first match wins.
+_EXIT_CODES = (
+    (MalformedDataError, EXIT_MALFORMED),
+    (ValueError, EXIT_USAGE),  # includes UsageError and model-mismatch
+    (DegenerateGeometryError, EXIT_DEGENERATE),
+    (ArithmeticError, EXIT_DEGENERATE),  # unbounded limit, model breakdown, quadrature
+    (OSError, EXIT_IO),
+)
+
+
+def _failure(exc: BaseException) -> Optional[Tuple[int, str]]:
+    """The exit code and message ``main`` reports for ``exc``, or None for an
+    exception it lets through.  A failed sweep point reports its cause."""
     if isinstance(exc, SweepPointError) and exc.__cause__ is not None:
-        inner = _exit_code_for(exc.__cause__)
-        if inner is not None:
-            return inner
+        inner = _failure(exc.__cause__)
+        return inner and (inner[0], f"sweep point {exc.index} failed: {inner[1]}")
     if isinstance(exc, OverflowError):
-        return EXIT_USAGE  # an input so large or small that a model overflows
-    if isinstance(exc, MalformedDataError):
-        return EXIT_MALFORMED
-    if isinstance(exc, ValueError):
-        return EXIT_USAGE  # includes UsageError and model-mismatch
-    if isinstance(exc, DegenerateGeometryError):
-        return EXIT_DEGENERATE
-    if isinstance(exc, ArithmeticError):
-        return EXIT_DEGENERATE  # unbounded limit, model breakdown, quadrature
-    if isinstance(exc, OSError):
-        return EXIT_IO
+        # an input so large or small that a model overflows
+        return EXIT_USAGE, "an input value is out of range (floating-point overflow)"
+    for kind, code in _EXIT_CODES:
+        if isinstance(exc, kind):
+            return code, str(exc)
     return None
-
-
-def _error_text(exc: Exception) -> str:
-    if isinstance(exc, OverflowError):
-        return "an input value is out of range (floating-point overflow)"
-    if isinstance(exc, SweepPointError) and exc.__cause__ is not None:
-        return f"sweep point {exc.index} failed: {_error_text(exc.__cause__)}"
-    return str(exc)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -635,11 +632,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _check_exclusive(args)
         return args.func(args)
     except Exception as exc:  # mapped to documented exit codes
-        code = _exit_code_for(exc)
-        if code is None:
+        failure = _failure(exc)
+        if failure is None:
             raise
-        print(f"modxl: error: {_error_text(exc)}", file=sys.stderr)
-        return code
+        print(f"modxl: error: {failure[1]}", file=sys.stderr)
+        return failure[0]
 
 
 if __name__ == "__main__":

@@ -172,43 +172,41 @@ def normalized_spacing(geom: ArrayGeometry, user: UserLocation) -> float:
     return geom.element_spacing / user.range_m
 
 
-def _distance_components(
-    offsets: np.ndarray, user: UserLocation, spacing: float
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Components (1 - u*eps*sin, u*eps*cos) of the element-to-user distances
-    over the user range, for given axis offsets u and eps = spacing/range.
-
-    Their Euclidean norm equals sqrt(1 - 2*u*eps*sin + (u*eps)^2), but this
-    grouping keeps full precision when the user is nearly collinear with the
-    array: nothing cancels.
+def squared_distance_ratios(geom: ArrayGeometry, user: UserLocation) -> np.ndarray:
+    """Squared element-to-user distances over the squared range, module-major:
+    the toolkit's one distance kernel.  Each is (1 - u*eps*sin)^2 +
+    (u*eps*cos)^2 for axis offset u and eps = spacing/range, which keeps the
+    precision that 1 - 2*u*eps*sin + (u*eps)^2 loses to cancellation near the
+    array axis.  Raises :class:`DegenerateGeometryError` for a distance below
+    ``DISTANCE_FLOOR_M``, and ``OverflowError`` below a range of about
+    7.5e-164 m, where the floor's own ratio overflows.
     """
-    ue = offsets * (spacing / user.range_m)
-    return 1.0 - ue * math.sin(user.angle_rad), ue * math.cos(user.angle_rad)
+    return _squared_ratios(geom, user, element_offsets(geom))
+
+
+def _squared_ratios(
+    geom: ArrayGeometry, user: UserLocation, offsets: np.ndarray
+) -> np.ndarray:
+    "The kernel of :func:`squared_distance_ratios` at the given axis offsets."
+    ue = offsets * (geom.element_spacing / user.range_m)
+    along = 1.0 - ue * math.sin(user.angle_rad)
+    across = ue * math.cos(user.angle_rad)
+    ratios = along * along + across * across
+    floor_ratio = (DISTANCE_FLOOR_M / user.range_m) ** 2
+    if ratios.min() < floor_ratio:
+        raise DegenerateGeometryError(
+            "user lies on the array: an element distance falls below "
+            f"{DISTANCE_FLOOR_M:.0e} m"
+        )
+    return ratios
 
 
 def distance(geom: ArrayGeometry, user: UserLocation, idx: ElementIndex) -> float:
     "Distance from the user to one array element, metres."
-    u = element_index_offset(geom, idx)
-    along, across = _distance_components(np.array([u]), user, geom.element_spacing)
-    value = user.range_m * float(np.hypot(along, across)[0])
-    if value < DISTANCE_FLOOR_M:
-        raise DegenerateGeometryError(
-            f"user lies on array element ({idx.element}, {idx.module}): "
-            f"distance {value:.3e} m below floor {DISTANCE_FLOOR_M:.0e} m"
-        )
-    return value
+    offset = np.array([element_index_offset(geom, idx)])
+    return user.range_m * math.sqrt(_squared_ratios(geom, user, offset)[0])
 
 
 def distances(geom: ArrayGeometry, user: UserLocation) -> np.ndarray:
     "Distances from the user to every element, module-major order, metres."
-    along, across = _distance_components(
-        element_offsets(geom), user, geom.element_spacing
-    )
-    values = user.range_m * np.hypot(along, across)
-    smallest = values.min()
-    if smallest < DISTANCE_FLOOR_M:
-        raise DegenerateGeometryError(
-            f"user lies on the array: minimum element distance {smallest:.3e} m "
-            f"below floor {DISTANCE_FLOOR_M:.0e} m"
-        )
-    return values
+    return user.range_m * np.sqrt(squared_distance_ratios(geom, user))

@@ -31,13 +31,11 @@ from .errors import (
     UnboundedLimitError,
 )
 from .geometry import (
-    DISTANCE_FLOOR_M,
     ArrayGeometry,
     UserLocation,
-    _distance_components,
     aperture,
-    element_offsets,
     normalized_spacing,
+    squared_distance_ratios,
 )
 from .numerics import compensated_sum, linear_to_db
 
@@ -91,6 +89,10 @@ class SnrReport:
     validity_flags: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
+        if self.value_linear == math.inf:
+            raise OverflowError("SNR value overflows to inf")
+        if math.isnan(self.value_linear):
+            raise ModelBreakdownError(f"{self.model.value} model returned NaN")
         if self.value_linear < 0:
             raise ValueError("value_linear must be nonnegative")
 
@@ -99,36 +101,14 @@ class SnrReport:
         return linear_to_db(self.value_linear)
 
 
-def h_aux(x: float) -> float:
-    """Running integral of the arctangent: x*arctan(x) - ln(1 + x^2)/2.
-
-    Even in its argument; evaluated through log1p so small arguments keep
-    full relative precision.
-    """
-    if not math.isfinite(x):
-        raise ValueError(f"argument must be finite, got {x}")
-    ax = abs(x)
-    return ax * math.atan(ax) - 0.5 * math.log1p(ax * ax)
-
-
 def snr_exact_sum(
     geom: ArrayGeometry, user: UserLocation, link: LinkBudget
 ) -> SnrReport:
     """Exact SNR: effective power times the compensated sum of inverse squared
     element distances.  Deterministic for a fixed geometry ordering."""
-    along, across = _distance_components(
-        element_offsets(geom), user, geom.element_spacing
-    )
-    ratios = along * along + across * across
-    floor_ratio = (DISTANCE_FLOOR_M / user.range_m) ** 2
-    if ratios.min() < floor_ratio:
-        raise DegenerateGeometryError(
-            "user lies on the array: an element distance falls below "
-            f"{DISTANCE_FLOOR_M:.0e} m"
-        )
-    total = compensated_sum(1.0 / ratios)
-    value = link.effective_power / user.range_m**2 * total
-    return SnrReport(SnrModel.EXACT_SUM, value)
+    # Summed first, so where r**2 underflows the kernel raises OverflowError.
+    total = compensated_sum(1.0 / squared_distance_ratios(geom, user))
+    return SnrReport(SnrModel.EXACT_SUM, link.effective_power / user.range_m**2 * total)
 
 
 def _endfire_fallback(geom, user, link, model: SnrModel, flags: set) -> SnrReport:
@@ -146,8 +126,9 @@ def snr_closed_form(
     against ``r cos(angle)``, the user's distance from the array line; a
     validity flag is raised otherwise.  Near endfire the expression
     degenerates and the exact sum is returned instead, flagged.  Raises
-    :class:`ModelBreakdownError` when the bracket of ``h_aux`` differences
-    cancels to a non-positive value, as it does far out in the far field.
+    :class:`ModelBreakdownError` when the bracket (see
+    :func:`_continuum_bracket`) is not positive, which only underflow or
+    overflow brings about, as at a range of 1e200 m off broadside.
     """
     flags = set()
     eps = normalized_spacing(geom, user)
@@ -159,27 +140,46 @@ def snr_closed_form(
     # Beside the array segment the continuum step is d / (r cos(angle)).
     if eps / abs(cos_t) > EPSILON_WARN_THRESHOLD:
         flags.add(FLAG_EPSILON_NOT_SMALL)
-    tan_t = math.tan(user.angle_rad)
     d = geom.element_spacing
     _, augmented = aperture(geom)
     scale = 2.0 * user.range_m * cos_t
     outer = augmented / scale
     inner = (augmented - 2.0 * geom.elements_per_module * d) / scale
-    bracket = (
-        h_aux(outer - tan_t)
-        + h_aux(outer + tan_t)
-        - h_aux(inner - tan_t)
-        - h_aux(inner + tan_t)
-    )
+    bracket = _continuum_bracket(outer, inner, abs(math.tan(user.angle_rad)))
     if not bracket > 0:
         raise ModelBreakdownError(
-            f"closed form cancelled to {bracket:.3e} at range {user.range_m:.6g} m; "
-            "use the exact sum"
+            f"closed form bracket is {bracket:.3e} at range {user.range_m:.6g} m, "
+            "outside the floating-point range; use the exact sum"
         )
     prefactor = link.effective_power / (
         (geom.elements_per_module - 1) * d * d + geom.module_separation * d
     )
     return SnrReport(SnrModel.CLOSED_FORM, prefactor * bracket, frozenset(flags))
+
+
+def _continuum_bracket(o: float, i: float, t: float) -> float:
+    """h(o - t) + h(o + t) - h(i - t) - h(i + t) for o > i >= 0, t >= 0 and
+    h(x) = x*atan(x) - ln(1 + x^2)/2, regrouped term by term so that the
+    four nearly equal h values of the far field are never subtracted.
+
+    With delta = o - i, sigma = o + i, q+- = 1 + (o +- t)(i +- t) and
+    D+- = atan2(delta, q+-) it is delta*atan2(2o, 1 + t^2 - o^2)
+    + i*(D+ + D-) + t*(D+ - D-) - ln(P(o)/P(i))/2, where
+    P(x) = (1 + x^2 + t^2)^2 - 4x^2t^2.  Every term is O(delta*sigma), and
+    they cancel by only a factor of about 2 (Higham, *Accuracy and Stability
+    of Numerical Algorithms*, sections 1.7-1.8).
+    """
+    delta, sigma = o - i, o + i
+    q_plus, q_minus = 1.0 + (o + t) * (i + t), 1.0 + (o - t) * (i - t)
+    return (
+        delta * math.atan2(2.0 * o, 1.0 + t * t - o * o)
+        + i * (math.atan2(delta, q_plus) + math.atan2(delta, q_minus))
+        - t * math.atan2(2.0 * t * sigma * delta, q_plus * q_minus + delta * delta)
+        - 0.5 * math.log1p(
+            delta * sigma * (2.0 - 2.0 * t * t + o * o + i * i)
+            / ((1.0 + i * i + t * t) ** 2 - 4.0 * i * i * t * t)
+        )
+    )
 
 
 def is_collocated(geom: ArrayGeometry) -> bool:
@@ -260,7 +260,7 @@ def snr_double_integral(
     line x + v = u inside the rectangle.  That integral is taken with a
     globally adaptive Gauss-Legendre rule (see
     :func:`_adaptive_gauss_legendre`) to an estimated relative error of
-    ``QUADRATURE_REL_TOL``.  It uses neither :func:`h_aux` nor
+    ``QUADRATURE_REL_TOL``.  It uses neither :func:`_continuum_bracket` nor
     :func:`aperture`, so it stays an independent oracle for the closed form.
     Raises :class:`QuadratureAccuracyError`, carrying the current estimate,
     when ``QUADRATURE_MAX_PANELS`` panels do not reach that, as when the

@@ -86,8 +86,8 @@ class TestEval:
             (("eval", "--theta-deg", "91"), 2),
             (("eval", "--separation-ratio", "0.5"), 2),
             (("eval", "--range-m", "inf", "--models", "upw"), 2),
-            (("eval", "--range-m", "1e9", "--theta-deg", "60",
-              "--models", "exact,closed"), 3),
+            (("eval", "--range-m", "1e200", "--theta-deg", "-45",
+              "--models", "closed"), 3),
             (("eval", "--txsnr-db", "4000"), 2),
             (("eval", "--range-m", "1e200"), 2),
             (("eval", "--power-db", "3000", "--ref-gain-db", "3000",
@@ -101,6 +101,37 @@ class TestEval:
     def test_overflowing_input_named_as_out_of_range(self, capsys):
         assert main(["eval", "--txsnr-db", "4000"]) == 2
         assert "input value is out of range" in capsys.readouterr().err
+
+    def test_overflowing_model_value_named_as_out_of_range(self, capsys):
+        # r**2 is subnormal at 5e-155 m, so P / r**2 overflows to inf.
+        assert main(["eval", "--range-m", "5e-155", "--models", "exact"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "modxl: error: an input value is out of range "
+            "(floating-point overflow)\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv,rel",
+        [
+            # Once 61 dB too high with "flags": [].
+            (("--range-m", "1e12", "--theta-deg", "-45"), 1e-12),
+            # Once 1.5% off with "flags": [].
+            (("--elements-per-module", "6", "--modules", "5",
+              "--separation-ratio", "29.852789547469307",
+              "--range-m", "619275.557", "--theta-deg", "-89.94264"), 1e-10),
+        ],
+    )
+    def test_far_closed_form_tracks_exact_sum(self, capsys, argv, rel):
+        code, out = run_cli(capsys, "eval", *argv, "--models", "exact,closed")
+        assert code == 0
+        payload = json.loads(out)
+        snr = payload["snr"]
+        assert snr["snr_closed_linear"] == pytest.approx(
+            snr["snr_exact_linear"], rel=rel
+        )
+        assert payload["flags"] == []
 
     def test_non_finite_value_written_as_null(self, capsys):
         def reject(name):
@@ -269,13 +300,28 @@ class TestSweep:
         assert not target.exists()
 
     def test_closed_form_breakdown_maps_to_model_failure(self, capsys, tmp_path):
+        # The bracket underflows to 0 from the second point, 1e175 m, on.
         code = main([
-            "sweep", "--var", "range", "--start", "35", "--stop", "1e9",
-            "--scale", "log", "--theta-deg", "-45",
-            "--out", str(tmp_path / "far.csv"),
+            "sweep", "--var", "range", "--start", "1e150", "--stop", "1e200",
+            "--scale", "log", "--theta-deg", "-45", "--models", "closed",
+            "--steps", "3", "--out", str(tmp_path / "far.csv"),
         ])
         assert code == 3
-        capsys.readouterr()
+        assert capsys.readouterr().err.startswith(
+            "modxl: error: sweep point 1 failed: closed form bracket is 0.000e+00"
+        )
+
+    def test_overflowing_sweep_point_named_as_out_of_range(self, capsys, tmp_path):
+        code = main([
+            "sweep", "--var", "range", "--start", "1e150", "--stop", "1e200",
+            "--scale", "log", "--models", "upw", "--steps", "3",
+            "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "modxl: error: sweep point 1 failed: an input value is out of range "
+            "(floating-point overflow)\n"
+        )
 
     def test_unwritable_out_gives_io_exit(self, capsys, tmp_path):
         code = main(["sweep", "--steps", "2", "--out",

@@ -255,6 +255,17 @@ class TestDistance:
             return
         assert left == pytest.approx(right, rel=1e-14)
 
+    def test_near_coincident_element_keeps_precision(self):
+        # The user sits 1e-6 m beyond element m = 1 on the array axis; the
+        # expanded 1 - 2*u*eps*sin + (u*eps)^2 would lose all but four digits.
+        geom = ArrayGeometry(3, 1, 1.0, 1.0)
+        user = UserLocation(1.000001, math.pi / 2)
+        oracle = math.hypot(user.range_m * math.cos(user.angle_rad), user.range_m - 1.0)
+        assert distance(geom, user, ElementIndex(1.0, 0.0)) == pytest.approx(
+            oracle, rel=1e-9
+        )
+        assert distances(geom, user)[2] == pytest.approx(oracle, rel=1e-9)
+
     def test_vectorized_matches_scalar(self):
         geom = ArrayGeometry(4, 3, 0.3, 2.5)
         user = UserLocation(12.0, -0.7)

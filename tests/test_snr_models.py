@@ -1,5 +1,6 @@
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,13 +16,18 @@ from modxl.errors import (
     UnboundedLimitError,
 )
 from modxl import snr_models
-from modxl.geometry import ArrayGeometry, UserLocation, element_indices, element_position
+from modxl.geometry import (
+    ArrayGeometry,
+    UserLocation,
+    distances,
+    element_indices,
+    element_position,
+)
 from modxl.snr_models import (
     FLAG_EPSILON_NOT_SMALL,
     FLAG_THETA_NEAR_ENDFIRE,
     SnrModel,
     SnrReport,
-    h_aux,
     is_collocated,
     snr_asymptotic,
     snr_closed_form,
@@ -35,33 +41,6 @@ LINK = LinkBudget(wavelength_m=0.1256, transmit_snr=1e5)
 BROADSIDE = UserLocation(35.0)
 
 
-class TestAuxiliary:
-    def test_zero(self):
-        assert h_aux(0.0) == 0.0
-
-    @pytest.mark.parametrize("x", [0.3, 1.0, 7.5])
-    def test_even(self, x):
-        assert h_aux(-x) == h_aux(x)
-
-    def test_known_value(self):
-        assert h_aux(1.0) == pytest.approx(math.pi / 4 - 0.5 * math.log(2),
-                                           rel=1e-15)
-
-    def test_small_argument_precision(self):
-        # Quadratic regime: h(x) -> x^2/2.  A naive log() would lose it all.
-        assert h_aux(1e-8) == pytest.approx(5e-17, rel=1e-3)
-
-    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
-    def test_non_finite_rejected(self, x):
-        with pytest.raises(ValueError):
-            h_aux(x)
-
-    @given(st.floats(1e-6, 10.0), st.floats(1e-6, 10.0))
-    def test_monotone_in_magnitude(self, a, b):
-        lo, hi = sorted((a, b))
-        assert h_aux(lo) <= h_aux(hi)
-
-
 class TestSnrReport:
     def test_db_round_trip(self):
         report = SnrReport(SnrModel.UPW, 250.0)
@@ -71,6 +50,14 @@ class TestSnrReport:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             SnrReport(SnrModel.UPW, -1.0)
+
+    def test_overflow_rejected(self):
+        with pytest.raises(OverflowError):
+            SnrReport(SnrModel.UPW, math.inf)
+
+    def test_nan_is_a_breakdown(self):
+        with pytest.raises(ModelBreakdownError):
+            SnrReport(SnrModel.EXACT_SUM, math.nan)
 
 
 class TestExactSum:
@@ -100,6 +87,44 @@ class TestExactSum:
         geom = ArrayGeometry(3, 1, 1.0, 1.0)
         with pytest.raises(DegenerateGeometryError):
             snr_exact_sum(geom, UserLocation(1.0, math.pi / 2), LINK)
+
+    @pytest.mark.parametrize("range_m", [5e-155, 1e-170])
+    def test_tiny_range_overflows(self, reference, range_m):
+        # P / r**2 overflows at 5e-155 m; at 1e-170 m the distance floor's
+        # ratio overflows before r**2 underflows to a division by zero.
+        with pytest.raises(OverflowError):
+            snr_exact_sum(reference.geometry, UserLocation(range_m), LINK)
+
+    @given(
+        st.integers(1, 16),
+        st.integers(1, 32),
+        st.floats(1e-3, 2.0),
+        st.floats(1.0, 30.0),
+        st.floats(-2.0, 12.0),
+        st.floats(-90.0, 90.0),
+    )
+    def test_matches_rational_sum_over_decades(
+        self, m, n, spacing, ratio, log_r, deg
+    ):
+        # The reference squares the Cartesian offsets of the float positions
+        # exactly, in rationals; the sum is taken exactly too.
+        geom = ArrayGeometry(m, n, spacing, ratio)
+        user = UserLocation(10.0**log_r, math.radians(deg))
+        position = [Fraction(v) for v in user.position]
+        squared = []
+        for idx in element_indices(geom):
+            element = [Fraction(v) for v in element_position(geom, idx)]
+            squared.append(sum((p - e) ** 2 for p, e in zip(position, element)))
+        if min(squared) < Fraction(1e-2 * user.range_m) ** 2:
+            return  # an element nearer than 1e-2 r: ill-conditioned for both routes
+        try:
+            report = snr_exact_sum(geom, user, LINK)
+            measured = distances(geom, user) ** 2
+        except DegenerateGeometryError:
+            return
+        oracle = Fraction(LINK.effective_power) * sum(1 / value for value in squared)
+        assert report.value_linear == pytest.approx(float(oracle), rel=1e-12)
+        np.testing.assert_allclose(measured, [float(v) for v in squared], rtol=1e-12)
 
 
 class TestClosedForm:
@@ -178,11 +203,46 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("theta_deg", [60.0, -45.0])
     def test_far_field_cancellation_raises(self, reference, theta_deg):
-        # At 1e9 m the bracket cancels to exactly 0 (60 deg) or below it
-        # (-45 deg); no value would be better than a silently wrong one.
-        user = UserLocation(1e9, math.radians(theta_deg))
-        with pytest.raises(ModelBreakdownError):
+        # At 1e200 m every term of the bracket underflows to 0; no value would
+        # be better than a silently wrong one.
+        user = UserLocation(1e200, math.radians(theta_deg))
+        with pytest.raises(ModelBreakdownError, match="floating-point range"):
             snr_closed_form(reference.geometry, user, LINK)
+
+    @pytest.mark.parametrize("theta_deg", [0.0, -45.0, 60.0, 89.9])
+    @pytest.mark.parametrize("range_m", [1e7, 1e9, 1e12])
+    def test_far_field_tracks_exact_sum(self, reference, theta_deg, range_m):
+        # The h(o -+ t) - h(i -+ t) bracket once cancelled here: 2.7e-4 off at
+        # 1e7 m, a breakdown at 1e9 m, and 61 dB too high at 1e12 m, -45 deg.
+        user = UserLocation(range_m, math.radians(theta_deg))
+        closed = snr_closed_form(reference.geometry, user, LINK).value_linear
+        exact = snr_exact_sum(reference.geometry, user, LINK).value_linear
+        assert closed == pytest.approx(exact, rel=1e-13)
+
+    def test_far_out_near_endfire_tracks_exact_sum(self):
+        # 1.5% off and unflagged while the bracket cancelled.
+        geom = ArrayGeometry(6, 5, 0.0628, 29.852789547469307)
+        user = UserLocation(619275.557, math.radians(-89.94264))
+        closed = snr_closed_form(geom, user, LINK)
+        exact = snr_exact_sum(geom, user, LINK).value_linear
+        assert closed.value_linear == pytest.approx(exact, rel=1e-10)
+        assert closed.validity_flags == frozenset()
+
+    @given(
+        st.integers(1, 32),
+        st.integers(1, 625),
+        st.floats(1.0, 60.0),
+        st.floats(math.log10(35.0), 12.0),
+        st.floats(-89.9, 89.9),
+    )
+    def test_over_decades_within_one_percent_or_flagged(self, m, n, ratio, log_r, deg):
+        geom = ArrayGeometry(m, n, 0.0628, ratio)
+        user = UserLocation(10.0**log_r, math.radians(deg))
+        closed = snr_closed_form(geom, user, LINK)
+        exact = snr_exact_sum(geom, user, LINK).value_linear
+        assert closed.value_linear > 0
+        if not closed.validity_flags:
+            assert closed.value_linear == pytest.approx(exact, rel=1e-2)
 
 
 class TestCollocated:
