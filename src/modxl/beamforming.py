@@ -60,7 +60,9 @@ def mrc_weights(response: ArrayResponse) -> BeamformingWeights:
     norm = np.linalg.norm(response.coefficients)
     if norm == 0:
         raise ValueError("cannot normalise a zero response vector")
-    return BeamformingWeights(response.coefficients / norm)
+    # numpy divides by a real scalar as a product with its reciprocal, so
+    # this multiplication gives the same bits without the complex division.
+    return BeamformingWeights(response.coefficients * (1.0 / norm))
 
 
 def snr(weights: BeamformingWeights, response: ArrayResponse, link: LinkBudget) -> float:

@@ -15,8 +15,6 @@ import numpy as np
 
 from .geometry import ArrayGeometry, UserLocation, distances, element_offsets
 
-_TWO_PI = 2.0 * math.pi
-
 
 @dataclass(frozen=True)
 class LinkBudget:
@@ -62,9 +60,31 @@ class ArrayResponse:
         return len(self.coefficients)
 
 
-def _wrap_phase(phase: np.ndarray) -> np.ndarray:
-    # Reduce mod 2*pi before exp() so large path lengths stay well conditioned.
-    return np.mod(phase, _TWO_PI)
+def _phasors(amplitude, path: np.ndarray, wavelength_m: float) -> ArrayResponse:
+    """Coefficients amplitude * exp(-j*2*pi*path/wavelength), for a scalar or
+    per-element ``amplitude``.  Overwrites ``path``, a fresh array.
+
+    The phase phi is reduced by whole cycles to [-pi, pi], so long paths stay
+    well conditioned.  With t = tan(-phi/2), the real and imaginary parts are
+    amplitude * (1 - t^2)/(1 + t^2) = amplitude * cos(phi) and
+    amplitude * 2t/(1 + t^2) = -amplitude * sin(phi).  One tangent costs a
+    fraction of a cosine and a sine, and each pass writes in place into the
+    halves of one complex array.
+    """
+    cycles = np.divide(path, wavelength_m, out=path)
+    out = np.empty(cycles.shape, dtype=np.complex128)
+    real, imag = out.real, out.imag
+    cycles -= np.rint(cycles, out=real)
+    cycles *= -math.pi
+    t = np.tan(cycles, out=cycles)
+    np.multiply(t, t, out=real)
+    np.add(real, 1.0, out=imag)
+    np.divide(amplitude, imag, out=imag)
+    np.subtract(1.0, real, out=real)
+    real *= imag
+    imag *= t
+    imag *= 2.0
+    return ArrayResponse(out)
 
 
 def array_response_nusw(
@@ -73,9 +93,7 @@ def array_response_nusw(
     """Spherical-wave response: coefficient sqrt(gain)/r_e * exp(-j*2*pi*r_e/wl)
     with r_e the exact element-to-user distance."""
     r = distances(geom, user)
-    amplitude = math.sqrt(link.reference_gain) / r
-    phase = _wrap_phase(_TWO_PI * r / link.wavelength_m)
-    return ArrayResponse(amplitude * np.exp(-1j * phase))
+    return _phasors(math.sqrt(link.reference_gain) / r, r, link.wavelength_m)
 
 
 def array_response_upw(
@@ -87,5 +105,4 @@ def array_response_upw(
         user.angle_rad
     )
     amplitude = math.sqrt(link.reference_gain) / user.range_m
-    phase = _wrap_phase(_TWO_PI * path / link.wavelength_m)
-    return ArrayResponse(amplitude * np.exp(-1j * phase))
+    return _phasors(amplitude, path, link.wavelength_m)

@@ -178,8 +178,9 @@ def squared_distance_ratios(geom: ArrayGeometry, user: UserLocation) -> np.ndarr
     (u*eps*cos)^2 for axis offset u and eps = spacing/range, which keeps the
     precision that 1 - 2*u*eps*sin + (u*eps)^2 loses to cancellation near the
     array axis.  Raises :class:`DegenerateGeometryError` for a distance below
-    ``DISTANCE_FLOOR_M``, and ``OverflowError`` below a range of about
-    7.5e-164 m, where the floor's own ratio overflows.
+    ``DISTANCE_FLOOR_M``, and ``OverflowError`` where a ratio overflows, as
+    it does once u*eps passes about 1.3e154, or the floor's own ratio does,
+    below a range of about 7.5e-164 m.
     """
     return _squared_ratios(geom, user, element_offsets(geom))
 
@@ -187,16 +188,28 @@ def squared_distance_ratios(geom: ArrayGeometry, user: UserLocation) -> np.ndarr
 def _squared_ratios(
     geom: ArrayGeometry, user: UserLocation, offsets: np.ndarray
 ) -> np.ndarray:
-    "The kernel of :func:`squared_distance_ratios` at the given axis offsets."
-    ue = offsets * (geom.element_spacing / user.range_m)
-    along = 1.0 - ue * math.sin(user.angle_rad)
-    across = ue * math.cos(user.angle_rad)
-    ratios = along * along + across * across
+    """The kernel of :func:`squared_distance_ratios` at the given ascending
+    axis offsets, which it leaves unchanged.  It works in place in two
+    arrays."""
     floor_ratio = (DISTANCE_FLOOR_M / user.range_m) ** 2
+    with np.errstate(over="ignore"):
+        ue = offsets * (geom.element_spacing / user.range_m)
+        ratios = ue * math.sin(user.angle_rad)
+        np.subtract(1.0, ratios, out=ratios)  # along the array axis
+        ratios *= ratios
+        ue *= math.cos(user.angle_rad)  # across it
+        ue *= ue
+        ratios += ue
     if ratios.min() < floor_ratio:
         raise DegenerateGeometryError(
             "user lies on the array: an element distance falls below "
             f"{DISTANCE_FLOOR_M:.0e} m"
+        )
+    # Each ratio is convex in its offset, so where one overflows, the ratio
+    # at the first or the last of the ascending offsets overflows too.
+    if max(ratios[0], ratios[-1]) == math.inf:
+        raise OverflowError(
+            f"element distances over the range {user.range_m:.3g} m overflow"
         )
     return ratios
 
@@ -209,4 +222,7 @@ def distance(geom: ArrayGeometry, user: UserLocation, idx: ElementIndex) -> floa
 
 def distances(geom: ArrayGeometry, user: UserLocation) -> np.ndarray:
     "Distances from the user to every element, module-major order, metres."
-    return user.range_m * np.sqrt(squared_distance_ratios(geom, user))
+    ratios = squared_distance_ratios(geom, user)
+    np.sqrt(ratios, out=ratios)
+    ratios *= user.range_m
+    return ratios

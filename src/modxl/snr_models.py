@@ -104,11 +104,35 @@ class SnrReport:
 def snr_exact_sum(
     geom: ArrayGeometry, user: UserLocation, link: LinkBudget
 ) -> SnrReport:
-    """Exact SNR: effective power times the compensated sum of inverse squared
-    element distances.  Deterministic for a fixed geometry ordering."""
-    # Summed first, so where r**2 underflows the kernel raises OverflowError.
-    total = compensated_sum(1.0 / squared_distance_ratios(geom, user))
-    return SnrReport(SnrModel.EXACT_SUM, link.effective_power / user.range_m**2 * total)
+    """Exact SNR: effective power times the sum of inverse squared element
+    distances.
+
+    Each module's terms are summed by numpy's pairwise summation and the
+    module partials by :func:`compensated_sum`.  The terms are positive, so
+    the relative error grows only as the logarithm of the module size
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 4), and
+    the fixed module-major order keeps reruns bit-identical.
+    """
+    inverse = squared_distance_ratios(geom, user)
+    np.reciprocal(inverse, out=inverse)
+    partials = inverse.reshape(geom.module_count, geom.elements_per_module).sum(axis=1)
+    total = compensated_sum(partials.tolist())
+    return SnrReport(SnrModel.EXACT_SUM, _power_over_range_squared(link, user) * total)
+
+
+def _power_over_range_squared(link: LinkBudget, user: UserLocation) -> float:
+    """Effective power over the squared range, the scale of the per-element
+    models.  Raises ``OverflowError`` where it overflows, as it does where
+    the squared range underflows to 0, so that no model multiplies an
+    infinite scale by a sum that underflowed to 0."""
+    range_squared = user.range_m**2
+    scale = link.effective_power / range_squared if range_squared else math.inf
+    if scale == math.inf:
+        raise OverflowError(
+            f"effective power over the squared range {user.range_m:.3g} m "
+            "overflows"
+        )
+    return scale
 
 
 def _endfire_fallback(geom, user, link, model: SnrModel, flags: set) -> SnrReport:
@@ -244,7 +268,7 @@ def snr_upw(geom: ArrayGeometry, user: UserLocation, link: LinkBudget) -> SnrRep
     _, augmented = aperture(geom)
     if user.range_m < FAR_FIELD_MARGIN * augmented:
         flags.add(FLAG_FAR_FIELD_ASSUMED)
-    value = link.effective_power / user.range_m**2 * geom.total_elements
+    value = _power_over_range_squared(link, user) * geom.total_elements
     return SnrReport(SnrModel.UPW, value, frozenset(flags))
 
 
@@ -265,7 +289,8 @@ def snr_double_integral(
     Raises :class:`QuadratureAccuracyError`, carrying the current estimate,
     when ``QUADRATURE_MAX_PANELS`` panels do not reach that, as when the
     user is so close to the tip of the array segment that rounding alone
-    exceeds the tolerance.
+    exceeds the tolerance.  Raises ``OverflowError`` at ranges so small that
+    the scale P/r^2 overflows or the integrand overflows at every node.
     """
     eps = normalized_spacing(geom, user)
     stride = geom.stride
@@ -285,13 +310,18 @@ def snr_double_integral(
             "integrand singular: user lies on the array segment"
         )
 
+    # Checked before the quadrature: no integral rescues a scale that overflows.
+    scale = _power_over_range_squared(link, user) / eps**2
+
     # The weight w is linear on each of the three panels split at
     # +-|a - b|: sloped on the two ends, flat between them.
     knee, width = abs(a - b), 2.0 * min(a, b)
 
     def integrand(u: np.ndarray) -> tuple:
         off = u - sin_t
-        value = 1.0 / (off * off + cos_sq)
+        # At tiny ranges off**2 overflows to inf, where the value is 0.
+        with np.errstate(over="ignore"):
+            value = 1.0 / (off * off + cos_sq)
         weight = np.minimum(u_max - np.abs(u), width)
         slope = np.where(np.abs(u) > knee, -np.sign(u), 0.0)
         # Rounding moves u by about one ulp of |u| + |sin|, and value*weight
@@ -303,9 +333,14 @@ def snr_double_integral(
     raw, abserr, evaluations = _adaptive_gauss_legendre(
         integrand, (-u_max, -knee, knee, u_max), QUADRATURE_REL_TOL
     )
-    value = link.effective_power / user.range_m**2 / eps**2 * (raw / stride)
+    if raw == 0.0:
+        raise OverflowError(
+            f"the continuum integral at range {user.range_m:.3g} m is 0 in "
+            "floating point"
+        )
+    value = scale * (raw / stride)
     if not abserr <= QUADRATURE_REL_TOL * abs(raw):
-        achieved = abserr / abs(raw) if raw != 0.0 else math.inf
+        achieved = abserr / abs(raw)
         raise QuadratureAccuracyError(
             f"quadrature stopped at relative error estimate {achieved:.2e} "
             f"after {evaluations} integrand evaluations; needs "

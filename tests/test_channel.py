@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from modxl import channel
 from modxl.channel import (
     ArrayResponse,
     LinkBudget,
@@ -64,6 +65,28 @@ class TestArrayResponse:
         assert len(resp) == 2
         with pytest.raises(ValueError):
             resp.coefficients[0] = 0.0
+
+
+class TestPhasors:
+    @pytest.mark.parametrize("amplitude", [0.5, np.linspace(0.1, 3.0, 80)])
+    def test_whole_cycles_reduced_exactly(self, amplitude):
+        # With the binary wavelength 0.125 m a path of (k + f) wavelengths
+        # divides back to k + f exactly, so the reduced phase is exactly
+        # -2*pi*f however many whole cycles k come first.
+        wavelength = 0.125
+        whole = np.array([0.0, 1.0, 12345.0, 1e7 - 1.0, 1e7, 9.0, 2.0, 1e6, 99.0, 5.0])
+        fraction = np.array([0.0, 0.125, 0.25, 0.3, 0.5, 0.625, 0.75, 0.9])
+        cycles = (whole[:, None] + fraction[None, :]).ravel()
+        # Near 1e7, k + 0.3 rounds; subtracting k recovers the fraction of
+        # the rounded sum exactly.
+        reduced = cycles - np.repeat(whole, fraction.size)
+        expected = amplitude * np.exp(-2j * np.pi * reduced)
+        response = channel._phasors(amplitude, cycles * wavelength, wavelength)
+        assert isinstance(response, ArrayResponse)
+        assert response.coefficients.dtype == np.complex128
+        assert not response.coefficients.flags.writeable
+        error = np.abs(response.coefficients - expected) / amplitude
+        assert error.max() <= 1e-12
 
 
 class TestSphericalWave:

@@ -1,10 +1,30 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
 from modxl.cli import CSV_HEADER, main
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_fresh(*argv):
+    """Run the CLI in a fresh interpreter, so that numpy's RuntimeWarning
+    text reaches stderr as it does for a user instead of pytest's capture."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from modxl.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
 
 
 def run_cli(capsys, *argv):
@@ -103,7 +123,7 @@ class TestEval:
         assert "input value is out of range" in capsys.readouterr().err
 
     def test_overflowing_model_value_named_as_out_of_range(self, capsys):
-        # r**2 is subnormal at 5e-155 m, so P / r**2 overflows to inf.
+        # The squared distance ratios overflow at 5e-155 m.
         assert main(["eval", "--range-m", "5e-155", "--models", "exact"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -111,6 +131,46 @@ class TestEval:
             "modxl: error: an input value is out of range "
             "(floating-point overflow)\n"
         )
+
+    @pytest.mark.parametrize("model", ["upw", "integral"])
+    def test_underflowing_squared_range_named_as_out_of_range(self, capsys, model):
+        # r**2 underflows to 0 at 1e-170 m: once a bare "float division by
+        # zero" with exit 3.
+        assert main(["eval", "--range-m", "1e-170", "--models", model]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "modxl: error: an input value is out of range "
+            "(floating-point overflow)\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # The squared distance ratios overflow in the element kernel.
+            ("--range-m", "5e-155", "--models", "exact"),
+            # Once a numpy warning from the integrand, then a bare "float
+            # division by zero".
+            ("--range-m", "1e-170", "--models", "integral"),
+        ],
+    )
+    def test_overflow_writes_only_the_error_line(self, argv):
+        proc = run_fresh("eval", *argv)
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("modxl: error: ")
+
+    def test_integrand_overflow_writes_no_warning(self):
+        # The quadrature's squared offsets overflow at some nodes, where the
+        # integrand is 0; numpy once warned about it on stderr twice.
+        proc = run_fresh(
+            "eval", "--range-m", "1e-153", "--txsnr-db", "-300",
+            "--models", "integral",
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["snr"]["snr_integral_linear"] > 0
 
     @pytest.mark.parametrize(
         "argv,rel",

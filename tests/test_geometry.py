@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from modxl import geometry
 from modxl.errors import DegenerateGeometryError, ElementIndexError
 from modxl.geometry import (
     ArrayGeometry,
@@ -280,3 +281,32 @@ class TestDistance:
             distance(geom, user, ElementIndex(1.0, 0.0))
         with pytest.raises(DegenerateGeometryError):
             distances(geom, user)
+
+    @pytest.mark.parametrize("range_m", [1e-153, 1e-155])
+    def test_overflowing_ratio_raises(self, range_m):
+        # At 1e-153 m only the squared ratios of the outer elements overflow,
+        # at 1e-155 m all of them; neither leaves an infinite distance.
+        user = UserLocation(range_m)
+        with pytest.raises(OverflowError):
+            distances(REF, user)
+        with pytest.raises(OverflowError):
+            distance(REF, user, ElementIndex(7.5, 9.5))
+
+    def test_offsets_left_unchanged(self, monkeypatch):
+        # The kernel works in place on its own arrays only: the offsets
+        # handed to it are made read-only, so a write into them would raise.
+        kernel, seen = geometry._squared_ratios, []
+
+        def spy(geom, user, offsets):
+            offsets.setflags(write=False)
+            seen.append((offsets, offsets.copy()))
+            return kernel(geom, user, offsets)
+
+        monkeypatch.setattr(geometry, "_squared_ratios", spy)
+        geom = ArrayGeometry(4, 3, 0.3, 2.5)
+        user = UserLocation(12.0, -0.7)
+        distance(geom, user, ElementIndex(0.5, -1.0))
+        distances(geom, user)
+        assert len(seen) == 2
+        for offsets, before in seen:
+            np.testing.assert_array_equal(offsets, before)

@@ -1,8 +1,12 @@
-"""Module boundaries: no modxl module imports another's private names.
+"""Module boundaries: no modxl module imports another's private names, and
+only ``numerics.compensated_sum`` calls ``math.fsum``.
 
 A name with a leading underscore is an implementation detail of the module
 that defines it; code another module needs belongs in that module's public
-interface, where it is documented and tested as such.
+interface, where it is documented and tested as such.  ``math.fsum`` walks a
+Python iterator one term at a time, so over every element of a large array it
+costs more than the rest of the exact sum; compensated sums of a few partials
+go through the one helper.
 """
 
 import ast
@@ -37,3 +41,56 @@ def test_sources_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_no_private_imports_across_modules(path):
     assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
+def fsum_uses(source: str):
+    """The ``math.fsum`` calls and ``from math import fsum`` imports in
+    ``source``, as (line, enclosing function) pairs; ``<module>`` outside any
+    function."""
+    uses = []
+
+    def is_fsum(func) -> bool:
+        if isinstance(func, ast.Attribute):
+            return (
+                func.attr == "fsum"
+                and isinstance(func.value, ast.Name)
+                and func.value.id == "math"
+            )
+        return isinstance(func, ast.Name) and func.id == "fsum"
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and is_fsum(child.func):
+                uses.append((child.lineno, function))
+            if isinstance(child, ast.ImportFrom) and child.module == "math":
+                if any(alias.name == "fsum" for alias in child.names):
+                    uses.append((child.lineno, function))
+            visit(child, function)
+
+    visit(ast.parse(source), "<module>")
+    return uses
+
+
+def test_detects_fsum_uses():
+    source = (
+        "import math\n"
+        "from math import fsum\n"
+        "def total(x):\n"
+        "    return math.fsum(x) + fsum(x)\n"
+        "TOTAL = math.fsum([1.0])\n"
+    )
+    assert fsum_uses(source) == [(2, "<module>"), (4, "total"), (4, "total"),
+                                 (5, "<module>")]
+    assert fsum_uses("import math\nx = math.fabs(-1.0)\n") == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_fsum_only_in_compensated_sum(path):
+    uses = fsum_uses(path.read_text(encoding="utf-8"))
+    if path.name == "numerics.py":
+        assert [function for _, function in uses] == ["compensated_sum"]
+    else:
+        assert uses == []

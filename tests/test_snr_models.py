@@ -22,6 +22,7 @@ from modxl.geometry import (
     distances,
     element_indices,
     element_position,
+    squared_distance_ratios,
 )
 from modxl.snr_models import (
     FLAG_EPSILON_NOT_SMALL,
@@ -90,10 +91,46 @@ class TestExactSum:
 
     @pytest.mark.parametrize("range_m", [5e-155, 1e-170])
     def test_tiny_range_overflows(self, reference, range_m):
-        # P / r**2 overflows at 5e-155 m; at 1e-170 m the distance floor's
-        # ratio overflows before r**2 underflows to a division by zero.
+        # The squared distance ratios overflow at 5e-155 m; at 1e-170 m the
+        # distance floor's own ratio overflows first.
         with pytest.raises(OverflowError):
             snr_exact_sum(reference.geometry, UserLocation(range_m), LINK)
+
+    @pytest.mark.parametrize("m, n", [(1, 5), (16, 7), (1024, 3)])
+    def test_blocked_sum_matches_rational_sum(self, m, n):
+        # Unit power at a unit range leaves the sum unscaled, so the report
+        # is the summed value itself; the oracle sums the same float terms
+        # exactly.  numpy's blocked pairwise sum of positive terms is within
+        # about log2(M) + 11 units of 2**-53 at worst; on smooth terms like
+        # these it stays within log2(M) + 1, and fsum of the partials adds
+        # at most one more.
+        geom = ArrayGeometry(m, n, 1e-3, 3.0)
+        user = UserLocation(1.0, 0.4)
+        terms = 1.0 / squared_distance_ratios(geom, user)
+        exact = sum(map(Fraction, terms.tolist()))
+        total = snr_exact_sum(geom, user, LinkBudget(0.1)).value_linear
+        bound = (math.log2(m) + 2) * 2.0**-53
+        assert abs(Fraction(total) - exact) <= bound * exact
+
+    def test_compensated_sum_sees_one_partial_per_module(self, monkeypatch):
+        # The Python-level fsum walks N module partials, never M*N terms.
+        compensated_sum, counts = snr_models.compensated_sum, []
+
+        def spy(values):
+            counts.append(len(values))
+            return compensated_sum(values)
+
+        monkeypatch.setattr(snr_models, "compensated_sum", spy)
+        snr_exact_sum(ArrayGeometry(64, 5, 0.0628, 3.0), BROADSIDE, LINK)
+        assert counts == [5]
+
+    def test_every_distance_overflowing_raises(self, reference):
+        # At 1e-155 m every squared distance ratio overflows, so every term
+        # would be 0; with a power this low the scale does not overflow, and
+        # a sum of 0 must not pass for the SNR.
+        link = LinkBudget(wavelength_m=0.1256, transmit_snr=1e-30)
+        with pytest.raises(OverflowError):
+            snr_exact_sum(reference.geometry, UserLocation(1e-155), link)
 
     @given(
         st.integers(1, 16),
@@ -483,3 +520,21 @@ class TestDoubleIntegral:
         assert value == pytest.approx(closed, rel=1e-6)
         mirrored = snr_double_integral(geom, right, LINK).value_linear
         assert value == pytest.approx(mirrored, rel=1e-12)
+
+
+@pytest.mark.parametrize("model", [snr_exact_sum, snr_upw, snr_double_integral])
+@pytest.mark.parametrize("range_m", [5e-155, 1e-158, 1e-170])
+def test_tiny_range_raises_overflow_error(reference, model, range_m):
+    # Below about 1e-154 m P / r**2 or a squared distance ratio overflows,
+    # and below about 2.2e-162 m r**2 underflows to 0: each is an
+    # OverflowError, never a NaN breakdown or a bare ZeroDivisionError.
+    with pytest.raises(OverflowError):
+        model(reference.geometry, UserLocation(range_m), reference.link)
+
+
+def test_integral_of_zero_raises(reference):
+    # At 1e-155 m every node's squared offset overflows, so the quadrature
+    # of the positive integrand reads 0; with this power the scale is finite.
+    link = LinkBudget(wavelength_m=0.1256, transmit_snr=1e-30)
+    with pytest.raises(OverflowError):
+        snr_double_integral(reference.geometry, UserLocation(1e-155), link)
