@@ -13,7 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ArrayGeometry, UserLocation, distances, element_offsets
+from .geometry import (
+    ArrayGeometry,
+    UserLocation,
+    element_offsets,
+    squared_ratio_blocks,
+)
 
 
 @dataclass(frozen=True)
@@ -62,38 +67,61 @@ class ArrayResponse:
 
 def _phasors(amplitude, path: np.ndarray, wavelength_m: float) -> ArrayResponse:
     """Coefficients amplitude * exp(-j*2*pi*path/wavelength), for a scalar or
-    per-element ``amplitude``.  Overwrites ``path``, a fresh array.
+    per-element ``amplitude``.  Overwrites ``path``, a fresh array."""
+    cycles = np.divide(path, wavelength_m, out=path)
+    out = np.empty(cycles.shape, dtype=np.complex128)
+    amplitude = np.full(cycles.shape, amplitude)
+    _write_phasors(amplitude, cycles, out, np.empty(cycles.shape))
+    return ArrayResponse(out)
+
+
+def _write_phasors(
+    amplitude: np.ndarray, cycles: np.ndarray, out: np.ndarray, square: np.ndarray
+) -> None:
+    """Write amplitude * exp(-j*2*pi*cycles) into the complex ``out``.
+    Overwrites ``amplitude``, ``cycles`` and ``square``, contiguous float
+    arrays of the shape of ``out``.
 
     The phase phi is reduced by whole cycles to [-pi, pi], so long paths stay
     well conditioned.  With t = tan(-phi/2), the real and imaginary parts are
     amplitude * (1 - t^2)/(1 + t^2) = amplitude * cos(phi) and
     amplitude * 2t/(1 + t^2) = -amplitude * sin(phi).  One tangent costs a
-    fraction of a cosine and a sine, and each pass writes in place into the
-    halves of one complex array.
+    fraction of a cosine and a sine.
     """
-    cycles = np.divide(path, wavelength_m, out=path)
-    out = np.empty(cycles.shape, dtype=np.complex128)
-    real, imag = out.real, out.imag
-    cycles -= np.rint(cycles, out=real)
+    cycles -= np.rint(cycles, out=square)
     cycles *= -math.pi
     t = np.tan(cycles, out=cycles)
-    np.multiply(t, t, out=real)
-    np.add(real, 1.0, out=imag)
-    np.divide(amplitude, imag, out=imag)
-    np.subtract(1.0, real, out=real)
-    real *= imag
-    imag *= t
-    imag *= 2.0
-    return ArrayResponse(out)
+    np.multiply(t, t, out=square)
+    amplitude /= np.add(square, 1.0, out=out.imag)
+    np.subtract(1.0, square, out=square)
+    np.multiply(square, amplitude, out=out.real)
+    amplitude *= t
+    np.multiply(amplitude, 2.0, out=out.imag)
 
 
 def array_response_nusw(
     geom: ArrayGeometry, user: UserLocation, link: LinkBudget
 ) -> ArrayResponse:
     """Spherical-wave response: coefficient sqrt(gain)/r_e * exp(-j*2*pi*r_e/wl)
-    with r_e the exact element-to-user distance."""
-    r = distances(geom, user)
-    return _phasors(math.sqrt(link.reference_gain) / r, r, link.wavelength_m)
+    with r_e the exact element-to-user distance.  Each block of
+    :func:`squared_ratio_blocks` is run through in its own buffer and two
+    more, reused for every block, while it is in cache."""
+    gain = math.sqrt(link.reference_gain)
+    out = np.empty((geom.module_count, geom.elements_per_module), dtype=np.complex128)
+    buffers = None
+    # A ratio that overflowed makes NaN phases in its block; the kernel
+    # raises OverflowError for it after the last block.
+    with np.errstate(invalid="ignore"):
+        for modules, path in squared_ratio_blocks(geom, user):
+            if buffers is None:  # the first block is the largest
+                buffers = np.empty((2,) + path.shape)
+            amplitude, square = buffers[:, : len(path)]
+            np.sqrt(path, out=path)
+            path *= user.range_m
+            np.divide(gain, path, out=amplitude)
+            path /= link.wavelength_m
+            _write_phasors(amplitude, path, out[modules], square)
+    return ArrayResponse(out.ravel())
 
 
 def array_response_upw(

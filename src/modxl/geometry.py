@@ -26,11 +26,17 @@ from .errors import DegenerateGeometryError, ElementIndexError
 #: Element-to-user distances below this floor (metres) are rejected: the 1/r
 #: free-space amplitude model diverges as the user reaches an element.
 DISTANCE_FLOOR_M = 1e-9
+#: Elements per block of the distance kernel and its consumers, which reuse
+#: their buffers for every block.  A block of 65,536 float64 values is
+#: 512 KiB, so the kernel's two buffers and a consumer's few stay within a
+#: 4 MiB L2 cache while each block is run through.  A block holds whole
+#: modules, and at least one.
+BLOCK_ELEMENTS = 1 << 16
 
 
 def _centered(count: int) -> np.ndarray:
     "Centred unit-step index values for ``count`` positions."
-    return np.arange(count) - 0.5 * (count - 1)
+    return np.arange(0.5 * (1 - count), 0.5 * count)
 
 
 @dataclass(frozen=True)
@@ -180,44 +186,90 @@ def squared_distance_ratios(geom: ArrayGeometry, user: UserLocation) -> np.ndarr
     array axis.  Raises :class:`DegenerateGeometryError` for a distance below
     ``DISTANCE_FLOOR_M``, and ``OverflowError`` where a ratio overflows, as
     it does once u*eps passes about 1.3e154, or the floor's own ratio does,
-    below a range of about 7.5e-164 m.
+    below a range of about 7.5e-164 m.  Filled from
+    :func:`squared_ratio_blocks`.
     """
-    return _squared_ratios(geom, user, element_offsets(geom))
+    out = np.empty((geom.module_count, geom.elements_per_module))
+    for modules, ratios in squared_ratio_blocks(geom, user):
+        out[modules] = ratios
+    return out.ravel()
+
+
+def squared_ratio_blocks(
+    geom: ArrayGeometry, user: UserLocation
+) -> Iterator[Tuple[slice, np.ndarray]]:
+    """The ratios of :func:`squared_distance_ratios` in cache-sized blocks.
+
+    Yields ``(modules, ratios)`` for each run of whole modules of at most
+    ``BLOCK_ELEMENTS`` elements (of one module, where a module alone is
+    larger): the slice of module indices and their ratios, shaped (modules,
+    elements per module).  ``ratios`` is a view of a buffer that the next
+    block overwrites, and the consumer may overwrite it too.  Raises
+    :class:`DegenerateGeometryError` in the block that holds a distance below
+    the floor, and ``OverflowError``, if a ratio overflowed, only after the
+    last block, so the floor error comes first as on one whole-array pass.
+    """
+    return _ratio_blocks(
+        geom, user, _centered(geom.module_count), _centered(geom.elements_per_module)
+    )
+
+
+def _ratio_blocks(
+    geom: ArrayGeometry, user: UserLocation, modules: np.ndarray, elements: np.ndarray
+) -> Iterator[Tuple[slice, np.ndarray]]:
+    """The block driver behind :func:`squared_ratio_blocks`, at the given
+    ascending centred module and element indices.  Two buffers serve every
+    block: the offsets stride*n + m are built in one, and the kernel writes
+    the ratios into the other."""
+    floor_ratio = (DISTANCE_FLOOR_M / user.range_m) ** 2
+    rows = min(modules.size, max(1, BLOCK_ELEMENTS // elements.size))
+    ue, ratios = np.empty((rows, elements.size)), np.empty((rows, elements.size))
+    for start in range(0, modules.size, rows):
+        stop = min(start + rows, modules.size)
+        if stop - start < rows:  # the last block, and shorter
+            ue, ratios = ue[: stop - start], ratios[: stop - start]
+        np.add(geom.stride * modules[start:stop, None], elements, out=ue)
+        _squared_ratios(geom, user, ue, ratios)
+        if ratios.min() < floor_ratio:
+            raise DegenerateGeometryError(
+                "user lies on the array: an element distance falls below "
+                f"{DISTANCE_FLOOR_M:.0e} m"
+            )
+        if start == 0:
+            first = ratios[0, 0]
+        last = ratios[-1, -1]
+        yield slice(start, stop), ratios
+    # Each ratio is convex in its offset, so where one overflows, the ratio
+    # at the first or the last of the ascending offsets overflows too.
+    if max(first, last) == math.inf:
+        raise OverflowError(
+            f"element distances over the range {user.range_m:.3g} m overflow"
+        )
 
 
 def _squared_ratios(
-    geom: ArrayGeometry, user: UserLocation, offsets: np.ndarray
-) -> np.ndarray:
-    """The kernel of :func:`squared_distance_ratios` at the given ascending
-    axis offsets, which it leaves unchanged.  It works in place in two
-    arrays."""
-    floor_ratio = (DISTANCE_FLOOR_M / user.range_m) ** 2
+    geom: ArrayGeometry, user: UserLocation, ue: np.ndarray, ratios: np.ndarray
+) -> None:
+    """The kernel of :func:`squared_distance_ratios`: writes into ``ratios``
+    the squared ratios at the axis offsets that ``ue`` holds, and overwrites
+    ``ue``.  Both are the caller's buffers, of one shape."""
     with np.errstate(over="ignore"):
-        ue = offsets * (geom.element_spacing / user.range_m)
-        ratios = ue * math.sin(user.angle_rad)
+        ue *= geom.element_spacing / user.range_m
+        np.multiply(ue, math.sin(user.angle_rad), out=ratios)
         np.subtract(1.0, ratios, out=ratios)  # along the array axis
         ratios *= ratios
         ue *= math.cos(user.angle_rad)  # across it
         ue *= ue
         ratios += ue
-    if ratios.min() < floor_ratio:
-        raise DegenerateGeometryError(
-            "user lies on the array: an element distance falls below "
-            f"{DISTANCE_FLOOR_M:.0e} m"
-        )
-    # Each ratio is convex in its offset, so where one overflows, the ratio
-    # at the first or the last of the ascending offsets overflows too.
-    if max(ratios[0], ratios[-1]) == math.inf:
-        raise OverflowError(
-            f"element distances over the range {user.range_m:.3g} m overflow"
-        )
-    return ratios
 
 
 def distance(geom: ArrayGeometry, user: UserLocation, idx: ElementIndex) -> float:
     "Distance from the user to one array element, metres."
-    offset = np.array([element_index_offset(geom, idx)])
-    return user.range_m * math.sqrt(_squared_ratios(geom, user, offset)[0])
+    m = _checked_offset(idx.element, geom.elements_per_module, "element")
+    n = _checked_offset(idx.module, geom.module_count, "module")
+    # Unpacking runs the driver to its end, past its overflow test.
+    [(_, ratios)] = _ratio_blocks(geom, user, np.array([n]), np.array([m]))
+    return user.range_m * math.sqrt(ratios[0, 0])
 
 
 def distances(geom: ArrayGeometry, user: UserLocation) -> np.ndarray:

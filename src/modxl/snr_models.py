@@ -35,7 +35,7 @@ from .geometry import (
     UserLocation,
     aperture,
     normalized_spacing,
-    squared_distance_ratios,
+    squared_ratio_blocks,
 )
 from .numerics import compensated_sum, linear_to_db
 
@@ -78,6 +78,7 @@ QUADRATURE_MAX_PANELS = 4096
 FLAG_EPSILON_NOT_SMALL = "epsilon_not_small"
 FLAG_THETA_NEAR_ENDFIRE = "theta_near_endfire"
 FLAG_FAR_FIELD_ASSUMED = "far_field_assumed"
+_EPSILON_FLAGS = frozenset({FLAG_EPSILON_NOT_SMALL})
 
 
 @dataclass(frozen=True)
@@ -107,15 +108,17 @@ def snr_exact_sum(
     """Exact SNR: effective power times the sum of inverse squared element
     distances.
 
-    Each module's terms are summed by numpy's pairwise summation and the
-    module partials by :func:`compensated_sum`.  The terms are positive, so
+    Each module's terms are summed by numpy's pairwise summation, block by
+    block of :func:`squared_ratio_blocks`, and the module partials by
+    :func:`compensated_sum`.  The terms are positive, so
     the relative error grows only as the logarithm of the module size
     (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 4), and
     the fixed module-major order keeps reruns bit-identical.
     """
-    inverse = squared_distance_ratios(geom, user)
-    np.reciprocal(inverse, out=inverse)
-    partials = inverse.reshape(geom.module_count, geom.elements_per_module).sum(axis=1)
+    partials = np.empty(geom.module_count)
+    for modules, inverse in squared_ratio_blocks(geom, user):
+        np.reciprocal(inverse, out=inverse)
+        np.add.reduce(inverse, axis=1, out=partials[modules])
     total = compensated_sum(partials.tolist())
     return SnrReport(SnrModel.EXACT_SUM, _power_over_range_squared(link, user) * total)
 
@@ -135,7 +138,7 @@ def _power_over_range_squared(link: LinkBudget, user: UserLocation) -> float:
     return scale
 
 
-def _endfire_fallback(geom, user, link, model: SnrModel, flags: set) -> SnrReport:
+def _endfire_fallback(geom, user, link, model: SnrModel, flags: frozenset) -> SnrReport:
     exact = snr_exact_sum(geom, user, link)
     flags = flags | {FLAG_THETA_NEAR_ENDFIRE}
     return SnrReport(model, exact.value_linear, frozenset(flags))
@@ -148,26 +151,26 @@ def snr_closed_form(
 
     Accurate when the element spacing is small against the user range and
     against ``r cos(angle)``, the user's distance from the array line; a
-    validity flag is raised otherwise.  Near endfire the expression
-    degenerates and the exact sum is returned instead, flagged.  Raises
-    :class:`ModelBreakdownError` when the bracket (see
-    :func:`_continuum_bracket`) is not positive, which only underflow or
-    overflow brings about, as at a range of 1e200 m off broadside.
+    validity flag is raised otherwise (see :func:`_continuum_flags`).  Near
+    endfire the expression degenerates and the exact sum is returned
+    instead, flagged.  Raises ``OverflowError`` where the bracket's terms
+    overflow, at ranges below about 1e-76 m, and :class:`ModelBreakdownError`
+    when the bracket (see :func:`_continuum_bracket`) is not positive, which
+    only underflow brings about, as at a range of 1e200 m off broadside.
     """
-    flags = set()
-    eps = normalized_spacing(geom, user)
-    if eps > EPSILON_WARN_THRESHOLD:
-        flags.add(FLAG_EPSILON_NOT_SMALL)
+    flags = _continuum_flags(geom, user)
     if is_near_endfire(user):
         return _endfire_fallback(geom, user, link, SnrModel.CLOSED_FORM, flags)
     cos_t = math.cos(user.angle_rad)
-    # Beside the array segment the continuum step is d / (r cos(angle)).
-    if eps / abs(cos_t) > EPSILON_WARN_THRESHOLD:
-        flags.add(FLAG_EPSILON_NOT_SMALL)
     d = geom.element_spacing
     _, augmented = aperture(geom)
     scale = 2.0 * user.range_m * cos_t
-    outer = augmented / scale
+    outer = augmented / scale if scale else math.inf
+    # The bracket squares its arguments; where that overflows, it is NaN.
+    if outer * outer == math.inf:
+        raise OverflowError(
+            f"closed form arguments at range {user.range_m:.3g} m overflow"
+        )
     inner = (augmented - 2.0 * geom.elements_per_module * d) / scale
     bracket = _continuum_bracket(outer, inner, abs(math.tan(user.angle_rad)))
     if not bracket > 0:
@@ -178,7 +181,19 @@ def snr_closed_form(
     prefactor = link.effective_power / (
         (geom.elements_per_module - 1) * d * d + geom.module_separation * d
     )
-    return SnrReport(SnrModel.CLOSED_FORM, prefactor * bracket, frozenset(flags))
+    return SnrReport(SnrModel.CLOSED_FORM, prefactor * bracket, flags)
+
+
+def _continuum_flags(geom: ArrayGeometry, user: UserLocation) -> frozenset:
+    """The continuum models' own flag: ``epsilon_not_small`` where the
+    continuum step exceeds ``EPSILON_WARN_THRESHOLD``.  The step is the
+    element spacing over the range and, beside the array segment, over
+    ``r |cos(angle)|``, the user's distance from the array line; near
+    endfire, where the closed form returns the exact sum, only the first."""
+    eps = normalized_spacing(geom, user)
+    if not is_near_endfire(user):
+        eps /= abs(math.cos(user.angle_rad))
+    return _EPSILON_FLAGS if eps > EPSILON_WARN_THRESHOLD else frozenset()
 
 
 def _continuum_bracket(o: float, i: float, t: float) -> float:
@@ -347,7 +362,7 @@ def snr_double_integral(
             f"{QUADRATURE_REL_TOL:.0e}",
             estimate=value,
         )
-    return SnrReport(SnrModel.INTEGRAL, value)
+    return SnrReport(SnrModel.INTEGRAL, value, _continuum_flags(geom, user))
 
 
 @functools.cache

@@ -82,6 +82,18 @@ class TestEval:
         assert "theta_near_endfire" in payload["flags"]
         assert "snr_asymptotic_db" not in payload["snr"]
 
+    def test_integral_sets_its_own_flag(self, capsys):
+        # Once "flags": [] for an integral 11.7 times the exact sum; the flag
+        # came only with the closed form.
+        code, out = run_cli(
+            capsys, "eval", "--range-m", "0.05", "--models", "exact,integral"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["flags"] == ["epsilon_not_small"]
+        snr = payload["snr"]
+        assert snr["snr_integral_linear"] > 10 * snr["snr_exact_linear"]
+
     def test_collocated_included_when_applicable(self, capsys):
         code, out = run_cli(capsys, "eval", "--separation-ratio", "1")
         assert code == 0
@@ -112,6 +124,8 @@ class TestEval:
             (("eval", "--range-m", "1e200"), 2),
             (("eval", "--power-db", "3000", "--ref-gain-db", "3000",
               "--models", "exact"), 2),
+            # Once exit 3 with "closed form bracket is nan".
+            (("eval", "--range-m", "1e-170", "--models", "closed"), 2),
         ],
     )
     def test_error_exit_codes(self, capsys, argv, code):

@@ -292,21 +292,27 @@ class TestDistance:
         with pytest.raises(OverflowError):
             distance(REF, user, ElementIndex(7.5, 9.5))
 
-    def test_offsets_left_unchanged(self, monkeypatch):
-        # The kernel works in place on its own arrays only: the offsets
-        # handed to it are made read-only, so a write into them would raise.
-        kernel, seen = geometry._squared_ratios, []
-
-        def spy(geom, user, offsets):
-            offsets.setflags(write=False)
-            seen.append((offsets, offsets.copy()))
-            return kernel(geom, user, offsets)
-
-        monkeypatch.setattr(geometry, "_squared_ratios", spy)
+    def test_offsets_left_unchanged(self):
+        # The kernel works in its own block buffers only: arrays a caller
+        # holds, the offsets among them, are never written by a later call,
+        # and no two results share memory.  Read-only, a write would raise.
         geom = ArrayGeometry(4, 3, 0.3, 2.5)
         user = UserLocation(12.0, -0.7)
+        held = [
+            element_offsets(geom),
+            geometry.squared_distance_ratios(geom, user),
+            distances(geom, user),
+        ]
+        before = [array.copy() for array in held]
+        for array in held:
+            array.setflags(write=False)
         distance(geom, user, ElementIndex(0.5, -1.0))
-        distances(geom, user)
-        assert len(seen) == 2
-        for offsets, before in seen:
-            np.testing.assert_array_equal(offsets, before)
+        held.append(geometry.squared_distance_ratios(geom, user))
+        held.append(distances(geom, user))
+        for _ in geometry.squared_ratio_blocks(geom, user):
+            pass
+        for array, copy in zip(held, before):
+            np.testing.assert_array_equal(array, copy)
+        for i, left in enumerate(held):
+            for right in held[i + 1:]:
+                assert not np.shares_memory(left, right)

@@ -1,5 +1,6 @@
-"""Module boundaries: no modxl module imports another's private names, and
-only ``numerics.compensated_sum`` calls ``math.fsum``.
+"""Module boundaries: no modxl module imports another's private names or
+reads the process environment, and only ``numerics.compensated_sum`` calls
+``math.fsum``.
 
 A name with a leading underscore is an implementation detail of the module
 that defines it; code another module needs belongs in that module's public
@@ -94,3 +95,44 @@ def test_fsum_only_in_compensated_sum(path):
         assert [function for _, function in uses] == ["compensated_sum"]
     else:
         assert uses == []
+
+
+def environment_reads(source: str):
+    """The lines in ``source`` that read the process environment: the
+    attributes ``os.environ``, ``os.environb`` and ``os.getenv``, and their
+    imports from ``os``."""
+    names = {"environ", "environb", "getenv"}
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in names
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "os"
+        )
+        or (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "os"
+            and any(alias.name in names for alias in node.names)
+        )
+    )
+
+
+def test_detects_environment_reads():
+    source = (
+        "import os\n"
+        "from os import getenv\n"
+        "SIZE = int(os.environ.get('SIZE', '1'))\n"
+        "def size():\n"
+        "    return os.getenv('SIZE') or os.environ['SIZE']\n"
+    )
+    assert environment_reads(source) == [2, 3, 5, 5]
+    assert environment_reads("import os\npath = os.path.join('a', 'b')\n") == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_environment_reads(path):
+    # Settings such as the distance kernel's block size are constants, so a
+    # run does not depend on the caller's environment.
+    assert environment_reads(path.read_text(encoding="utf-8")) == []

@@ -374,6 +374,29 @@ class TestPlaneWave:
 
 
 class TestDoubleIntegral:
+    @given(
+        st.integers(1, 32),
+        st.integers(1, 344),
+        st.floats(1.0, 60.0),
+        st.floats(-1.3, 4.0),
+        st.floats(-89.9, 89.9),
+    )
+    def test_within_one_percent_or_flagged(self, m, n, ratio, log_r, deg):
+        # The integral sets the closed form's flag, computed by one helper;
+        # at 0.155 m from a 3 x 344 array at 89 deg it was once 418 times
+        # the exact sum with no flag.
+        geom = ArrayGeometry(m, n, 0.0628, ratio)
+        user = UserLocation(10.0**log_r, math.radians(deg))
+        try:
+            integral = snr_double_integral(geom, user, LINK)
+            exact = snr_exact_sum(geom, user, LINK).value_linear
+        except (DegenerateGeometryError, QuadratureAccuracyError):
+            return
+        flags = snr_closed_form(geom, user, LINK).validity_flags
+        assert integral.validity_flags == flags
+        if not flags:
+            assert integral.value_linear == pytest.approx(exact, rel=1e-2)
+
     def test_single_element(self):
         geom = ArrayGeometry(1, 1, 0.0628, 1.0)
         report = snr_double_integral(geom, BROADSIDE, LINK)
@@ -522,12 +545,15 @@ class TestDoubleIntegral:
         assert value == pytest.approx(mirrored, rel=1e-12)
 
 
-@pytest.mark.parametrize("model", [snr_exact_sum, snr_upw, snr_double_integral])
+@pytest.mark.parametrize(
+    "model", [snr_exact_sum, snr_upw, snr_double_integral, snr_closed_form]
+)
 @pytest.mark.parametrize("range_m", [5e-155, 1e-158, 1e-170])
 def test_tiny_range_raises_overflow_error(reference, model, range_m):
     # Below about 1e-154 m P / r**2 or a squared distance ratio overflows,
-    # and below about 2.2e-162 m r**2 underflows to 0: each is an
-    # OverflowError, never a NaN breakdown or a bare ZeroDivisionError.
+    # below about 2.2e-162 m r**2 underflows to 0, and the closed form's
+    # bracket squares arguments past 1e154: each is an OverflowError, never
+    # a NaN breakdown or a bare ZeroDivisionError.
     with pytest.raises(OverflowError):
         model(reference.geometry, UserLocation(range_m), reference.link)
 
