@@ -24,7 +24,6 @@ from .channel import (
 )
 from .errors import (
     DegenerateGeometryError,
-    ElementIndexError,
     MalformedDataError,
     ModelBreakdownError,
     ModelMismatchError,
@@ -35,17 +34,10 @@ from .errors import (
 from .geometry import (
     DISTANCE_FLOOR_M,
     ArrayGeometry,
-    ElementIndex,
     UserLocation,
     aperture,
-    distance,
-    distances,
-    element_index_offset,
-    element_indices,
     element_offsets,
-    element_position,
     normalized_spacing,
-    squared_distance_ratios,
 )
 from .numerics import compensated_sum, db_to_linear, linear_to_db
 from .snr_models import (
@@ -84,8 +76,6 @@ __all__ = [
     "CheckResult",
     "DISTANCE_FLOOR_M",
     "DegenerateGeometryError",
-    "ElementIndex",
-    "ElementIndexError",
     "LinkBudget",
     "MalformedDataError",
     "ModelBreakdownError",
@@ -110,13 +100,8 @@ __all__ = [
     "complex_gaussian",
     "db_to_linear",
     "default_scenario",
-    "distance",
-    "distances",
     "element_count_preset",
-    "element_index_offset",
-    "element_indices",
     "element_offsets",
-    "element_position",
     "evaluate_models",
     "linear_to_db",
     "mrc_weights",
@@ -133,6 +118,5 @@ __all__ = [
     "snr_double_integral",
     "snr_exact_sum",
     "snr_upw",
-    "squared_distance_ratios",
     "uplink_power_estimates",
 ]

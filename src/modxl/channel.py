@@ -65,16 +65,6 @@ class ArrayResponse:
         return len(self.coefficients)
 
 
-def _phasors(amplitude, path: np.ndarray, wavelength_m: float) -> ArrayResponse:
-    """Coefficients amplitude * exp(-j*2*pi*path/wavelength), for a scalar or
-    per-element ``amplitude``.  Overwrites ``path``, a fresh array."""
-    cycles = np.divide(path, wavelength_m, out=path)
-    out = np.empty(cycles.shape, dtype=np.complex128)
-    amplitude = np.full(cycles.shape, amplitude)
-    _write_phasors(amplitude, cycles, out, np.empty(cycles.shape))
-    return ArrayResponse(out)
-
-
 def _write_phasors(
     amplitude: np.ndarray, cycles: np.ndarray, out: np.ndarray, square: np.ndarray
 ) -> None:
@@ -132,5 +122,8 @@ def array_response_upw(
     path = user.range_m - element_offsets(geom) * geom.element_spacing * math.sin(
         user.angle_rad
     )
-    amplitude = math.sqrt(link.reference_gain) / user.range_m
-    return _phasors(amplitude, path, link.wavelength_m)
+    cycles = np.divide(path, link.wavelength_m, out=path)
+    amplitude = np.full(cycles.shape, math.sqrt(link.reference_gain) / user.range_m)
+    out = np.empty(cycles.shape, dtype=np.complex128)
+    _write_phasors(amplitude, cycles, out, np.empty(cycles.shape))
+    return ArrayResponse(out)

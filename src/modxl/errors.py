@@ -6,10 +6,6 @@ class DegenerateGeometryError(Exception):
     model is invalid there."""
 
 
-class ElementIndexError(IndexError):
-    """Element/module index outside the centred index lattice."""
-
-
 class ModelMismatchError(ValueError):
     """SNR model applied to a geometry outside its domain."""
 

@@ -1,5 +1,5 @@
-"""Modular uniform-linear-array layout: element indexing, positions, spans,
-and element-to-user distances.
+"""Modular uniform-linear-array layout: element offsets, spans, and the
+blocked kernel of element-to-user distances.
 
 The array lies on the y axis, symmetric about the origin.  A layout consists
 of ``module_count`` modules of ``elements_per_module`` antenna elements each.
@@ -21,7 +21,7 @@ from typing import Iterator, Tuple
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, ElementIndexError
+from .errors import DegenerateGeometryError
 
 #: Element-to-user distances below this floor (metres) are rejected: the 1/r
 #: free-space amplitude model diverges as the user reaches an element.
@@ -89,18 +89,6 @@ class ArrayGeometry:
 
 
 @dataclass(frozen=True)
-class ElementIndex:
-    """Centred (element, module) index pair.
-
-    ``element`` ranges over M centred unit steps, ``module`` over N; both are
-    half-integers when the respective count is even.
-    """
-
-    element: float
-    module: float
-
-
-@dataclass(frozen=True)
 class UserLocation:
     """Polar user position: ``range_m`` metres from the array centre at
     ``angle_rad`` radians off broadside (the positive x axis)."""
@@ -121,37 +109,6 @@ class UserLocation:
             self.range_m * math.cos(self.angle_rad),
             self.range_m * math.sin(self.angle_rad),
         ])
-
-
-def _checked_offset(value: float, count: int, what: str) -> float:
-    "Validate one centred index against its count; return it unchanged."
-    shifted = value + 0.5 * (count - 1)
-    if not (float(shifted).is_integer() and 0 <= shifted < count):
-        raise ElementIndexError(
-            f"{what} index {value} invalid for count {count}: expected one of "
-            f"the {count} centred unit steps"
-        )
-    return value
-
-
-def element_index_offset(geom: ArrayGeometry, idx: ElementIndex) -> float:
-    "Axis offset of an element in units of the element spacing."
-    m = _checked_offset(idx.element, geom.elements_per_module, "element")
-    n = _checked_offset(idx.module, geom.module_count, "module")
-    return geom.stride * n + m
-
-
-def element_position(geom: ArrayGeometry, idx: ElementIndex) -> np.ndarray:
-    "Cartesian position [0, y] of one array element, metres."
-    return np.array([0.0, element_index_offset(geom, idx) * geom.element_spacing])
-
-
-def element_indices(geom: ArrayGeometry) -> Iterator[ElementIndex]:
-    """All element indices in module-major order: modules ascending, elements
-    ascending within each module."""
-    for n in _centered(geom.module_count):
-        for m in _centered(geom.elements_per_module):
-            yield ElementIndex(element=float(m), module=float(n))
 
 
 def element_offsets(geom: ArrayGeometry) -> np.ndarray:
@@ -178,49 +135,34 @@ def normalized_spacing(geom: ArrayGeometry, user: UserLocation) -> float:
     return geom.element_spacing / user.range_m
 
 
-def squared_distance_ratios(geom: ArrayGeometry, user: UserLocation) -> np.ndarray:
-    """Squared element-to-user distances over the squared range, module-major:
-    the toolkit's one distance kernel.  Each is (1 - u*eps*sin)^2 +
-    (u*eps*cos)^2 for axis offset u and eps = spacing/range, which keeps the
-    precision that 1 - 2*u*eps*sin + (u*eps)^2 loses to cancellation near the
-    array axis.  Raises :class:`DegenerateGeometryError` for a distance below
-    ``DISTANCE_FLOOR_M``, and ``OverflowError`` where a ratio overflows, as
-    it does once u*eps passes about 1.3e154, or the floor's own ratio does,
-    below a range of about 7.5e-164 m.  Filled from
-    :func:`squared_ratio_blocks`.
-    """
-    out = np.empty((geom.module_count, geom.elements_per_module))
-    for modules, ratios in squared_ratio_blocks(geom, user):
-        out[modules] = ratios
-    return out.ravel()
-
-
 def squared_ratio_blocks(
     geom: ArrayGeometry, user: UserLocation
 ) -> Iterator[Tuple[slice, np.ndarray]]:
-    """The ratios of :func:`squared_distance_ratios` in cache-sized blocks.
+    """Squared element-to-user distances over the squared range, in
+    cache-sized blocks: the toolkit's one distance kernel.
 
+    Each ratio is (1 - u*eps*sin)^2 + (u*eps*cos)^2 for axis offset u and
+    eps = spacing/range, which keeps the precision that
+    1 - 2*u*eps*sin + (u*eps)^2 loses to cancellation near the array axis.
     Yields ``(modules, ratios)`` for each run of whole modules of at most
     ``BLOCK_ELEMENTS`` elements (of one module, where a module alone is
-    larger): the slice of module indices and their ratios, shaped (modules,
-    elements per module).  ``ratios`` is a view of a buffer that the next
-    block overwrites, and the consumer may overwrite it too.  Raises
-    :class:`DegenerateGeometryError` in the block that holds a distance below
-    the floor, and ``OverflowError``, if a ratio overflowed, only after the
-    last block, so the floor error comes first as on one whole-array pass.
+    larger), in module-major order: the slice of module indices and their
+    ratios, shaped (modules, elements per module).  Two buffers serve every
+    block: the offsets stride*n + m are built in one, and the ratios are
+    written into the other, so ``ratios`` is a view that the next block
+    overwrites; the consumer may overwrite it too.
+
+    Raises :class:`DegenerateGeometryError` in the block that holds a
+    distance below ``DISTANCE_FLOOR_M``, and ``OverflowError`` where the
+    floor's own ratio overflows, below a range of about 7.5e-164 m.  Where a
+    ratio overflows, as it does once u*eps passes about 1.3e154, it raises
+    ``OverflowError`` only after the last block, so the floor error comes
+    first as on one whole-array pass.
     """
-    return _ratio_blocks(
-        geom, user, _centered(geom.module_count), _centered(geom.elements_per_module)
-    )
-
-
-def _ratio_blocks(
-    geom: ArrayGeometry, user: UserLocation, modules: np.ndarray, elements: np.ndarray
-) -> Iterator[Tuple[slice, np.ndarray]]:
-    """The block driver behind :func:`squared_ratio_blocks`, at the given
-    ascending centred module and element indices.  Two buffers serve every
-    block: the offsets stride*n + m are built in one, and the kernel writes
-    the ratios into the other."""
+    modules = _centered(geom.module_count)
+    elements = _centered(geom.elements_per_module)
+    eps = normalized_spacing(geom, user)
+    sin_t, cos_t = math.sin(user.angle_rad), math.cos(user.angle_rad)
     floor_ratio = (DISTANCE_FLOOR_M / user.range_m) ** 2
     rows = min(modules.size, max(1, BLOCK_ELEMENTS // elements.size))
     ue, ratios = np.empty((rows, elements.size)), np.empty((rows, elements.size))
@@ -229,7 +171,14 @@ def _ratio_blocks(
         if stop - start < rows:  # the last block, and shorter
             ue, ratios = ue[: stop - start], ratios[: stop - start]
         np.add(geom.stride * modules[start:stop, None], elements, out=ue)
-        _squared_ratios(geom, user, ue, ratios)
+        with np.errstate(over="ignore"):
+            ue *= eps
+            np.multiply(ue, sin_t, out=ratios)
+            np.subtract(1.0, ratios, out=ratios)  # along the array axis
+            ratios *= ratios
+            ue *= cos_t  # across it
+            ue *= ue
+            ratios += ue
         if ratios.min() < floor_ratio:
             raise DegenerateGeometryError(
                 "user lies on the array: an element distance falls below "
@@ -245,36 +194,3 @@ def _ratio_blocks(
         raise OverflowError(
             f"element distances over the range {user.range_m:.3g} m overflow"
         )
-
-
-def _squared_ratios(
-    geom: ArrayGeometry, user: UserLocation, ue: np.ndarray, ratios: np.ndarray
-) -> None:
-    """The kernel of :func:`squared_distance_ratios`: writes into ``ratios``
-    the squared ratios at the axis offsets that ``ue`` holds, and overwrites
-    ``ue``.  Both are the caller's buffers, of one shape."""
-    with np.errstate(over="ignore"):
-        ue *= geom.element_spacing / user.range_m
-        np.multiply(ue, math.sin(user.angle_rad), out=ratios)
-        np.subtract(1.0, ratios, out=ratios)  # along the array axis
-        ratios *= ratios
-        ue *= math.cos(user.angle_rad)  # across it
-        ue *= ue
-        ratios += ue
-
-
-def distance(geom: ArrayGeometry, user: UserLocation, idx: ElementIndex) -> float:
-    "Distance from the user to one array element, metres."
-    m = _checked_offset(idx.element, geom.elements_per_module, "element")
-    n = _checked_offset(idx.module, geom.module_count, "module")
-    # Unpacking runs the driver to its end, past its overflow test.
-    [(_, ratios)] = _ratio_blocks(geom, user, np.array([n]), np.array([m]))
-    return user.range_m * math.sqrt(ratios[0, 0])
-
-
-def distances(geom: ArrayGeometry, user: UserLocation) -> np.ndarray:
-    "Distances from the user to every element, module-major order, metres."
-    ratios = squared_distance_ratios(geom, user)
-    np.sqrt(ratios, out=ratios)
-    ratios *= user.range_m
-    return ratios

@@ -235,24 +235,32 @@ def snr_collocated(
     geom: ArrayGeometry, user: UserLocation, link: LinkBudget
 ) -> SnrReport:
     """Closed-form SNR for the collocated special case (separation ratio 1),
-    which depends on the geometry only through the total element count."""
+    which depends on the geometry only through the total element count.
+    Flagged as the closed form is (see :func:`_continuum_flags`), and near
+    endfire the exact sum is returned instead, flagged.  Raises
+    ``OverflowError`` where the prefactor P/(r d cos(angle)) overflows, as
+    it does where its denominator underflows to 0."""
     if not is_collocated(geom):
         raise ModelMismatchError(
             "collocated model requires separation_ratio == 1, got "
             f"{geom.separation_ratio}"
         )
+    flags = _continuum_flags(geom, user)
     if is_near_endfire(user):
-        return _endfire_fallback(geom, user, link, SnrModel.COLLOCATED, set())
+        return _endfire_fallback(geom, user, link, SnrModel.COLLOCATED, flags)
     cos_t = math.cos(user.angle_rad)
     tan_t = math.tan(user.angle_rad)
     d = geom.element_spacing
-    half_extent = geom.total_elements * d / (2.0 * user.range_m * cos_t)
-    value = (
-        link.effective_power
-        / (user.range_m * d * cos_t)
-        * (math.atan(half_extent - tan_t) + math.atan(half_extent + tan_t))
-    )
-    return SnrReport(SnrModel.COLLOCATED, value)
+    scale = user.range_m * d * cos_t
+    prefactor = link.effective_power / scale if scale else math.inf
+    if prefactor == math.inf:
+        raise OverflowError(
+            f"collocated prefactor at range {user.range_m:.3g} m overflows"
+        )
+    extent_scale = 2.0 * user.range_m * cos_t
+    half_extent = geom.total_elements * d / extent_scale if extent_scale else math.inf
+    value = prefactor * (math.atan(half_extent - tan_t) + math.atan(half_extent + tan_t))
+    return SnrReport(SnrModel.COLLOCATED, value, flags)
 
 
 def snr_asymptotic(

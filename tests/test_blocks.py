@@ -13,14 +13,13 @@ import warnings
 import numpy as np
 import pytest
 
+from elements import block_ratios
 from modxl.channel import LinkBudget, array_response_nusw
 from modxl.errors import DegenerateGeometryError
 from modxl.geometry import (
     BLOCK_ELEMENTS,
     ArrayGeometry,
     UserLocation,
-    distances,
-    squared_distance_ratios,
     squared_ratio_blocks,
 )
 from modxl.snr_models import snr_exact_sum
@@ -29,7 +28,7 @@ LINK = LinkBudget(wavelength_m=0.1256, reference_gain=1.7, transmit_snr=3.0)
 
 
 def reference_ratios(geom, user):
-    "Squared distance ratios in one whole-array pass, without the driver."
+    "Squared distance ratios in one whole-array pass, without blocks."
     m = np.arange(geom.elements_per_module) - 0.5 * (geom.elements_per_module - 1)
     n = np.arange(geom.module_count) - 0.5 * (geom.module_count - 1)
     ue = (geom.stride * n[:, None] + m[None, :]).ravel() * (
@@ -75,10 +74,7 @@ def block_cases():
 def test_bit_identical_to_one_pass(m, n, range_m, theta_rad):
     geom = ArrayGeometry(m, n, 0.0628, 2.5)
     user = UserLocation(range_m, theta_rad)
-    ratios = reference_ratios(geom, user)
-    assert squared_distance_ratios(geom, user).tobytes() == ratios.tobytes()
-    want = np.sqrt(ratios) * user.range_m
-    assert distances(geom, user).tobytes() == want.tobytes()
+    assert block_ratios(geom, user).tobytes() == reference_ratios(geom, user).tobytes()
     assert snr_exact_sum(geom, user, LINK).value_linear == reference_exact_sum(
         geom, user, LINK
     )
@@ -109,8 +105,7 @@ def test_floor_in_a_later_block_outranks_an_earlier_overflow():
     first = next(iter(squared_ratio_blocks(geom, user)))[1]
     assert first[0, 0] == math.inf
     calls = (
-        lambda: squared_distance_ratios(geom, user),
-        lambda: distances(geom, user),
+        lambda: block_ratios(geom, user),
         lambda: snr_exact_sum(geom, user, LINK),
         lambda: array_response_nusw(geom, user, LINK),
     )

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from elements import element_distances, element_positions
 from modxl import channel
 from modxl.channel import (
     ArrayResponse,
@@ -14,15 +15,7 @@ from modxl.channel import (
     array_response_upw,
 )
 from modxl.errors import DegenerateGeometryError
-from modxl.geometry import (
-    ArrayGeometry,
-    ElementIndex,
-    UserLocation,
-    aperture,
-    distance,
-    element_indices,
-    element_position,
-)
+from modxl.geometry import ArrayGeometry, UserLocation, aperture
 
 WAVELENGTH = 0.1256
 LINK = LinkBudget(wavelength_m=WAVELENGTH)
@@ -70,10 +63,8 @@ class TestArrayResponse:
 class TestPhasors:
     @pytest.mark.parametrize("amplitude", [0.5, np.linspace(0.1, 3.0, 80)])
     def test_whole_cycles_reduced_exactly(self, amplitude):
-        # With the binary wavelength 0.125 m a path of (k + f) wavelengths
-        # divides back to k + f exactly, so the reduced phase is exactly
-        # -2*pi*f however many whole cycles k come first.
-        wavelength = 0.125
+        # The reduced phase of k + f cycles is exactly -2*pi*f however many
+        # whole cycles k come first.
         whole = np.array([0.0, 1.0, 12345.0, 1e7 - 1.0, 1e7, 9.0, 2.0, 1e6, 99.0, 5.0])
         fraction = np.array([0.0, 0.125, 0.25, 0.3, 0.5, 0.625, 0.75, 0.9])
         cycles = (whole[:, None] + fraction[None, :]).ravel()
@@ -81,11 +72,11 @@ class TestPhasors:
         # the rounded sum exactly.
         reduced = cycles - np.repeat(whole, fraction.size)
         expected = amplitude * np.exp(-2j * np.pi * reduced)
-        response = channel._phasors(amplitude, cycles * wavelength, wavelength)
-        assert isinstance(response, ArrayResponse)
-        assert response.coefficients.dtype == np.complex128
-        assert not response.coefficients.flags.writeable
-        error = np.abs(response.coefficients - expected) / amplitude
+        out = np.empty(cycles.shape, dtype=np.complex128)
+        channel._write_phasors(
+            np.full(cycles.shape, amplitude), cycles, out, np.empty(cycles.shape)
+        )
+        error = np.abs(out - expected) / amplitude
         assert error.max() <= 1e-12
 
 
@@ -109,12 +100,7 @@ class TestSphericalWave:
         for geom in (ArrayGeometry(3, 3, 0.3, 2.0), ArrayGeometry(2, 2, 0.3, 2.0)):
             user = UserLocation(11.0, 0.4)
             resp = array_response_nusw(geom, user, link)
-            m0 = 0.5 * (geom.elements_per_module - 1)
-            n0 = 0.5 * (geom.module_count - 1)
-            for idx in element_indices(geom):
-                i = int((idx.module + n0) * geom.elements_per_module
-                        + (idx.element + m0))
-                r = distance(geom, user, idx)
+            for i, r in enumerate(element_distances(geom, user)):
                 want = expected_coefficient(2.0, r, WAVELENGTH)
                 assert resp.coefficients[i] == pytest.approx(want, rel=1e-12)
 
@@ -124,8 +110,8 @@ class TestSphericalWave:
         link = LinkBudget(wavelength_m=WAVELENGTH, reference_gain=2.5)
         resp = array_response_nusw(geom, user, link)
         total = sum(
-            2.5 / np.sum((user.position - element_position(geom, idx)) ** 2)
-            for idx in element_indices(geom)
+            2.5 / np.sum((user.position - position) ** 2)
+            for position in element_positions(geom)
         )
         norm_sq = float(np.vdot(resp.coefficients, resp.coefficients).real)
         assert norm_sq == pytest.approx(total, rel=1e-12)
@@ -140,7 +126,7 @@ class TestSphericalWave:
         geom = ArrayGeometry(m, n, 0.05, 3.0)
         user = UserLocation(rng, theta)
         resp = array_response_nusw(geom, user, LINK)
-        rs = [distance(geom, user, idx) for idx in element_indices(geom)]
+        rs = element_distances(geom, user)
         np.testing.assert_allclose(np.abs(resp.coefficients), 1.0 / np.array(rs),
                                    rtol=1e-14)
 

@@ -126,6 +126,9 @@ class TestEval:
               "--models", "exact"), 2),
             # Once exit 3 with "closed form bracket is nan".
             (("eval", "--range-m", "1e-170", "--models", "closed"), 2),
+            # Once exit 3 with a bare "float division by zero".
+            (("eval", "--range-m", "1e-320", "--theta-deg", "89.99",
+              "--separation-ratio", "1", "--models", "collocated"), 2),
         ],
     )
     def test_error_exit_codes(self, capsys, argv, code):

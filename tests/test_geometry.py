@@ -5,21 +5,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from modxl import geometry
-from modxl.errors import DegenerateGeometryError, ElementIndexError
+from elements import block_ratios, element_distances
+from modxl.channel import LinkBudget, array_response_nusw
+from modxl.errors import DegenerateGeometryError
 from modxl.geometry import (
     ArrayGeometry,
-    ElementIndex,
     UserLocation,
     aperture,
-    distance,
-    distances,
-    element_index_offset,
-    element_indices,
     element_offsets,
-    element_position,
     normalized_spacing,
+    squared_ratio_blocks,
 )
+from modxl.snr_models import snr_exact_sum
 
 REF = ArrayGeometry(
     elements_per_module=16, module_count=20,
@@ -118,45 +115,24 @@ class TestAperture:
 class TestElementIndexing:
     def test_center_element_at_origin(self):
         geom = ArrayGeometry(3, 3, 1.0, 2.0)
-        pos = element_position(geom, ElementIndex(0.0, 0.0))
-        assert pos.tolist() == [0.0, 0.0]
+        assert element_offsets(geom)[4] == 0.0
 
     def test_half_integer_offset(self):
-        # K = 35, so (m, n) = (0.5, 0.5) sits 18 spacings off center.
-        pos = element_position(REF, ElementIndex(0.5, 0.5))
-        assert pos[0] == 0.0
-        assert pos[1] == pytest.approx(18 * 0.0628, rel=1e-15)
-        assert pos[1] == pytest.approx(1.1304, rel=1e-12)
+        # K = 35, so (m, n) = (0.5, 0.5), element 168, sits 18 spacings off
+        # center.
+        y = element_offsets(REF)[168] * REF.element_spacing
+        assert y == pytest.approx(18 * 0.0628, rel=1e-15)
+        assert y == pytest.approx(1.1304, rel=1e-12)
 
     def test_collocated_layout(self):
+        # (m, n) = (1, 1) is the last element.
         geom = ArrayGeometry(3, 3, 1.0, 1.0)
-        pos = element_position(geom, ElementIndex(1.0, 1.0))
-        assert pos.tolist() == [0.0, 4.0]
-
-    @pytest.mark.parametrize(
-        "element,module",
-        [
-            (0.0, 0.5),     # wrong parity for even M
-            (0.5, 0.0),     # wrong parity for even N
-            (8.5, 0.5),     # outside the element range
-            (0.5, 10.5),    # outside the module range
-            (0.3, 0.5),     # not on the unit grid
-        ],
-    )
-    def test_invalid_indices_rejected(self, element, module):
-        with pytest.raises(ElementIndexError):
-            element_index_offset(REF, ElementIndex(element, module))
+        assert element_offsets(geom)[8] * geom.element_spacing == 4.0
 
     def test_enumeration_is_module_major(self):
+        # Modules ascending, elements ascending within each; K = 5.
         geom = ArrayGeometry(2, 3, 0.5, 4.0)
-        listed = list(element_indices(geom))
-        assert len(listed) == geom.total_elements
-        assert listed[0] == ElementIndex(element=-0.5, module=-1.0)
-        assert listed[1] == ElementIndex(element=0.5, module=-1.0)
-        assert listed[2] == ElementIndex(element=-0.5, module=0.0)
-        offsets = element_offsets(geom)
-        for idx, offset in zip(listed, offsets):
-            assert element_index_offset(geom, idx) == offset
+        assert element_offsets(geom).tolist() == [-5.5, -4.5, -0.5, 0.5, 4.5, 5.5]
 
     @given(geometries())
     def test_offsets_antisymmetric(self, geom):
@@ -164,10 +140,10 @@ class TestElementIndexing:
         np.testing.assert_allclose(offsets, -offsets[::-1], atol=1e-12)
 
     def test_positions_antisymmetric_in_index(self):
+        # (m, n) = (2, 1.5) and (-2, -1.5) are the last and the first element.
         geom = ArrayGeometry(5, 4, 0.2, 3.5)
-        plus = element_position(geom, ElementIndex(2.0, 1.5))
-        minus = element_position(geom, ElementIndex(-2.0, -1.5))
-        assert plus[1] == -minus[1]
+        y = element_offsets(geom) * geom.element_spacing
+        assert y[-1] == -y[0]
 
     def test_unit_separation_matches_plain_array(self):
         # L = 1 collapses modules into one contiguous uniform array.
@@ -202,59 +178,51 @@ class TestUserLocation:
         )
 
 
+def distances(geom, user):
+    "Element-to-user distances from the blocked kernel, module-major, metres."
+    return user.range_m * np.sqrt(block_ratios(geom, user))
+
+
 class TestDistance:
     def test_center_element_sees_range(self):
         geom = ArrayGeometry(1, 1, 0.1, 1.0)
         user = UserLocation(35.0, 0.3)
-        assert distance(geom, user, ElementIndex(0.0, 0.0)) == 35.0
+        assert distances(geom, user).tolist() == [35.0]
 
     def test_collinear_case(self):
-        # User on the array axis one spacing beyond an element.
+        # User on the array axis one spacing beyond the element m = 1.
         geom = ArrayGeometry(3, 1, 1.0, 1.0)
         user = UserLocation(10.0, math.pi / 2)
-        value = distance(geom, user, ElementIndex(1.0, 0.0))
-        assert value == pytest.approx(9.0, rel=1e-14)
+        assert distances(geom, user)[2] == pytest.approx(9.0, rel=1e-14)
 
     def test_reference_off_axis_element(self):
-        # K = 36 here, so (m, n) = (0, 1) sits 36 spacings = 2.2608 m off
-        # center; the user is broadside at 35 m.
+        # K = 36 here, so (m, n) = (0, 1), element 195, sits 36 spacings =
+        # 2.2608 m off center; the user is broadside at 35 m.
         geom = ArrayGeometry(17, 21, 0.0628, 20.0)
         user = UserLocation(35.0, 0.0)
-        value = distance(geom, user, ElementIndex(0.0, 1.0))
+        value = distances(geom, user)[195]
         assert value == pytest.approx(math.hypot(35.0, 2.2608), rel=1e-14)
         assert value == pytest.approx(35.072941, abs=5e-6)
 
     @given(geometries(), users(), st.data())
     def test_matches_cartesian_norm(self, geom, user, data):
-        m_values = [i - 0.5 * (geom.elements_per_module - 1)
-                    for i in range(geom.elements_per_module)]
-        n_values = [i - 0.5 * (geom.module_count - 1)
-                    for i in range(geom.module_count)]
-        idx = ElementIndex(
-            data.draw(st.sampled_from(m_values)),
-            data.draw(st.sampled_from(n_values)),
-        )
-        element = element_position(geom, idx)
-        oracle = float(np.linalg.norm(user.position - element))
+        i = data.draw(st.integers(0, geom.total_elements - 1))
+        oracle = element_distances(geom, user)[i]
         if oracle < 1e-2 * user.range_m:
             return  # near-coincident element, ill-conditioned for both routes
-        assert distance(geom, user, idx) == pytest.approx(oracle, rel=1e-12)
+        assert distances(geom, user)[i] == pytest.approx(oracle, rel=1e-12)
 
-    @given(geometries(), users(), st.data())
-    def test_reflection_symmetry(self, geom, user, data):
-        m_values = [i - 0.5 * (geom.elements_per_module - 1)
-                    for i in range(geom.elements_per_module)]
-        n_values = [i - 0.5 * (geom.module_count - 1)
-                    for i in range(geom.module_count)]
-        m = data.draw(st.sampled_from(m_values))
-        n = data.draw(st.sampled_from(n_values))
+    @given(geometries(), users())
+    def test_reflection_symmetry(self, geom, user):
+        # Mirroring the user across broadside mirrors element (m, n) to
+        # (-m, -n), which reverses the module-major order.
         mirrored = UserLocation(user.range_m, -user.angle_rad)
         try:
-            left = distance(geom, user, ElementIndex(m, n))
-            right = distance(geom, mirrored, ElementIndex(-m, -n))
+            left = distances(geom, user)
+            right = distances(geom, mirrored)
         except DegenerateGeometryError:
             return
-        assert left == pytest.approx(right, rel=1e-14)
+        np.testing.assert_allclose(left, right[::-1], rtol=1e-14)
 
     def test_near_coincident_element_keeps_precision(self):
         # The user sits 1e-6 m beyond element m = 1 on the array axis; the
@@ -262,55 +230,45 @@ class TestDistance:
         geom = ArrayGeometry(3, 1, 1.0, 1.0)
         user = UserLocation(1.000001, math.pi / 2)
         oracle = math.hypot(user.range_m * math.cos(user.angle_rad), user.range_m - 1.0)
-        assert distance(geom, user, ElementIndex(1.0, 0.0)) == pytest.approx(
-            oracle, rel=1e-9
-        )
         assert distances(geom, user)[2] == pytest.approx(oracle, rel=1e-9)
-
-    def test_vectorized_matches_scalar(self):
-        geom = ArrayGeometry(4, 3, 0.3, 2.5)
-        user = UserLocation(12.0, -0.7)
-        vector = distances(geom, user)
-        scalar = [distance(geom, user, idx) for idx in element_indices(geom)]
-        np.testing.assert_allclose(vector, scalar, rtol=1e-15)
+        amplitude = abs(array_response_nusw(geom, user, LinkBudget(0.1)).coefficients[2])
+        assert amplitude == pytest.approx(1.0 / oracle, rel=1e-9)
 
     def test_user_on_element_rejected(self):
         geom = ArrayGeometry(3, 1, 1.0, 1.0)
         user = UserLocation(1.0, math.pi / 2)  # coincides with element m=1
         with pytest.raises(DegenerateGeometryError):
-            distance(geom, user, ElementIndex(1.0, 0.0))
-        with pytest.raises(DegenerateGeometryError):
-            distances(geom, user)
+            block_ratios(geom, user)
 
     @pytest.mark.parametrize("range_m", [1e-153, 1e-155])
     def test_overflowing_ratio_raises(self, range_m):
         # At 1e-153 m only the squared ratios of the outer elements overflow,
         # at 1e-155 m all of them; neither leaves an infinite distance.
-        user = UserLocation(range_m)
         with pytest.raises(OverflowError):
-            distances(REF, user)
-        with pytest.raises(OverflowError):
-            distance(REF, user, ElementIndex(7.5, 9.5))
+            block_ratios(REF, UserLocation(range_m))
 
     def test_offsets_left_unchanged(self):
         # The kernel works in its own block buffers only: arrays a caller
-        # holds, the offsets among them, are never written by a later call,
-        # and no two results share memory.  Read-only, a write would raise.
+        # holds, the offsets among them, are never written by a later call of
+        # the kernel or of its two consumers, and no two results share
+        # memory.  Read-only, a write would raise.
         geom = ArrayGeometry(4, 3, 0.3, 2.5)
         user = UserLocation(12.0, -0.7)
+        link = LinkBudget(0.1)
         held = [
             element_offsets(geom),
-            geometry.squared_distance_ratios(geom, user),
-            distances(geom, user),
+            block_ratios(geom, user),
+            array_response_nusw(geom, user, link).coefficients,
         ]
         before = [array.copy() for array in held]
         for array in held:
             array.setflags(write=False)
-        distance(geom, user, ElementIndex(0.5, -1.0))
-        held.append(geometry.squared_distance_ratios(geom, user))
-        held.append(distances(geom, user))
-        for _ in geometry.squared_ratio_blocks(geom, user):
+        for _ in squared_ratio_blocks(geom, user):
             pass
+        snr_exact_sum(geom, user, link)
+        held.append(element_offsets(geom))
+        held.append(block_ratios(geom, user))
+        held.append(array_response_nusw(geom, user, link).coefficients)
         for array, copy in zip(held, before):
             np.testing.assert_array_equal(array, copy)
         for i, left in enumerate(held):

@@ -1,13 +1,14 @@
 """Module boundaries: no modxl module imports another's private names or
-reads the process environment, and only ``numerics.compensated_sum`` calls
-``math.fsum``.
+reads the process environment, only ``numerics.compensated_sum`` calls
+``math.fsum``, and every public function and class is used by some module.
 
 A name with a leading underscore is an implementation detail of the module
 that defines it; code another module needs belongs in that module's public
 interface, where it is documented and tested as such.  ``math.fsum`` walks a
 Python iterator one term at a time, so over every element of a large array it
 costs more than the rest of the exact sum; compensated sums of a few partials
-go through the one helper.
+go through the one helper.  A public name that no module uses, and only
+``__init__`` re-exports, is code that no ``src/`` path runs.
 """
 
 import ast
@@ -136,3 +137,53 @@ def test_no_environment_reads(path):
     # Settings such as the distance kernel's block size are constants, so a
     # run does not depend on the caller's environment.
     assert environment_reads(path.read_text(encoding="utf-8")) == []
+
+
+#: Public names kept with no caller in ``src/``: the plane-wave channel of
+#: the paper, documented in the README.
+UNUSED_ALLOWED = {"channel.array_response_upw"}
+
+
+def unused_public_names(sources: dict) -> list:
+    """The public module-level functions and classes, as ``module.name``, of
+    ``sources`` (module name -> source text) that no module other than
+    ``__init__`` loads by name or as an attribute.  A load in the defining
+    module counts; a name match anywhere counts, so the scan errs towards
+    "used"."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    loaded = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for module, tree in trees.items()
+        if module != "__init__"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+        and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        if module != "__init__"
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in loaded
+    )
+
+
+def test_detects_unused_public_names():
+    sources = {
+        "__init__": "from .a import Kept, dead, used\n",
+        "a": (
+            "class Kept:\n    pass\n"
+            "def used():\n    return Kept()\n"
+            "def dead():\n    return 1\n"
+            "def _private():\n    return 2\n"
+        ),
+        "b": "from . import a\nVALUE = a.used()\n",
+    }
+    assert unused_public_names(sources) == ["a.dead"]
+
+
+def test_every_public_name_is_used():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert set(unused_public_names(sources)) == UNUSED_ALLOWED

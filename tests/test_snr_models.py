@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from elements import block_ratios, element_positions
 from modxl.channel import LinkBudget
 from modxl.errors import (
     DegenerateGeometryError,
@@ -16,14 +17,7 @@ from modxl.errors import (
     UnboundedLimitError,
 )
 from modxl import snr_models
-from modxl.geometry import (
-    ArrayGeometry,
-    UserLocation,
-    distances,
-    element_indices,
-    element_position,
-    squared_distance_ratios,
-)
+from modxl.geometry import ArrayGeometry, UserLocation
 from modxl.snr_models import (
     FLAG_EPSILON_NOT_SMALL,
     FLAG_THETA_NEAR_ENDFIRE,
@@ -73,8 +67,8 @@ class TestExactSum:
         geom = ArrayGeometry(3, 3, 0.5, 4.0)
         user = UserLocation(9.0, -0.6)
         total = sum(
-            1.0 / np.sum((user.position - element_position(geom, idx)) ** 2)
-            for idx in element_indices(geom)
+            1.0 / np.sum((user.position - position) ** 2)
+            for position in element_positions(geom)
         )
         report = snr_exact_sum(geom, user, LINK)
         assert report.value_linear == pytest.approx(1e5 * total, rel=1e-12)
@@ -106,7 +100,7 @@ class TestExactSum:
         # at most one more.
         geom = ArrayGeometry(m, n, 1e-3, 3.0)
         user = UserLocation(1.0, 0.4)
-        terms = 1.0 / squared_distance_ratios(geom, user)
+        terms = 1.0 / block_ratios(geom, user)
         exact = sum(map(Fraction, terms.tolist()))
         total = snr_exact_sum(geom, user, LinkBudget(0.1)).value_linear
         bound = (math.log2(m) + 2) * 2.0**-53
@@ -148,20 +142,23 @@ class TestExactSum:
         geom = ArrayGeometry(m, n, spacing, ratio)
         user = UserLocation(10.0**log_r, math.radians(deg))
         position = [Fraction(v) for v in user.position]
-        squared = []
-        for idx in element_indices(geom):
-            element = [Fraction(v) for v in element_position(geom, idx)]
-            squared.append(sum((p - e) ** 2 for p, e in zip(position, element)))
+        squared = [
+            sum((p - Fraction(e)) ** 2 for p, e in zip(position, element))
+            for element in element_positions(geom)
+        ]
         if min(squared) < Fraction(1e-2 * user.range_m) ** 2:
             return  # an element nearer than 1e-2 r: ill-conditioned for both routes
         try:
             report = snr_exact_sum(geom, user, LINK)
-            measured = distances(geom, user) ** 2
+            ratios = block_ratios(geom, user)
         except DegenerateGeometryError:
             return
         oracle = Fraction(LINK.effective_power) * sum(1 / value for value in squared)
         assert report.value_linear == pytest.approx(float(oracle), rel=1e-12)
-        np.testing.assert_allclose(measured, [float(v) for v in squared], rtol=1e-12)
+        range_squared = Fraction(user.range_m) ** 2
+        np.testing.assert_allclose(
+            ratios, [float(v / range_squared) for v in squared], rtol=1e-12
+        )
 
 
 class TestClosedForm:
@@ -322,6 +319,57 @@ class TestCollocated:
         report = snr_collocated(geom, user, LINK)
         assert FLAG_THETA_NEAR_ENDFIRE in report.validity_flags
         assert report.value_linear == snr_exact_sum(geom, user, LINK).value_linear
+
+    def test_close_in_near_endfire_flagged(self):
+        # 51x the exact sum, once with no flag.
+        geom = ArrayGeometry(8, 47, 0.0628, 1.0)
+        user = UserLocation(0.0710220811304449, math.radians(-89.73878464626696))
+        report = snr_collocated(geom, user, LINK)
+        exact = snr_exact_sum(geom, user, LINK).value_linear
+        assert report.value_linear > 50.0 * exact
+        assert report.validity_flags == {FLAG_EPSILON_NOT_SMALL}
+
+    def test_endfire_fallback_keeps_the_continuum_flag(self):
+        geom = ArrayGeometry(4, 3, 0.0628, 1.0)
+        report = snr_collocated(geom, UserLocation(1.0, math.pi / 2), LINK)
+        assert report.validity_flags == {FLAG_EPSILON_NOT_SMALL, FLAG_THETA_NEAR_ENDFIRE}
+
+    @given(
+        st.integers(1, 32),
+        st.integers(1, 625),
+        st.floats(-1.3, 8.0),
+        st.floats(-89.9, 89.9),
+    )
+    def test_over_decades_within_one_percent_or_flagged(self, m, n, log_r, deg):
+        geom = ArrayGeometry(m, n, 0.0628, 1.0)
+        user = UserLocation(10.0**log_r, math.radians(deg))
+        try:
+            exact = snr_exact_sum(geom, user, LINK).value_linear
+        except DegenerateGeometryError:
+            return
+        report = snr_collocated(geom, user, LINK)
+        if not report.validity_flags:
+            assert report.value_linear == pytest.approx(exact, rel=1e-2)
+
+    @pytest.mark.parametrize("range_m", [1e-300, 1e-320])
+    def test_tiny_range_raises_overflow_error(self, range_m):
+        # At 1e-320 m r*d*cos(angle) underflows to 0: once a bare
+        # ZeroDivisionError.
+        geom = ArrayGeometry(16, 20, 0.0628, 1.0)
+        user = UserLocation(range_m, math.radians(89.99))
+        with pytest.raises(OverflowError):
+            snr_collocated(geom, user, LINK)
+
+    def test_half_extent_denominator_underflow(self):
+        # 2 r cos(angle) underflows to 0 while r d cos(angle) does not, and
+        # a power this low keeps the prefactor finite: the arctangents take
+        # their limit, where they once divided by zero.
+        geom = ArrayGeometry(16, 20, 10.0, 1.0)
+        user = UserLocation(5e-321, math.radians(89.99))
+        link = LinkBudget(wavelength_m=0.1, transmit_snr=1e-300)
+        scale = user.range_m * 10.0 * math.cos(user.angle_rad)
+        report = snr_collocated(geom, user, link)
+        assert report.value_linear == 1e-300 / scale * math.pi
 
 
 class TestAsymptotic:
