@@ -59,10 +59,8 @@ from .sweep import (
     SweepVariable,
     apply_variable,
     default_scenario,
-    element_count_preset,
     evaluate_models,
     run_sweep,
-    separation_preset,
 )
 from .verify import CheckResult, run_checks
 
@@ -100,7 +98,6 @@ __all__ = [
     "complex_gaussian",
     "db_to_linear",
     "default_scenario",
-    "element_count_preset",
     "element_offsets",
     "evaluate_models",
     "linear_to_db",
@@ -109,7 +106,6 @@ __all__ = [
     "render_line_chart",
     "run_checks",
     "run_sweep",
-    "separation_preset",
     "simulate_uplink",
     "snr",
     "snr_asymptotic",

@@ -3,7 +3,8 @@
 Subcommands: ``eval`` (single-point JSON report), ``sweep`` (CSV parameter
 sweep), ``plot`` (SVG chart from sweep CSV), ``verify`` (built-in check
 suite).  Every subcommand accepts ``--config`` (flat ``key = value`` file,
-``#`` comments, explicit flags win), ``--seed`` and ``--out``.
+``#`` comments, explicit flags win) and ``--out``; ``verify`` also takes
+``--seed``.
 
 Exit codes: 0 success, 1 verification failure, 2 usage, invalid
 configuration or out-of-range input, 3 degenerate geometry or a diverging or
@@ -25,7 +26,6 @@ from .errors import (
     MalformedDataError,
     SweepPointError,
 )
-from .channel import LinkBudget
 from .geometry import ArrayGeometry, aperture, normalized_spacing
 from .numerics import db_to_linear, linear_to_db
 from .snr_models import SnrModel
@@ -78,15 +78,13 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-#: Families of alternative representations of one quantity, each
-#: representation a group of destinations.  At most one representation per
-#: family may be set, and an explicit flag from a family makes the config
-#: file's values for the whole family inert.
+#: Pairs of destinations that set one quantity in two units.  At most one of
+#: a pair may be set, and an explicit flag for either makes the config file's
+#: values for both inert.
 _FLAG_FAMILIES = (
-    (("spacing_m",), ("spacing_wl",)),
-    (("separation_m",), ("separation_ratio",)),
-    (("frequency_ghz",), ("wavelength_m",)),
-    (("txsnr_db",), ("power_db", "ref_gain_db")),
+    ("spacing_m", "spacing_wl"),
+    ("separation_m", "separation_ratio"),
+    ("frequency_ghz", "wavelength_m"),
 )
 
 
@@ -103,37 +101,30 @@ def _build_parser() -> argparse.ArgumentParser:
         "--config", metavar="PATH",
         help="flat key = value settings file; explicit flags override it",
     )
-    common.add_argument(
-        "--seed", type=_u64, metavar="U64",
-        help="seed for the stochastic verification check",
-    )
     common.add_argument("--out", metavar="PATH", help="output file path")
 
     scenario = argparse.ArgumentParser(add_help=False)
     group = scenario.add_argument_group("scenario")
     group.add_argument("--elements-per-module", type=int, metavar="M")
     group.add_argument("--modules", type=int, metavar="N")
-    spacing = scenario.add_mutually_exclusive_group()
-    spacing.add_argument(
+    group.add_argument(
         "--spacing-m", type=float, metavar="METERS",
         help="element spacing in meters",
     )
-    spacing.add_argument(
+    group.add_argument(
         "--spacing-wl", type=float, metavar="WL",
         help="element spacing in wavelengths",
     )
-    separation = scenario.add_mutually_exclusive_group()
-    separation.add_argument(
+    group.add_argument(
         "--separation-m", type=float, metavar="METERS",
         help="module separation in meters",
     )
-    separation.add_argument(
+    group.add_argument(
         "--separation-ratio", type=float, metavar="L",
         help="module separation in element spacings",
     )
-    carrier = scenario.add_mutually_exclusive_group()
-    carrier.add_argument("--frequency-ghz", type=float, metavar="GHZ")
-    carrier.add_argument("--wavelength-m", type=float, metavar="METERS")
+    group.add_argument("--frequency-ghz", type=float, metavar="GHZ")
+    group.add_argument("--wavelength-m", type=float, metavar="METERS")
     group.add_argument("--range-m", type=float, metavar="METERS")
     group.add_argument(
         "--theta-deg", type=float, metavar="DEG",
@@ -142,14 +133,6 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument(
         "--txsnr-db", type=float, metavar="DB",
         help="joint transmit SNR (power times reference gain), dB",
-    )
-    group.add_argument(
-        "--power-db", type=float, metavar="DB",
-        help="transmit power over noise alone, dB (advanced)",
-    )
-    group.add_argument(
-        "--ref-gain-db", type=float, metavar="DB",
-        help="reference-distance channel gain alone, dB (advanced)",
     )
     scenario.add_argument(
         "--models", metavar="LIST",
@@ -214,6 +197,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "verify", parents=[common],
         help="run the built-in verification checks",
     )
+    p_verify.add_argument(
+        "--seed", type=_u64, metavar="U64",
+        help="seed for the stochastic verification check",
+    )
     p_verify.set_defaults(func=cmd_verify)
 
     return parser
@@ -260,9 +247,8 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     given = {dest for dest, value in vars(args).items() if value is not None}
     inert = set(given)  # an explicit flag silences its whole family
     for family in _FLAG_FAMILIES:
-        members = {dest for rep in family for dest in rep}
-        if given & members:
-            inert |= members
+        if given.intersection(family):
+            inert.update(family)
     for key, raw in entries.items():
         if key not in actions:
             raise UsageError(f"{args.config}: unknown config key {key!r}")
@@ -286,14 +272,10 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 
 
 def _check_exclusive(args: argparse.Namespace) -> None:
-    "Re-check one-of constraints after the config merge."
+    "Reject a quantity given in two units, by flags or the config file."
     for family in _FLAG_FAMILIES:
-        chosen = [
-            "/".join(rep) for rep in family
-            if any(getattr(args, dest, None) is not None for dest in rep)
-        ]
-        if len(chosen) > 1:
-            raise UsageError(f"give only one of {' and '.join(chosen)}")
+        if all(getattr(args, dest, None) is not None for dest in family):
+            raise UsageError(f"give only one of {' and '.join(family)}")
 
 
 def _default(value, fallback):
@@ -333,15 +315,10 @@ def _resolve_scenario(args: argparse.Namespace) -> Scenario:
         user = replace(user, range_m=args.range_m)
     if args.theta_deg is not None:
         user = replace(user, angle_rad=math.radians(args.theta_deg))
-    transmit_snr, gain = base.link.transmit_snr, base.link.reference_gain
-    if args.power_db is not None or args.ref_gain_db is not None:
-        transmit_snr = db_to_linear(_default(args.power_db, 0.0))
-        gain = db_to_linear(_default(args.ref_gain_db, 0.0))
-    elif args.txsnr_db is not None:
+    transmit_snr = base.link.transmit_snr
+    if args.txsnr_db is not None:
         transmit_snr = db_to_linear(args.txsnr_db)
-    link = LinkBudget(
-        wavelength_m=wavelength, reference_gain=gain, transmit_snr=transmit_snr
-    )
+    link = replace(base.link, wavelength_m=wavelength, transmit_snr=transmit_snr)
     return Scenario(geometry, user, link)
 
 

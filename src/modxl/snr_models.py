@@ -259,7 +259,14 @@ def snr_collocated(
         )
     extent_scale = 2.0 * user.range_m * cos_t
     half_extent = geom.total_elements * d / extent_scale if extent_scale else math.inf
-    value = prefactor * (math.atan(half_extent - tan_t) + math.atan(half_extent + tan_t))
+    # atan(a - t) + atan(a + t) as one angle: the two terms cancel as a -> 0.
+    # Where 2a overflows the sum is pi, not atan2(inf, -inf) = 3pi/4.
+    extent = 2.0 * half_extent
+    if extent == math.inf:
+        bracket = math.pi
+    else:
+        bracket = math.atan2(extent, 1.0 + tan_t * tan_t - half_extent * half_extent)
+    value = prefactor * bracket
     return SnrReport(SnrModel.COLLOCATED, value, flags)
 
 

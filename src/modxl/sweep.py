@@ -8,7 +8,6 @@ bit-identical records.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
@@ -126,7 +125,7 @@ class SweepSpec:
         else:
             raw = self.start * (self.stop / self.start) ** (index / (self.steps - 1))
         if self.variable is SweepVariable.MODULE_COUNT:
-            return float(max(1, round(raw)))
+            return float(round(raw))
         return raw
 
 
@@ -255,17 +254,3 @@ PRESETS: Dict[str, Callable[[Scenario], SweepSpec]] = {
     "element-count": _element_count_sweep,
     "separation": _separation_sweep,
 }
-
-
-def element_count_preset() -> SweepSpec:
-    "The element-count preset on the reference scenario."
-    return _element_count_sweep(default_scenario())
-
-
-def separation_preset(theta_deg: float = 0.0) -> SweepSpec:
-    "The separation preset on the reference scenario, user at ``theta_deg``."
-    base = default_scenario()
-    base = replace(
-        base, user=replace(base.user, angle_rad=math.radians(theta_deg))
-    )
-    return _separation_sweep(base)

@@ -37,14 +37,13 @@ from .snr_models import (
     snr_upw,
 )
 from .sweep import (
+    PRESETS,
     Scenario,
     SweepScale,
     SweepSpec,
     SweepVariable,
     default_scenario,
-    element_count_preset,
     run_sweep,
-    separation_preset,
 )
 
 
@@ -252,7 +251,7 @@ def _check_upw_sweep_linearity(base: Scenario) -> Tuple[float, float, str]:
 
 def _check_separation_monotonic(base: Scenario) -> Tuple[float, float, str]:
     "Exact broadside SNR never increases as the modules spread apart."
-    spec = separation_preset(0.0)
+    spec = PRESETS["separation"](default_scenario())
     values = [
         r.reports[SnrModel.EXACT_SUM].value_linear for r in run_sweep(spec)
     ]
@@ -264,7 +263,7 @@ def _check_separation_monotonic(base: Scenario) -> Tuple[float, float, str]:
 
 def _check_sweep_determinism(base: Scenario) -> Tuple[float, float, str]:
     "Sweep records are bit-identical across reruns."
-    spec = element_count_preset()
+    spec = PRESETS["element-count"](default_scenario())
     for a, b in zip(run_sweep(spec), run_sweep(spec)):
         if a.variable_value != b.variable_value:
             return 0.0, math.inf, f"variable mismatch at index {a.index}"

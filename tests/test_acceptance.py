@@ -8,6 +8,7 @@ regimes, beamforming optimality, simulation consistency and determinism.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from modxl.snr_models import (
     snr_exact_sum,
     snr_upw,
 )
-from modxl.sweep import run_sweep, separation_preset
+from modxl.sweep import PRESETS, default_scenario, run_sweep
 
 LINK = LinkBudget(wavelength_m=0.1256, reference_gain=1.0, transmit_snr=1e5)
 BROADSIDE = UserLocation(35.0, 0.0)
@@ -135,13 +136,15 @@ def test_criterion_06_limit_gap_between_layouts():
 
 def test_criterion_07_plane_wave_bias_flips_with_angle():
     over = 0
-    records = run_sweep(separation_preset(0.0))
+    base = default_scenario()
+    records = run_sweep(PRESETS["separation"](base))
     for record in records:
         upw = record.reports[SnrModel.UPW].value_linear
         exact = record.reports[SnrModel.EXACT_SUM].value_linear
         over += upw > exact
     under = 0
-    records75 = run_sweep(separation_preset(75.0))
+    at75 = replace(base, user=replace(base.user, angle_rad=math.radians(75.0)))
+    records75 = run_sweep(PRESETS["separation"](at75))
     for record in records75:
         upw = record.reports[SnrModel.UPW].value_linear
         exact = record.reports[SnrModel.EXACT_SUM].value_linear

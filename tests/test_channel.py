@@ -45,6 +45,11 @@ class TestLinkBudget:
         with pytest.raises(ValueError):
             LinkBudget(**kwargs)
 
+    def test_overflowing_product_rejected(self):
+        # Each factor is finite; only the product that every SNR uses is not.
+        with pytest.raises(ValueError, match="effective_power"):
+            LinkBudget(wavelength_m=0.1, reference_gain=1e300, transmit_snr=1e300)
+
     def test_effective_power(self):
         link = LinkBudget(wavelength_m=0.1, reference_gain=3.0, transmit_snr=2.0)
         assert link.effective_power == 6.0

@@ -1,6 +1,7 @@
 """Module boundaries: no modxl module imports another's private names or
 reads the process environment, only ``numerics.compensated_sum`` calls
-``math.fsum``, and every public function and class is used by some module.
+``math.fsum``, and every public function, class, constant, method and property
+is used by some module.
 
 A name with a leading underscore is an implementation detail of the module
 that defines it; code another module needs belongs in that module's public
@@ -140,16 +141,39 @@ def test_no_environment_reads(path):
 
 
 #: Public names kept with no caller in ``src/``: the plane-wave channel of
-#: the paper, documented in the README.
-UNUSED_ALLOWED = {"channel.array_response_upw"}
+#: the paper, documented in the README, and the user's Cartesian position,
+#: the reference that the tests compare the distance kernel against.
+UNUSED_ALLOWED = {"channel.array_response_upw", "geometry.UserLocation.position"}
+
+
+def public_definitions(tree: ast.Module):
+    """The public names ``tree`` defines, as dotted paths: module-level
+    functions, classes and assigned constants, and the methods and properties
+    of its classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        else:
+            continue
+        yield from (name for name in names if not name.startswith("_"))
+        if isinstance(node, ast.ClassDef):
+            yield from (
+                f"{node.name}.{member.name}"
+                for member in node.body
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not member.name.startswith("_")
+            )
 
 
 def unused_public_names(sources: dict) -> list:
-    """The public module-level functions and classes, as ``module.name``, of
-    ``sources`` (module name -> source text) that no module other than
-    ``__init__`` loads by name or as an attribute.  A load in the defining
-    module counts; a name match anywhere counts, so the scan errs towards
-    "used"."""
+    """The public definitions (see :func:`public_definitions`), as
+    ``module.name``, of ``sources`` (module name -> source text) that no
+    module other than ``__init__`` loads by name or as an attribute.  A load
+    in the defining module counts; a name match anywhere counts, so the scan
+    errs towards "used"."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     loaded = {
         node.id if isinstance(node, ast.Name) else node.attr
@@ -160,13 +184,11 @@ def unused_public_names(sources: dict) -> list:
         and isinstance(node.ctx, ast.Load)
     }
     return sorted(
-        f"{module}.{node.name}"
+        f"{module}.{name}"
         for module, tree in trees.items()
         if module != "__init__"
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-        and node.name not in loaded
+        for name in public_definitions(tree)
+        if name.rpartition(".")[2] not in loaded
     )
 
 
@@ -174,14 +196,20 @@ def test_detects_unused_public_names():
     sources = {
         "__init__": "from .a import Kept, dead, used\n",
         "a": (
-            "class Kept:\n    pass\n"
-            "def used():\n    return Kept()\n"
+            "LIMIT = 3\n"
+            "UNUSED: int = 4\n"
+            "_HIDDEN = 5\n"
+            "class Kept:\n"
+            "    def size(self):\n        return LIMIT\n"
+            "    @property\n    def spare(self):\n        return 0\n"
+            "    def __len__(self):\n        return 1\n"
+            "def used():\n    return Kept().size()\n"
             "def dead():\n    return 1\n"
             "def _private():\n    return 2\n"
         ),
-        "b": "from . import a\nVALUE = a.used()\n",
+        "b": "from . import a\nprint(a.used())\n",
     }
-    assert unused_public_names(sources) == ["a.dead"]
+    assert unused_public_names(sources) == ["a.Kept.spare", "a.UNUSED", "a.dead"]
 
 
 def test_every_public_name_is_used():

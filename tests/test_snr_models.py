@@ -251,7 +251,7 @@ class TestClosedForm:
         user = UserLocation(range_m, math.radians(theta_deg))
         closed = snr_closed_form(reference.geometry, user, LINK).value_linear
         exact = snr_exact_sum(reference.geometry, user, LINK).value_linear
-        assert closed == pytest.approx(exact, rel=1e-13)
+        assert closed == pytest.approx(exact, rel=1e-13, abs=0.0)
 
     def test_far_out_near_endfire_tracks_exact_sum(self):
         # 1.5% off and unflagged while the bracket cancelled.
@@ -351,6 +351,17 @@ class TestCollocated:
         if not report.validity_flags:
             assert report.value_linear == pytest.approx(exact, rel=1e-2)
 
+    @pytest.mark.parametrize("theta_deg", [30.0, 45.0, 60.0, 89.9, -75.0])
+    @pytest.mark.parametrize("range_m", [1e6, 1e9, 1e12, 1e14])
+    def test_far_field_tracks_exact_sum(self, theta_deg, range_m):
+        # atan(a - t) + atan(a + t) once cancelled as a -> 0: 3.7e-6 off at
+        # 1e12 m, 60 deg, and 27% too high at 1e14 m, 89.9 deg.
+        geom = ArrayGeometry(16, 20, 0.0628, 1.0)
+        user = UserLocation(range_m, math.radians(theta_deg))
+        value = snr_collocated(geom, user, LINK).value_linear
+        exact = snr_exact_sum(geom, user, LINK).value_linear
+        assert value == pytest.approx(exact, rel=1e-13, abs=0.0)
+
     @pytest.mark.parametrize("range_m", [1e-300, 1e-320])
     def test_tiny_range_raises_overflow_error(self, range_m):
         # At 1e-320 m r*d*cos(angle) underflows to 0: once a bare
@@ -370,6 +381,15 @@ class TestCollocated:
         scale = user.range_m * 10.0 * math.cos(user.angle_rad)
         report = snr_collocated(geom, user, link)
         assert report.value_linear == 1e-300 / scale * math.pi
+
+    def test_doubled_half_extent_overflow(self):
+        # The half extent a = 1e308 is finite but 2a is not: the arctangents
+        # still sum to their limit pi, not atan2(inf, -inf) = 3pi/4.
+        geom = ArrayGeometry(16, 20, 10.0, 1.0)
+        user = UserLocation(1.6e-305, 0.0)
+        link = LinkBudget(wavelength_m=0.1, transmit_snr=1e-300)
+        report = snr_collocated(geom, user, link)
+        assert report.value_linear == 1e-300 / (1.6e-305 * 10.0) * math.pi
 
 
 class TestAsymptotic:

@@ -7,6 +7,7 @@ from modxl.errors import ModelMismatchError, SweepPointError
 from modxl.geometry import ArrayGeometry, UserLocation
 from modxl.snr_models import SnrModel
 from modxl.sweep import (
+    PRESETS,
     SweepRecord,
     SweepScale,
     SweepSpec,
@@ -15,10 +16,8 @@ from modxl.sweep import (
     applicable_models,
     apply_variable,
     default_scenario,
-    element_count_preset,
     evaluate_models,
     run_sweep,
-    separation_preset,
 )
 
 EXACT = SnrModel.EXACT_SUM
@@ -194,7 +193,7 @@ class TestRunSweep:
 
 class TestPresets:
     def test_element_count_preset_shape(self):
-        spec = element_count_preset()
+        spec = PRESETS["element-count"](default_scenario())
         assert spec.variable is SweepVariable.MODULE_COUNT
         assert (spec.start, spec.stop, spec.steps) == (1.0, 625.0, 40)
         assert spec.scale is SweepScale.LINEAR
@@ -202,7 +201,9 @@ class TestPresets:
         assert spec.base.geometry.module_count == 20
 
     def test_separation_preset_shape(self):
-        spec = separation_preset(75.0)
+        base = default_scenario()
+        user = replace(base.user, angle_rad=math.radians(75.0))
+        spec = PRESETS["separation"](replace(base, user=user))
         assert spec.variable is SweepVariable.SEPARATION
         assert spec.base.user.angle_rad == pytest.approx(math.radians(75.0))
         assert spec.start == 0.0628
@@ -210,7 +211,7 @@ class TestPresets:
         assert spec.steps == 50
 
     def test_element_count_behaviour(self):
-        records = run_sweep(element_count_preset())
+        records = run_sweep(PRESETS["element-count"](default_scenario()))
         for record in records:
             exact = record.reports[EXACT].value_linear
             closed = record.reports[SnrModel.CLOSED_FORM].value_linear
@@ -221,7 +222,7 @@ class TestPresets:
         assert gap_db > 10.0
 
     def test_separation_behaviour_at_broadside(self):
-        records = run_sweep(separation_preset(0.0))
+        records = run_sweep(PRESETS["separation"](default_scenario()))
         upw = [r.reports[SnrModel.UPW].value_linear for r in records]
         assert all(v == upw[0] for v in upw)
         exact = [r.reports[EXACT].value_linear for r in records]
