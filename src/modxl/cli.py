@@ -253,9 +253,8 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         if key not in actions:
             raise UsageError(f"{args.config}: unknown config key {key!r}")
         action = actions[key]
-        if not hasattr(args, action.dest) or action.dest in inert:
-            continue  # a setting for another subcommand, or overridden
-        # Parsed as its flag is; the store_true switch --logx takes a boolean.
+        # Parsed as its flag is, also where it goes unused, so a bad value in
+        # a shared file fails every command; --logx takes a boolean.
         parse = _parse_bool if action.nargs == 0 else action.type or str
         try:
             value = parse(raw)
@@ -268,7 +267,8 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
                 f"{args.config}: config key {key!r}: {raw!r} is not one of "
                 + ", ".join(action.choices)
             )
-        setattr(args, action.dest, value)
+        if hasattr(args, action.dest) and action.dest not in inert:
+            setattr(args, action.dest, value)  # else another command's, or overridden
 
 
 def _check_exclusive(args: argparse.Namespace) -> None:

@@ -491,6 +491,8 @@ class TestConfig:
         [
             ("verify", "seed", "-1"),
             ("verify", "seed", "18446744073709551616"),
+            ("sweep", "seed", "-1"),
+            ("sweep", "seed", "18446744073709551616"),
             ("sweep", "preset", "bogus"),
             ("sweep", "var", "bogus"),
             ("sweep", "scale", "sideways"),
