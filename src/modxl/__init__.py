@@ -16,12 +16,7 @@ from .beamforming import (
     snr,
     uplink_power_estimates,
 )
-from .channel import (
-    ArrayResponse,
-    LinkBudget,
-    array_response_nusw,
-    array_response_upw,
-)
+from .channel import LinkBudget, array_response_nusw, array_response_upw
 from .errors import (
     DegenerateGeometryError,
     MalformedDataError,
@@ -68,7 +63,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "ArrayGeometry",
-    "ArrayResponse",
     "BeamformingWeights",
     "ChartSeries",
     "CheckResult",

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ArrayResponse, LinkBudget
+from .channel import LinkBudget
 from .numerics import compensated_sum
 
 #: Fixed Monte-Carlo batch size so the RNG stream layout never depends on the
@@ -55,24 +55,24 @@ class UplinkSimulation:
             raise ValueError("seed must fit in 64 unsigned bits")
 
 
-def mrc_weights(response: ArrayResponse) -> BeamformingWeights:
+def mrc_weights(response: np.ndarray) -> BeamformingWeights:
     "Maximal-ratio combining weights: the response normalised to unit norm."
-    norm = np.linalg.norm(response.coefficients)
+    norm = np.linalg.norm(response)
     if norm == 0:
         raise ValueError("cannot normalise a zero response vector")
     # numpy divides by a real scalar as a product with its reciprocal, so
     # this multiplication gives the same bits without the complex division.
-    return BeamformingWeights(response.coefficients * (1.0 / norm))
+    return BeamformingWeights(response * (1.0 / norm))
 
 
-def snr(weights: BeamformingWeights, response: ArrayResponse, link: LinkBudget) -> float:
+def snr(weights: BeamformingWeights, response: np.ndarray, link: LinkBudget) -> float:
     """Linear SNR after receive beamforming: transmit SNR times the squared
     magnitude of the combined channel."""
     if len(weights) != len(response):
         raise ValueError(
             f"weights length {len(weights)} != response length {len(response)}"
         )
-    return link.transmit_snr * abs(np.vdot(weights.weights, response.coefficients)) ** 2
+    return link.transmit_snr * abs(np.vdot(weights.weights, response)) ** 2
 
 
 def complex_gaussian(
@@ -87,7 +87,7 @@ def complex_gaussian(
 
 
 def uplink_power_estimates(
-    response: ArrayResponse, weights: BeamformingWeights, sim: UplinkSimulation
+    response: np.ndarray, weights: BeamformingWeights, sim: UplinkSimulation
 ) -> tuple:
     """(signal power, empirical noise power) after beamforming.
 
@@ -112,14 +112,14 @@ def uplink_power_estimates(
         combined_noise = noise @ conj_weights
         noise_samples[start:stop] = np.abs(combined_noise) ** 2
 
-    gain = np.vdot(weights.weights, response.coefficients)
+    gain = np.vdot(weights.weights, response)
     signal_power = sim.transmit_power * abs(gain) ** 2
     noise_power = compensated_sum(noise_samples) / count
     return signal_power, noise_power
 
 
 def simulate_uplink(
-    response: ArrayResponse, weights: BeamformingWeights, sim: UplinkSimulation
+    response: np.ndarray, weights: BeamformingWeights, sim: UplinkSimulation
 ) -> float:
     "Empirical linear SNR estimate; deterministic for a fixed seed."
     signal_power, noise_power = uplink_power_estimates(response, weights, sim)

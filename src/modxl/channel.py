@@ -3,7 +3,9 @@
 Two models are provided: the non-uniform spherical wave (NUSW) response, in
 which amplitude and phase both follow the exact per-element distance, and the
 uniform plane wave (UPW) response, in which the amplitude is constant and the
-phase progresses linearly across the array.
+phase progresses linearly across the array.  Each returns a read-only
+complex128 array of per-element coefficients in module-major order (modules
+ascending, elements ascending within each module).
 """
 
 from __future__ import annotations
@@ -49,22 +51,6 @@ class LinkBudget:
         return self.transmit_snr * self.reference_gain
 
 
-@dataclass(frozen=True, eq=False)
-class ArrayResponse:
-    """Per-element channel coefficients in module-major order (modules
-    ascending, elements ascending within each module)."""
-
-    coefficients: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.coefficients, dtype=np.complex128)
-        arr.setflags(write=False)
-        object.__setattr__(self, "coefficients", arr)
-
-    def __len__(self) -> int:
-        return len(self.coefficients)
-
-
 def _write_phasors(
     amplitude: np.ndarray, cycles: np.ndarray, out: np.ndarray, square: np.ndarray
 ) -> None:
@@ -91,7 +77,7 @@ def _write_phasors(
 
 def array_response_nusw(
     geom: ArrayGeometry, user: UserLocation, link: LinkBudget
-) -> ArrayResponse:
+) -> np.ndarray:
     """Spherical-wave response: coefficient sqrt(gain)/r_e * exp(-j*2*pi*r_e/wl)
     with r_e the exact element-to-user distance.  Each block of
     :func:`squared_ratio_blocks` is run through in its own buffer and two
@@ -111,12 +97,13 @@ def array_response_nusw(
             np.divide(gain, path, out=amplitude)
             path /= link.wavelength_m
             _write_phasors(amplitude, path, out[modules], square)
-    return ArrayResponse(out.ravel())
+    out.setflags(write=False)
+    return out.ravel()
 
 
 def array_response_upw(
     geom: ArrayGeometry, user: UserLocation, link: LinkBudget
-) -> ArrayResponse:
+) -> np.ndarray:
     """Plane-wave response: constant amplitude sqrt(gain)/range and linear
     phase progression from the element axis offsets."""
     path = user.range_m - element_offsets(geom) * geom.element_spacing * math.sin(
@@ -126,4 +113,5 @@ def array_response_upw(
     amplitude = np.full(cycles.shape, math.sqrt(link.reference_gain) / user.range_m)
     out = np.empty(cycles.shape, dtype=np.complex128)
     _write_phasors(amplitude, cycles, out, np.empty(cycles.shape))
-    return ArrayResponse(out)
+    out.setflags(write=False)
+    return out

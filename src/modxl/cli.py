@@ -61,9 +61,6 @@ CSV_HEADER = ",".join((
 
 _SPEED_OF_LIGHT = 2.99792458e8
 
-#: ``--scale`` choices and the sweep scale each one names.
-_SCALES = {"linear": SweepScale.LINEAR, "log": SweepScale.LOGARITHMIC}
-
 
 class UsageError(ValueError):
     "Invalid flag/config combination; maps to exit code 2."
@@ -171,7 +168,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument("--stop", type=float, help="sweep stop")
     p_sweep.add_argument("--steps", type=int, help="number of sweep points")
-    p_sweep.add_argument("--scale", choices=tuple(_SCALES))
+    p_sweep.add_argument("--scale", choices=tuple(s.value for s in SweepScale))
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_plot = sub.add_parser(
@@ -283,14 +280,20 @@ def _default(value, fallback):
 
 
 def _resolve_scenario(args: argparse.Namespace) -> Scenario:
-    "The reference scenario with the given flags applied."
+    """The reference scenario with the given flags applied.  A zero divisor
+    gives inf, which the link or geometry constructor rejects by name."""
     base = default_scenario()
     if args.wavelength_m is not None:
         wavelength = args.wavelength_m
     elif args.frequency_ghz is not None:
-        wavelength = _SPEED_OF_LIGHT / (args.frequency_ghz * 1e9)
+        hertz = args.frequency_ghz * 1e9
+        wavelength = _SPEED_OF_LIGHT / hertz if hertz else math.inf
     else:
         wavelength = base.link.wavelength_m
+    transmit_snr = base.link.transmit_snr
+    if args.txsnr_db is not None:
+        transmit_snr = db_to_linear(args.txsnr_db)
+    link = replace(base.link, wavelength_m=wavelength, transmit_snr=transmit_snr)
     if args.spacing_m is not None:
         spacing = args.spacing_m
     else:
@@ -299,7 +302,7 @@ def _resolve_scenario(args: argparse.Namespace) -> Scenario:
     if args.separation_ratio is not None:
         ratio = args.separation_ratio
     elif args.separation_m is not None:
-        ratio = args.separation_m / spacing
+        ratio = args.separation_m / spacing if spacing else math.inf
     else:
         ratio = base.geometry.separation_ratio
     geometry = ArrayGeometry(
@@ -315,10 +318,6 @@ def _resolve_scenario(args: argparse.Namespace) -> Scenario:
         user = replace(user, range_m=args.range_m)
     if args.theta_deg is not None:
         user = replace(user, angle_rad=math.radians(args.theta_deg))
-    transmit_snr = base.link.transmit_snr
-    if args.txsnr_db is not None:
-        transmit_snr = db_to_linear(args.txsnr_db)
-    link = replace(base.link, wavelength_m=wavelength, transmit_snr=transmit_snr)
     return Scenario(geometry, user, link)
 
 
@@ -429,7 +428,7 @@ def _resolve_sweep_spec(args: argparse.Namespace, scenario: Scenario) -> SweepSp
         start=start,
         stop=stop,
         steps=_default(args.steps, preset.steps),
-        scale=_SCALES[_default(args.scale, "linear")],
+        scale=preset.scale if args.scale is None else SweepScale(args.scale),
         models=models,
     )
 

@@ -237,9 +237,7 @@ def snr_collocated(
     """Closed-form SNR for the collocated special case (separation ratio 1),
     which depends on the geometry only through the total element count.
     Flagged as the closed form is (see :func:`_continuum_flags`), and near
-    endfire the exact sum is returned instead, flagged.  Raises
-    ``OverflowError`` where the prefactor P/(r d cos(angle)) overflows, as
-    it does where its denominator underflows to 0."""
+    endfire the exact sum is returned instead, flagged."""
     if not is_collocated(geom):
         raise ModelMismatchError(
             "collocated model requires separation_ratio == 1, got "
@@ -253,10 +251,6 @@ def snr_collocated(
     d = geom.element_spacing
     scale = user.range_m * d * cos_t
     prefactor = link.effective_power / scale if scale else math.inf
-    if prefactor == math.inf:
-        raise OverflowError(
-            f"collocated prefactor at range {user.range_m:.3g} m overflows"
-        )
     extent_scale = 2.0 * user.range_m * cos_t
     half_extent = geom.total_elements * d / extent_scale if extent_scale else math.inf
     # atan(a - t) + atan(a + t) as one angle: the two terms cancel as a -> 0.
@@ -266,7 +260,9 @@ def snr_collocated(
         bracket = math.pi
     else:
         bracket = math.atan2(extent, 1.0 + tan_t * tan_t - half_extent * half_extent)
-    value = prefactor * bracket
+    # An infinite prefactor makes the value overflow (SnrReport raises), also
+    # where the bracket underflows to 0 and the product would be NaN.
+    value = prefactor * bracket if prefactor < math.inf else math.inf
     return SnrReport(SnrModel.COLLOCATED, value, flags)
 
 

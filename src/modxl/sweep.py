@@ -61,7 +61,7 @@ class SweepVariable(Enum):
 
 class SweepScale(Enum):
     LINEAR = "linear"
-    LOGARITHMIC = "logarithmic"
+    LOGARITHMIC = "log"
 
 
 @dataclass(frozen=True)
@@ -96,21 +96,11 @@ class SweepSpec:
             )
         if self.scale is SweepScale.LOGARITHMIC and self.start <= 0:
             raise ValueError("logarithmic scale needs a positive start")
-        if self.variable is SweepVariable.MODULE_COUNT and self.start < 1:
-            raise ValueError("module_count sweeps start at 1 or above")
-        if (
-            self.variable is SweepVariable.SEPARATION
-            and self.start < self.base.geometry.element_spacing
-        ):
-            raise ValueError(
-                "separation sweeps must keep the module separation at or "
-                "above the element spacing"
-            )
-        if (
-            self.variable in (SweepVariable.RANGE, SweepVariable.ELEMENT_SPACING)
-            and self.start <= 0
-        ):
-            raise ValueError(f"{self.variable.value} sweeps need a positive start")
+        # Every bound on a swept quantity is an interval and both scales are
+        # monotonic, so the scenario constructors, run at the two endpoints,
+        # reject a bad start or stop before any point is evaluated.
+        for index in (0, self.steps - 1):
+            apply_variable(self.base, self.variable, self.point_value(index))
 
     def point_value(self, index: int) -> float:
         "Variable value at a 0-based point index; endpoints are exact."

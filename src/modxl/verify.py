@@ -251,7 +251,7 @@ def _check_upw_sweep_linearity(base: Scenario) -> Tuple[float, float, str]:
 
 def _check_separation_monotonic(base: Scenario) -> Tuple[float, float, str]:
     "Exact broadside SNR never increases as the modules spread apart."
-    spec = PRESETS["separation"](default_scenario())
+    spec = PRESETS["separation"](replace(base, user=replace(base.user, angle_rad=0.0)))
     values = [
         r.reports[SnrModel.EXACT_SUM].value_linear for r in run_sweep(spec)
     ]
@@ -263,7 +263,7 @@ def _check_separation_monotonic(base: Scenario) -> Tuple[float, float, str]:
 
 def _check_sweep_determinism(base: Scenario) -> Tuple[float, float, str]:
     "Sweep records are bit-identical across reruns."
-    spec = PRESETS["element-count"](default_scenario())
+    spec = PRESETS["element-count"](base)
     for a, b in zip(run_sweep(spec), run_sweep(spec)):
         if a.variable_value != b.variable_value:
             return 0.0, math.inf, f"variable mismatch at index {a.index}"

@@ -78,7 +78,7 @@ def test_bit_identical_to_one_pass(m, n, range_m, theta_rad):
     assert snr_exact_sum(geom, user, LINK).value_linear == reference_exact_sum(
         geom, user, LINK
     )
-    coefficients = array_response_nusw(geom, user, LINK).coefficients
+    coefficients = array_response_nusw(geom, user, LINK)
     assert coefficients.tobytes() == reference_coefficients(geom, user, LINK).tobytes()
 
 
@@ -155,4 +155,4 @@ def test_channel_memory_is_output_plus_blocks():
     peak, response = traced_peak_mb(
         lambda: array_response_nusw(geom, UserLocation(80.0, 0.4), LINK)
     )
-    assert peak <= response.coefficients.nbytes / 1e6 + 8.0
+    assert peak <= response.nbytes / 1e6 + 8.0

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from modxl import sweep
 from modxl.cli import CSV_HEADER, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -120,11 +121,30 @@ class TestEval:
             # Once exit 3 with a bare "float division by zero".
             (("eval", "--range-m", "1e-320", "--theta-deg", "89.99",
               "--separation-ratio", "1", "--models", "collocated"), 2),
+            # Each once exit 3 with "float division by zero".
+            (("eval", "--frequency-ghz", "0"), 2),
+            (("eval", "--frequency-ghz", "-0.0"), 2),
+            (("eval", "--spacing-m", "0", "--separation-m", "1"), 2),
+            (("eval", "--spacing-wl", "0", "--separation-m", "1"), 2),
         ],
     )
     def test_error_exit_codes(self, capsys, argv, code):
         assert main(list(argv)) == code
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv,name",
+        [
+            (("--frequency-ghz", "0"), "wavelength_m"),
+            (("--spacing-m", "0", "--separation-m", "1"), "element_spacing"),
+            (("--spacing-wl", "0", "--separation-m", "1"), "element_spacing"),
+        ],
+    )
+    def test_zero_input_named(self, capsys, argv, name):
+        assert main(["eval", *argv]) == 2
+        assert capsys.readouterr().err == (
+            f"modxl: error: {name} must be positive and finite\n"
+        )
 
     def test_overflowing_input_named_as_out_of_range(self, capsys):
         assert main(["eval", "--txsnr-db", "4000"]) == 2
@@ -404,6 +424,41 @@ class TestSweep:
             "modxl: error: sweep point 1 failed: an input value is out of range "
             "(floating-point overflow)\n"
         )
+
+    @pytest.mark.parametrize(
+        "argv,golden",
+        [
+            (("--preset", "element-count"), "sweep_element_count.csv"),
+            (("--preset", "separation"), "sweep_separation_0deg.csv"),
+            (("--preset", "separation", "--theta-deg", "75"),
+             "sweep_separation_75deg.csv"),
+        ],
+    )
+    def test_preset_csv_matches_golden_file(self, capsys, tmp_path, argv, golden):
+        target = tmp_path / "preset.csv"
+        assert main(["sweep", *argv, "--out", str(target)]) == 0
+        capsys.readouterr()
+        assert target.read_bytes() == (ROOT / "tests" / "data" / golden).read_bytes()
+
+    @pytest.mark.parametrize("start,stop", [("-60", "100"), ("-100", "60")])
+    def test_out_of_range_endpoint_evaluates_no_point(
+        self, capsys, tmp_path, monkeypatch, start, stop
+    ):
+        # Once the theta stop of 100 degrees failed only at point 37.
+        evaluated = []
+        monkeypatch.setattr(
+            sweep, "evaluate_models",
+            lambda *args: evaluated.append(args) or {},
+        )
+        target = tmp_path / "theta.csv"
+        code = main(["sweep", "--var", "theta", "--start", start,
+                     "--stop", stop, "--out", str(target)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "modxl: error: angle_rad must lie in [-pi/2, pi/2]\n"
+        )
+        assert evaluated == []
+        assert not target.exists()
 
     def test_unwritable_out_gives_io_exit(self, capsys, tmp_path):
         code = main(["sweep", "--steps", "2", "--out",

@@ -231,7 +231,7 @@ class TestDistance:
         user = UserLocation(1.000001, math.pi / 2)
         oracle = math.hypot(user.range_m * math.cos(user.angle_rad), user.range_m - 1.0)
         assert distances(geom, user)[2] == pytest.approx(oracle, rel=1e-9)
-        amplitude = abs(array_response_nusw(geom, user, LinkBudget(0.1)).coefficients[2])
+        amplitude = abs(array_response_nusw(geom, user, LinkBudget(0.1))[2])
         assert amplitude == pytest.approx(1.0 / oracle, rel=1e-9)
 
     def test_user_on_element_rejected(self):
@@ -258,7 +258,7 @@ class TestDistance:
         held = [
             element_offsets(geom),
             block_ratios(geom, user),
-            array_response_nusw(geom, user, link).coefficients,
+            array_response_nusw(geom, user, link),
         ]
         before = [array.copy() for array in held]
         for array in held:
@@ -268,7 +268,7 @@ class TestDistance:
         snr_exact_sum(geom, user, link)
         held.append(element_offsets(geom))
         held.append(block_ratios(geom, user))
-        held.append(array_response_nusw(geom, user, link).coefficients)
+        held.append(array_response_nusw(geom, user, link))
         for array, copy in zip(held, before):
             np.testing.assert_array_equal(array, copy)
         for i, left in enumerate(held):

@@ -276,7 +276,7 @@ class TestClosedForm:
         exact = snr_exact_sum(geom, user, LINK).value_linear
         assert closed.value_linear > 0
         if not closed.validity_flags:
-            assert closed.value_linear == pytest.approx(exact, rel=1e-2)
+            assert closed.value_linear == pytest.approx(exact, rel=1e-2, abs=0.0)
 
 
 class TestCollocated:
@@ -349,7 +349,7 @@ class TestCollocated:
             return
         report = snr_collocated(geom, user, LINK)
         if not report.validity_flags:
-            assert report.value_linear == pytest.approx(exact, rel=1e-2)
+            assert report.value_linear == pytest.approx(exact, rel=1e-2, abs=0.0)
 
     @pytest.mark.parametrize("theta_deg", [30.0, 45.0, 60.0, 89.9, -75.0])
     @pytest.mark.parametrize("range_m", [1e6, 1e9, 1e12, 1e14])
@@ -370,6 +370,14 @@ class TestCollocated:
         user = UserLocation(range_m, math.radians(89.99))
         with pytest.raises(OverflowError):
             snr_collocated(geom, user, LINK)
+
+    def test_infinite_prefactor_with_underflowed_bracket_overflows(self):
+        # P/(r d) = 1e310 overflows while N d/(2r) = 5e-331 underflows to 0:
+        # the product inf * 0 would be NaN, a model breakdown (exit 3).
+        geom = ArrayGeometry(1, 1, 1e-170, 1.0)
+        link = LinkBudget(wavelength_m=0.1, transmit_snr=1e300)
+        with pytest.raises(OverflowError):
+            snr_collocated(geom, UserLocation(1e160), link)
 
     def test_half_extent_denominator_underflow(self):
         # 2 r cos(angle) underflows to 0 while r d cos(angle) does not, and

@@ -60,6 +60,30 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             SweepSpec(base, SweepVariable.MODULE_COUNT, 0.5, 10.0)
 
+    @pytest.mark.parametrize(
+        "variable,start,stop",
+        [
+            (SweepVariable.THETA, math.radians(-60.0), math.radians(100.0)),
+            (SweepVariable.THETA, math.radians(-100.0), math.radians(60.0)),
+            (SweepVariable.RANGE, 1.0, math.inf),
+            (SweepVariable.SEPARATION, 0.1, math.inf),
+            (SweepVariable.ELEMENT_SPACING, 0.1, math.inf),
+            (SweepVariable.MODULE_COUNT, 0.2, 10.0),
+        ],
+        ids=["theta-stop", "theta-start", "range-stop", "separation-stop",
+             "spacing-stop", "module-count-start"],
+    )
+    def test_endpoints_checked_by_scenario_types(self, variable, start, stop):
+        # Once a theta stop past 90 degrees was accepted, and the sweep
+        # failed only at the first point beyond it.
+        with pytest.raises(ValueError):
+            SweepSpec(default_scenario(), variable, start, stop)
+
+    def test_module_count_start_rounds_like_every_point(self):
+        spec = SweepSpec(default_scenario(), SweepVariable.MODULE_COUNT, 0.7, 5.0,
+                         steps=5)
+        assert [spec.point_value(i) for i in range(5)] == [1.0, 2.0, 3.0, 4.0, 5.0]
+
     def test_linear_point_values(self):
         spec = SweepSpec(default_scenario(), SweepVariable.RANGE, 1.0, 11.0,
                          steps=11)

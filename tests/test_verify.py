@@ -1,5 +1,7 @@
 import math
 
+import pytest
+
 from modxl.channel import LinkBudget
 from modxl.geometry import ArrayGeometry, UserLocation
 from modxl.sweep import Scenario
@@ -55,6 +57,26 @@ class TestRunChecks:
         results = run_checks(base)
         failed = {r.name for r in results if not r.passed}
         assert "closed_vs_quadrature" in failed
+
+    @pytest.mark.parametrize(
+        "user,name",
+        [
+            # On an array element: the element-count preset's first point raises.
+            (UserLocation(1.0, math.pi / 2), "sweep_determinism"),
+            # Broadside, closer to the centre element than the distance floor.
+            (UserLocation(1e-10, 0.0), "separation_monotonic"),
+        ],
+    )
+    def test_sweep_checks_run_on_the_base(self, user, name):
+        # Both checks once swept the reference scenario whatever the base.
+        base = Scenario(
+            ArrayGeometry(3, 1, 1.0, 1.0),
+            user,
+            LinkBudget(wavelength_m=0.1256, transmit_snr=1e5),
+        )
+        result = {r.name: r for r in run_checks(base)}[name]
+        assert not result.passed
+        assert result.detail.startswith("raised")
 
     def test_raising_check_is_reported_not_propagated(self):
         # The user sits on an array element, so distance-based checks raise.
