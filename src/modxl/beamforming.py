@@ -5,15 +5,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
 from .channel import LinkBudget
+from .geometry import BLOCK_ELEMENTS
 from .numerics import compensated_sum
-
-#: Fixed Monte-Carlo batch size so the RNG stream layout never depends on the
-#: caller's environment; identical seeds give bit-identical estimates.
-_BATCH = 8192
 
 
 @dataclass(frozen=True, eq=False)
@@ -25,7 +23,7 @@ class BeamformingWeights:
     def __post_init__(self) -> None:
         arr = np.asarray(self.weights, dtype=np.complex128)
         norm = np.linalg.norm(arr)
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:
             raise ValueError(f"weights must have unit norm, got {norm!r}")
         arr.setflags(write=False)
         object.__setattr__(self, "weights", arr)
@@ -45,21 +43,21 @@ class UplinkSimulation:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.sample_count < 1:
-            raise ValueError("sample_count must be >= 1")
-        if not self.noise_power > 0:
-            raise ValueError("noise_power must be positive")
-        if not self.transmit_power > 0:
-            raise ValueError("transmit_power must be positive")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 unsigned bits")
+        if not (isinstance(self.sample_count, Integral) and self.sample_count >= 1):
+            raise ValueError("sample_count must be an integer >= 1")
+        if not 0 < self.noise_power < math.inf:
+            raise ValueError("noise_power must be positive and finite")
+        if not 0 < self.transmit_power < math.inf:
+            raise ValueError("transmit_power must be positive and finite")
+        if not (isinstance(self.seed, Integral) and 0 <= self.seed < 2**64):
+            raise ValueError("seed must be an integer that fits in 64 unsigned bits")
 
 
 def mrc_weights(response: np.ndarray) -> BeamformingWeights:
     "Maximal-ratio combining weights: the response normalised to unit norm."
     norm = np.linalg.norm(response)
-    if norm == 0:
-        raise ValueError("cannot normalise a zero response vector")
+    if not 0 < norm < math.inf:
+        raise ValueError(f"cannot normalise a response vector of norm {norm}")
     # numpy divides by a real scalar as a product with its reciprocal, so
     # this multiplication gives the same bits without the complex division.
     return BeamformingWeights(response * (1.0 / norm))
@@ -95,6 +93,12 @@ def uplink_power_estimates(
     symbol makes it the same in every sample.  The noise power is the mean of
     |w^H z|^2 over ``sample_count`` draws of white complex Gaussian noise z
     across the elements.
+
+    The draws run in blocks of ``BLOCK_ELEMENTS // len(response)`` samples
+    (at least one), each drawn, combined and squared while it is in cache;
+    at 320 elements a block is 204 samples, about 1 MB.  ``standard_normal``
+    fills the PCG64 stream in C order, so the values drawn, and with them
+    the estimate's bits, do not depend on the block size.
     """
     if len(weights) != len(response):
         raise ValueError(
@@ -102,13 +106,13 @@ def uplink_power_estimates(
         )
     conj_weights = np.conj(weights.weights)
     count = sim.sample_count
+    rows = max(1, BLOCK_ELEMENTS // len(response))
 
     noise_samples = np.empty(count)
     rng = np.random.Generator(np.random.PCG64(sim.seed))
-    for start in range(0, count, _BATCH):
-        stop = min(start + _BATCH, count)
-        block = stop - start
-        noise = complex_gaussian(rng, (block, len(response)), sim.noise_power)
+    for start in range(0, count, rows):
+        stop = min(start + rows, count)
+        noise = complex_gaussian(rng, (stop - start, len(response)), sim.noise_power)
         combined_noise = noise @ conj_weights
         noise_samples[start:stop] = np.abs(combined_noise) ** 2
 

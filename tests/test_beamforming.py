@@ -1,6 +1,10 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from modxl import beamforming
 from modxl.beamforming import (
     BeamformingWeights,
     UplinkSimulation,
@@ -11,7 +15,7 @@ from modxl.beamforming import (
     uplink_power_estimates,
 )
 from modxl.channel import LinkBudget, array_response_nusw
-from modxl.geometry import ArrayGeometry, UserLocation
+from modxl.geometry import BLOCK_ELEMENTS, ArrayGeometry, UserLocation
 
 LINK = LinkBudget(wavelength_m=0.1256, transmit_snr=1e5)
 
@@ -28,7 +32,9 @@ class TestBeamformingWeights:
         with pytest.raises(ValueError):
             w.weights[0] = 1.0
 
-    @pytest.mark.parametrize("vector", [[1.0, 1.0], [0.5], [0.0, 0.0]])
+    @pytest.mark.parametrize(
+        "vector", [[1.0, 1.0], [0.5], [0.0, 0.0], [np.nan, 0.0], [np.inf, 0.0]]
+    )
     def test_rejects_other_norms(self, vector):
         with pytest.raises(ValueError):
             BeamformingWeights(np.array(vector))
@@ -47,6 +53,13 @@ class TestMrcWeights:
     def test_zero_response_rejected(self):
         with pytest.raises(ValueError):
             mrc_weights(np.zeros(3))
+
+    @pytest.mark.parametrize(
+        "vector", [[1.0, np.nan], [np.inf, 1.0], [np.nan * 1j]]
+    )
+    def test_non_finite_norm_rejected(self, vector):
+        with pytest.raises(ValueError, match="cannot normalise"):
+            mrc_weights(np.array(vector))
 
 
 class TestSnr:
@@ -98,6 +111,11 @@ class TestUplinkSimulation:
             dict(sample_count=10, noise_power=1.0, transmit_power=-1.0, seed=1),
             dict(sample_count=10, noise_power=1.0, transmit_power=1.0, seed=2**64),
             dict(sample_count=10, noise_power=1.0, transmit_power=1.0, seed=-1),
+            dict(sample_count=2.5, noise_power=1.0, transmit_power=1.0, seed=1),
+            dict(sample_count=10, noise_power=1.0, transmit_power=1.0, seed=1.5),
+            dict(sample_count=10, noise_power=math.inf, transmit_power=1.0, seed=1),
+            dict(sample_count=10, noise_power=1.0, transmit_power=math.inf, seed=1),
+            dict(sample_count=10, noise_power=math.nan, transmit_power=1.0, seed=1),
         ],
     )
     def test_validation(self, kwargs):
@@ -168,3 +186,62 @@ class TestUplinkSimulation:
         sim = UplinkSimulation(10, 1.0, 1.0, seed=0)
         with pytest.raises(ValueError):
             uplink_power_estimates(np.array([1.0, 2.0]), unit([1.0]), sim)
+
+
+def reference_power_estimates(response, weights, sim):
+    "(signal, noise) power from one whole-sample pass: every draw at once."
+    rng = np.random.Generator(np.random.PCG64(sim.seed))
+    pairs = rng.standard_normal((sim.sample_count, len(response), 2))
+    pairs *= math.sqrt(sim.noise_power / 2.0)
+    noise = pairs.view(np.complex128)[..., 0]
+    samples = np.abs(noise @ np.conj(weights.weights)) ** 2
+    gain = np.vdot(weights.weights, response)
+    return sim.transmit_power * abs(gain) ** 2, math.fsum(samples) / sim.sample_count
+
+
+class TestUplinkBlocks:
+    """The uplink draws its noise in blocks of ``BLOCK_ELEMENTS`` // elements
+    samples.  Its estimates must be bit-identical to one whole-sample pass,
+    and its memory must stay a few blocks in size."""
+
+    @pytest.mark.parametrize(
+        "block_elements, elements, count",
+        [
+            # 10 samples a block: last blocks of 1, 2 and 3 samples.
+            (70, 7, 31),
+            (70, 7, 32),
+            (70, 7, 33),
+            # A response longer than one block: one sample a block.
+            (5, 7, 3),
+            # The toolkit's own blocks of 204 samples at 320 elements.
+            (BLOCK_ELEMENTS, 320, 2 * 204 + 1),
+        ],
+    )
+    def test_bit_identical_to_one_pass(
+        self, monkeypatch, block_elements, elements, count
+    ):
+        monkeypatch.setattr(beamforming, "BLOCK_ELEMENTS", block_elements)
+        rng = np.random.Generator(np.random.PCG64(elements))
+        response = rng.standard_normal(elements) + 1j * rng.standard_normal(elements)
+        weights = mrc_weights(response)
+        sim = UplinkSimulation(count, noise_power=2.5, transmit_power=1e3, seed=13)
+        blocked = uplink_power_estimates(response, weights, sim)
+        reference = reference_power_estimates(response, weights, sim)
+        assert [v.hex() for v in blocked] == [v.hex() for v in reference]
+
+    # Batches of 8,192 samples, two of them live at once, held 85 MB here.
+    def test_memory_is_a_few_blocks(self, reference):
+        response = array_response_nusw(
+            reference.geometry, reference.user, reference.link
+        )
+        assert len(response) == 320
+        weights = mrc_weights(response)
+        sim = UplinkSimulation(50_000, noise_power=1.0, transmit_power=1e5, seed=7)
+        block_mb = (BLOCK_ELEMENTS // 320) * 320 * 16 / 1e6
+        tracemalloc.start()
+        try:
+            uplink_power_estimates(response, weights, sim)
+            peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+        assert peak_mb <= 50_000 * 8 / 1e6 + 4 * block_mb
