@@ -7,11 +7,9 @@ import math
 from dataclasses import dataclass
 from numbers import Integral
 
-import numpy as np
-
 from .channel import LinkBudget
 from .geometry import BLOCK_ELEMENTS
-from .numerics import compensated_sum
+from .numerics import compensated_sum, np
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,14 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .geometry import (
     ArrayGeometry,
     UserLocation,
     element_offsets,
     squared_ratio_blocks,
 )
+from .numerics import np
 
 
 @dataclass(frozen=True)

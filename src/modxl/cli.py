@@ -581,6 +581,7 @@ _EXIT_CODES = (
     (ValueError, EXIT_USAGE),  # includes UsageError and model-mismatch
     (DegenerateGeometryError, EXIT_DEGENERATE),
     (ArithmeticError, EXIT_DEGENERATE),  # unbounded limit, model breakdown, quadrature
+    (MemoryError, EXIT_USAGE),  # an array too large for memory
     (OSError, EXIT_IO),
 )
 
@@ -596,7 +597,7 @@ def _failure(exc: BaseException) -> Optional[Tuple[int, str]]:
         return EXIT_USAGE, "an input value is out of range (floating-point overflow)"
     for kind, code in _EXIT_CODES:
         if isinstance(exc, kind):
-            return code, str(exc)
+            return code, str(exc) or type(exc).__name__
     return None
 
 

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 from numbers import Integral
 from typing import Iterator, Tuple
 
-import numpy as np
-
 from .errors import DegenerateGeometryError
+from .numerics import np
 
 #: Element-to-user distances below this floor (metres) are rejected: the 1/r
 #: free-space amplitude model diverges as the user reaches an element.

@@ -1,7 +1,39 @@
-"""Small numeric helpers: deterministic reductions and dB conversions."""
+"""Small numeric helpers: deterministic reductions, dB conversions and the
+package's one numpy handle."""
 
+import importlib.util
 import math
+import sys
+from types import ModuleType
 from typing import Iterable
+
+
+def _lazy_numpy() -> ModuleType:
+    """numpy, executed on its first attribute access rather than at import.
+
+    Commands that never reach a numpy call (``plot``, and ``eval`` or
+    ``sweep`` of closed-form models only) then skip numpy's import, which
+    is most of their start-up.  The lazy module is registered as
+    ``sys.modules["numpy"]``, so a later ``import numpy`` anywhere in the
+    process executes it and returns this same object.
+    """
+    if "numpy" in sys.modules:
+        return sys.modules["numpy"]
+    spec = importlib.util.find_spec("numpy")
+    if spec is None:
+        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["numpy"] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+#: The package's numpy.  Modules import this name, not numpy itself: an
+#: ``import numpy`` statement reads the lazy module's ``__spec__``, and that
+#: read executes numpy.  For the same reason they keep ``from __future__
+#: import annotations``, so that ``np.ndarray`` annotations stay unevaluated.
+np = _lazy_numpy()
 
 
 def compensated_sum(values: Iterable[float]) -> float:

@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-import numpy as np
-
 from .channel import LinkBudget
 from .errors import (
     DegenerateGeometryError,
@@ -37,7 +35,7 @@ from .geometry import (
     normalized_spacing,
     squared_ratio_blocks,
 )
-from .numerics import compensated_sum, linear_to_db
+from .numerics import compensated_sum, linear_to_db, np
 
 
 class SnrModel(Enum):

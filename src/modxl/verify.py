@@ -14,8 +14,6 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, List, Optional, Tuple
 
-import numpy as np
-
 from .beamforming import (
     BeamformingWeights,
     UplinkSimulation,
@@ -26,6 +24,7 @@ from .beamforming import (
 )
 from .channel import LinkBudget, array_response_nusw
 from .geometry import ArrayGeometry, UserLocation, aperture
+from .numerics import np
 from .snr_models import (
     FLAG_THETA_NEAR_ENDFIRE,
     SnrModel,

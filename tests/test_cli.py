@@ -6,12 +6,14 @@ import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy
 import pytest
 
 from modxl import sweep
 from modxl.cli import CSV_HEADER, main
 
 ROOT = Path(__file__).resolve().parents[1]
+DATA = ROOT / "tests" / "data"
 
 
 def run_fresh(*argv):
@@ -248,6 +250,59 @@ class TestEval:
             snr["snr_closed_linear"], rel=1e-6
         )
 
+    @pytest.mark.parametrize(
+        "argv,golden",
+        [
+            ((), "eval_default.json"),
+            (("--theta-deg", "75"), "eval_theta_75.json"),
+            (("--theta-deg", "-89.9", "--modules", "100", "--models", "all"),
+             "eval_endfire_all.json"),
+            (("--range-m", "1e12"), "eval_far_1e12.json"),
+        ],
+    )
+    def test_report_matches_golden_file(self, capsys, tmp_path, argv, golden):
+        target = tmp_path / "report.json"
+        assert main(["eval", *argv, "--out", str(target)]) == 0
+        capsys.readouterr()
+        assert target.read_bytes() == (DATA / golden).read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv,prefix",
+        [
+            (("eval", "--models", "exact"), ""),
+            (("sweep", "--var", "module_count", "--start", "1", "--stop", "3",
+              "--steps", "2", "--models", "exact"), "sweep point 0 failed: "),
+        ],
+        ids=["eval", "sweep"],
+    )
+    @pytest.mark.parametrize(
+        "message",
+        [
+            "Unable to allocate 7.28 TiB for an array with shape "
+            "(1000000000000,) and data type float64",
+            "",
+        ],
+        ids=["numpy", "bare"],
+    )
+    def test_array_too_large_for_memory_is_usage_error(
+        self, capsys, tmp_path, monkeypatch, argv, prefix, message
+    ):
+        # `--modules 1000000000000 --models exact` once crashed with numpy's
+        # _ArrayMemoryError and exit 1.  The allocation is faked: a real one
+        # could succeed under an overcommitting kernel and exhaust memory.
+        def unable_to_allocate(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(numpy, "empty", unable_to_allocate)
+        target = tmp_path / "out"
+        assert main([*argv, "--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"modxl: error: {prefix}{message or 'MemoryError'}\n"
+        )
+        assert not target.exists()
+
     def test_degenerate_geometry_exit(self, capsys):
         code = main([
             "eval", "--elements-per-module", "3", "--modules", "1",
@@ -438,7 +493,7 @@ class TestSweep:
         target = tmp_path / "preset.csv"
         assert main(["sweep", *argv, "--out", str(target)]) == 0
         capsys.readouterr()
-        assert target.read_bytes() == (ROOT / "tests" / "data" / golden).read_bytes()
+        assert target.read_bytes() == (DATA / golden).read_bytes()
 
     @pytest.mark.parametrize("start,stop", [("-60", "100"), ("-100", "60")])
     def test_out_of_range_endpoint_evaluates_no_point(
@@ -614,6 +669,17 @@ class TestPlot:
         root = ET.fromstring(out.read_text())
         polylines = root.findall("{http://www.w3.org/2000/svg}polyline")
         assert len(polylines) == 3  # exact, closed and upw are populated
+
+    @pytest.mark.parametrize(
+        "name",
+        ["sweep_element_count", "sweep_separation_0deg", "sweep_separation_75deg"],
+    )
+    def test_preset_chart_matches_golden_file(self, capsys, tmp_path, name):
+        out = tmp_path / "chart.svg"
+        code = main(["plot", "--in", str(DATA / f"{name}.csv"), "--out", str(out)])
+        capsys.readouterr()
+        assert code == 0
+        assert out.read_bytes() == (DATA / f"{name}.svg").read_bytes()
 
     def test_explicit_columns(self, capsys, sweep_csv, tmp_path):
         out = tmp_path / "chart.svg"
