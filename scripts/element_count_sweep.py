@@ -35,7 +35,6 @@ def main() -> int:
     status = modxl([
         "plot",
         "--in", str(csv_path),
-        "--y", "snr_exact_db,snr_closed_db,snr_upw_db",
         "--title", "SNR versus module count (broadside user at 35 m)",
         "--out", str(svg_path),
     ])

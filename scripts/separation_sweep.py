@@ -29,7 +29,6 @@ def run_one(theta_deg: float, outdir: Path) -> int:
     status = modxl([
         "plot",
         "--in", str(csv_path),
-        "--y", "snr_exact_db,snr_closed_db,snr_upw_db",
         "--title", f"SNR versus module separation ({theta_deg:g} deg user)",
         "--out", str(svg_path),
     ])

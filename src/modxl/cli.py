@@ -351,11 +351,6 @@ def _fmt9(value: float) -> str:
     return f"{value:.9g}"
 
 
-def _json_number(value: float) -> Optional[float]:
-    "JSON has no infinities or NaN: a non-finite value is written as null."
-    return value if math.isfinite(value) else None
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
     scenario = _resolve_scenario(args)
     models = _resolve_models(_default(args.models, "all"), scenario, None)
@@ -363,11 +358,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     geom = scenario.geometry
     span, augmented = aperture(geom)
-    snr_block: Dict[str, Optional[float]] = {}
+    snr_block: Dict[str, float] = {}
     flags = set()
     for model, report in reports.items():
-        snr_block[f"snr_{model.token}_linear"] = _json_number(report.value_linear)
-        snr_block[f"snr_{model.token}_db"] = _json_number(report.value_db)
+        snr_block[f"snr_{model.token}_linear"] = report.value_linear
+        snr_block[f"snr_{model.token}_db"] = report.value_db
         flags |= report.validity_flags
     payload = {
         "geometry": {
@@ -389,7 +384,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         },
         "link": {
             "wavelength_m": scenario.link.wavelength_m,
-            "txsnr_db": _json_number(linear_to_db(scenario.link.effective_power)),
+            "txsnr_db": linear_to_db(scenario.link.effective_power),
         },
         "snr": snr_block,
         "flags": sorted(flags),

@@ -81,7 +81,13 @@ _EPSILON_FLAGS = frozenset({FLAG_EPSILON_NOT_SMALL})
 
 @dataclass(frozen=True)
 class SnrReport:
-    "One SNR value with its model tag and any validity warnings."
+    """One SNR value with its model tag and any validity warnings.
+
+    The one judge of a model's value, which must be positive and finite: an
+    infinite value raises ``OverflowError``, NaN raises
+    :class:`ModelBreakdownError`, and 0 or less, where the SNR underflowed,
+    raises ``ValueError``.  No model returns 0, inf or NaN.
+    """
 
     model: SnrModel
     value_linear: float
@@ -92,8 +98,11 @@ class SnrReport:
             raise OverflowError("SNR value overflows to inf")
         if math.isnan(self.value_linear):
             raise ModelBreakdownError(f"{self.model.value} model returned NaN")
-        if self.value_linear < 0:
-            raise ValueError("value_linear must be nonnegative")
+        if not self.value_linear > 0:
+            raise ValueError(
+                f"{self.model.value} SNR is {self.value_linear}, "
+                "outside the floating-point range"
+            )
 
     @property
     def value_db(self) -> float:
@@ -152,9 +161,9 @@ def snr_closed_form(
     validity flag is raised otherwise (see :func:`_continuum_flags`).  Near
     endfire the expression degenerates and the exact sum is returned
     instead, flagged.  Raises ``OverflowError`` where the bracket's terms
-    overflow, at ranges below about 1e-76 m, and :class:`ModelBreakdownError`
-    when the bracket (see :func:`_continuum_bracket`) is not positive, which
-    only underflow brings about, as at a range of 1e200 m off broadside.
+    overflow, at ranges below about 1e-76 m.  Only underflow makes the
+    bracket (see :func:`_continuum_bracket`) non-positive, as at a range of
+    1e200 m off broadside, and :class:`SnrReport` rejects the value then.
     """
     flags = _continuum_flags(geom, user)
     if is_near_endfire(user):
@@ -171,11 +180,6 @@ def snr_closed_form(
         )
     inner = (augmented - 2.0 * geom.elements_per_module * d) / scale
     bracket = _continuum_bracket(outer, inner, abs(math.tan(user.angle_rad)))
-    if not bracket > 0:
-        raise ModelBreakdownError(
-            f"closed form bracket is {bracket:.3e} at range {user.range_m:.6g} m, "
-            "outside the floating-point range; use the exact sum"
-        )
     prefactor = link.effective_power / (
         (geom.elements_per_module - 1) * d * d + geom.module_separation * d
     )
@@ -314,7 +318,8 @@ def snr_double_integral(
     when ``QUADRATURE_MAX_PANELS`` panels do not reach that, as when the
     user is so close to the tip of the array segment that rounding alone
     exceeds the tolerance.  Raises ``OverflowError`` at ranges so small that
-    the scale P/r^2 overflows or the integrand overflows at every node.
+    the scale P/r^2 overflows; where the integrand overflows at every node,
+    the integral is 0 and :class:`SnrReport` rejects it.
     """
     eps = normalized_spacing(geom, user)
     stride = geom.stride
@@ -357,21 +362,18 @@ def snr_double_integral(
     raw, abserr, evaluations = _adaptive_gauss_legendre(
         integrand, (-u_max, -knee, knee, u_max), QUADRATURE_REL_TOL
     )
-    if raw == 0.0:
-        raise OverflowError(
-            f"the continuum integral at range {user.range_m:.3g} m is 0 in "
-            "floating point"
-        )
-    value = scale * (raw / stride)
-    if not abserr <= QUADRATURE_REL_TOL * abs(raw):
-        achieved = abserr / abs(raw)
+    # Judged before the accuracy test, so that raw is positive there.
+    report = SnrReport(
+        SnrModel.INTEGRAL, scale * (raw / stride), _continuum_flags(geom, user)
+    )
+    if not abserr <= QUADRATURE_REL_TOL * raw:
         raise QuadratureAccuracyError(
-            f"quadrature stopped at relative error estimate {achieved:.2e} "
+            f"quadrature stopped at relative error estimate {abserr / raw:.2e} "
             f"after {evaluations} integrand evaluations; needs "
             f"{QUADRATURE_REL_TOL:.0e}",
-            estimate=value,
+            estimate=report.value_linear,
         )
-    return SnrReport(SnrModel.INTEGRAL, value, _continuum_flags(geom, user))
+    return report
 
 
 @functools.cache

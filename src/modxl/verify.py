@@ -184,8 +184,7 @@ def _check_closed_vs_quadrature(base: Scenario) -> Tuple[float, float, str]:
 
 
 def _random_unit_weights(rng: np.random.Generator, size: int) -> BeamformingWeights:
-    raw = complex_gaussian(rng, (size,), 1.0)
-    return BeamformingWeights(raw / np.linalg.norm(raw))
+    return mrc_weights(complex_gaussian(rng, (size,), 1.0))
 
 
 def _check_mrc_optimality(base: Scenario) -> Tuple[float, float, str]:

@@ -11,6 +11,7 @@ import pytest
 
 from modxl import sweep
 from modxl.cli import CSV_HEADER, main
+from modxl.snr_models import SnrModel
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "tests" / "data"
@@ -113,8 +114,9 @@ class TestEval:
             (("eval", "--theta-deg", "91"), 2),
             (("eval", "--separation-ratio", "0.5"), 2),
             (("eval", "--range-m", "inf", "--models", "upw"), 2),
+            # Once exit 3 with "closed form bracket is 0.000e+00".
             (("eval", "--range-m", "1e200", "--theta-deg", "-45",
-              "--models", "closed"), 3),
+              "--models", "closed"), 2),
             (("eval", "--txsnr-db", "4000"), 2),
             (("eval", "--range-m", "1e200"), 2),
             (("eval", "--txsnr-db", "nan", "--models", "exact"), 2),
@@ -223,18 +225,41 @@ class TestEval:
         )
         assert payload["flags"] == []
 
-    def test_non_finite_value_written_as_null(self, capsys):
+    def test_underflowed_value_is_out_of_range(self, capsys):
+        # Once exit 0 with "snr_upw_db": null.
+        code = main([
+            "eval", "--range-m", "1e150", "--txsnr-db", "-300", "--models", "upw",
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "modxl: error: upw SNR is 0.0, outside the floating-point range\n"
+        )
+
+    @pytest.mark.parametrize("model", list(SnrModel), ids=lambda m: m.token)
+    def test_underflowing_snr_is_positive_or_out_of_range(
+        self, capsys, tmp_path, model
+    ):
+        # At 1e150 m and -300 dB every per-element model's SNR underflows.
+        # No model may report it as 0, inf or NaN: each gives a finite
+        # positive value or exits 2 with one error line and no output.
         def reject(name):
             raise ValueError(f"{name} is not JSON")
 
-        code, out = run_cli(
-            capsys, "eval", "--range-m", "1e150", "--txsnr-db", "-300",
-            "--models", "upw",
-        )
-        assert code == 0
-        payload = json.loads(out, parse_constant=reject)
-        assert payload["snr"]["snr_upw_linear"] == 0.0
-        assert payload["snr"]["snr_upw_db"] is None
+        ratio = ("--separation-ratio", "1") if model is SnrModel.COLLOCATED else ()
+        target = tmp_path / "report.json"
+        code = main([
+            "eval", "--range-m", "1e150", "--txsnr-db", "-300", *ratio,
+            "--models", model.token, "--out", str(target),
+        ])
+        err = capsys.readouterr().err
+        if code == 0:
+            snr = json.loads(target.read_text(), parse_constant=reject)["snr"]
+            assert 0.0 < snr[f"snr_{model.token}_linear"] < math.inf
+            assert isinstance(snr[f"snr_{model.token}_db"], float)
+        else:
+            assert code == 2
+            assert err.startswith("modxl: error: ") and err.count("\n") == 1
+            assert not target.exists()
 
     def test_close_in_near_endfire_quadrature_converges(self, capsys):
         # Close in near endfire the integrand is a thin ridge along
@@ -456,16 +481,17 @@ class TestSweep:
         assert "input value is out of range" in capsys.readouterr().err
         assert not target.exists()
 
-    def test_closed_form_breakdown_maps_to_model_failure(self, capsys, tmp_path):
+    def test_closed_form_underflow_is_out_of_range(self, capsys, tmp_path):
         # The bracket underflows to 0 from the second point, 1e175 m, on.
         code = main([
             "sweep", "--var", "range", "--start", "1e150", "--stop", "1e200",
             "--scale", "log", "--theta-deg", "-45", "--models", "closed",
             "--steps", "3", "--out", str(tmp_path / "far.csv"),
         ])
-        assert code == 3
-        assert capsys.readouterr().err.startswith(
-            "modxl: error: sweep point 1 failed: closed form bracket is 0.000e+00"
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "modxl: error: sweep point 1 failed: closed_form SNR is 0.0, "
+            "outside the floating-point range\n"
         )
 
     def test_overflowing_sweep_point_named_as_out_of_range(self, capsys, tmp_path):
@@ -767,22 +793,20 @@ class TestPlot:
         assert f"{bad}:3: non-finite value" in err
 
     def test_underflowed_sweep_round_trip(self, capsys, tmp_path):
-        # An SNR that underflows to 0 is written as -inf by sweep; plotting
-        # that CSV is malformed input, not a usage error.
+        # An SNR that underflows to 0 stops the sweep at that point, so no
+        # CSV with a -inf cell is written for plot to read.
         sweep_out = tmp_path / "x.csv"
         code = main([
             "sweep", "--var", "range", "--start", "1e140", "--stop", "1e150",
             "--scale", "log", "--txsnr-db", "-300", "--models", "upw",
             "--steps", "3", "--out", str(sweep_out),
         ])
-        capsys.readouterr()
-        assert code == 0
-        assert "-inf" in column(sweep_out, "snr_upw_db")
-        code = main(["plot", "--in", str(sweep_out),
-                     "--out", str(tmp_path / "x.svg")])
-        err = capsys.readouterr().err
-        assert code == 5
-        assert f"{sweep_out}:" in err and "non-finite value" in err
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "modxl: error: sweep point 2 failed: upw SNR is 0.0, "
+            "outside the floating-point range\n"
+        )
+        assert not sweep_out.exists()
 
 
 class TestVerify:
@@ -803,3 +827,12 @@ class TestVerify:
         assert code == 0
         assert out == ""
         assert "checks passed" in target.read_text()
+
+    @pytest.mark.parametrize(
+        "argv,golden",
+        [((), "verify_default.txt"), (("--seed", "1"), "verify_seed_1.txt")],
+    )
+    def test_stdout_matches_golden_file(self, capsys, argv, golden):
+        code, out = run_cli(capsys, "verify", *argv)
+        assert code == 0
+        assert out.encode() == (DATA / golden).read_bytes()

@@ -240,7 +240,7 @@ class TestClosedForm:
         # At 1e200 m every term of the bracket underflows to 0; no value would
         # be better than a silently wrong one.
         user = UserLocation(1e200, math.radians(theta_deg))
-        with pytest.raises(ModelBreakdownError, match="floating-point range"):
+        with pytest.raises(ValueError, match="floating-point range"):
             snr_closed_form(reference.geometry, user, LINK)
 
     @pytest.mark.parametrize("theta_deg", [0.0, -45.0, 60.0, 89.9])
@@ -638,5 +638,5 @@ def test_integral_of_zero_raises(reference):
     # At 1e-155 m every node's squared offset overflows, so the quadrature
     # of the positive integrand reads 0; with this power the scale is finite.
     link = LinkBudget(wavelength_m=0.1256, transmit_snr=1e-30)
-    with pytest.raises(OverflowError):
+    with pytest.raises(ValueError, match="floating-point range"):
         snr_double_integral(reference.geometry, UserLocation(1e-155), link)
