@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from numbers import Integral
 
 from .channel import LinkBudget
-from .geometry import BLOCK_ELEMENTS
+from .geometry import block_rows
 from .numerics import compensated_sum, np
 
 
@@ -92,11 +92,11 @@ def uplink_power_estimates(
     |w^H z|^2 over ``sample_count`` draws of white complex Gaussian noise z
     across the elements.
 
-    The draws run in blocks of ``BLOCK_ELEMENTS // len(response)`` samples
-    (at least one), each drawn, combined and squared while it is in cache;
-    at 320 elements a block is 204 samples, about 1 MB.  ``standard_normal``
-    fills the PCG64 stream in C order, so the values drawn, and with them
-    the estimate's bits, do not depend on the block size.
+    The draws run in blocks of ``block_rows(len(response))`` samples, each
+    drawn, combined and squared while it is in cache; at 320 elements a
+    block is 204 samples, about 1 MB.  ``standard_normal`` fills the PCG64
+    stream in C order, so the values drawn, and with them the estimate's
+    bits, do not depend on the block size.
     """
     if len(weights) != len(response):
         raise ValueError(
@@ -104,7 +104,7 @@ def uplink_power_estimates(
         )
     conj_weights = np.conj(weights.weights)
     count = sim.sample_count
-    rows = max(1, BLOCK_ELEMENTS // len(response))
+    rows = block_rows(len(response))
 
     noise_samples = np.empty(count)
     rng = np.random.Generator(np.random.PCG64(sim.seed))

@@ -50,12 +50,10 @@ class LinkBudget:
         return self.transmit_snr * self.reference_gain
 
 
-def _write_phasors(
-    amplitude: np.ndarray, cycles: np.ndarray, out: np.ndarray, square: np.ndarray
-) -> None:
+def _write_phasors(amplitude: np.ndarray, cycles: np.ndarray, out: np.ndarray) -> None:
     """Write amplitude * exp(-j*2*pi*cycles) into the complex ``out``.
-    Overwrites ``amplitude``, ``cycles`` and ``square``, contiguous float
-    arrays of the shape of ``out``.
+    Overwrites ``amplitude`` and ``cycles``, float arrays of the shape of
+    ``out``.
 
     The phase phi is reduced by whole cycles to [-pi, pi], so long paths stay
     well conditioned.  With t = tan(-phi/2), the real and imaginary parts are
@@ -63,13 +61,12 @@ def _write_phasors(
     amplitude * 2t/(1 + t^2) = -amplitude * sin(phi).  One tangent costs a
     fraction of a cosine and a sine.
     """
-    cycles -= np.rint(cycles, out=square)
+    cycles -= np.rint(cycles)
     cycles *= -math.pi
     t = np.tan(cycles, out=cycles)
-    np.multiply(t, t, out=square)
-    amplitude /= np.add(square, 1.0, out=out.imag)
-    np.subtract(1.0, square, out=square)
-    np.multiply(square, amplitude, out=out.real)
+    square = t * t
+    amplitude /= square + 1.0
+    np.multiply(1.0 - square, amplitude, out=out.real)
     amplitude *= t
     np.multiply(amplitude, 2.0, out=out.imag)
 
@@ -79,23 +76,19 @@ def array_response_nusw(
 ) -> np.ndarray:
     """Spherical-wave response: coefficient sqrt(gain)/r_e * exp(-j*2*pi*r_e/wl)
     with r_e the exact element-to-user distance.  Each block of
-    :func:`squared_ratio_blocks` is run through in its own buffer and two
-    more, reused for every block, while it is in cache."""
+    :func:`squared_ratio_blocks` is turned into its coefficients while it
+    is in cache."""
     gain = math.sqrt(link.reference_gain)
     out = np.empty((geom.module_count, geom.elements_per_module), dtype=np.complex128)
-    buffers = None
     # A ratio that overflowed makes NaN phases in its block; the kernel
     # raises OverflowError for it after the last block.
     with np.errstate(invalid="ignore"):
         for modules, path in squared_ratio_blocks(geom, user):
-            if buffers is None:  # the first block is the largest
-                buffers = np.empty((2,) + path.shape)
-            amplitude, square = buffers[:, : len(path)]
             np.sqrt(path, out=path)
             path *= user.range_m
-            np.divide(gain, path, out=amplitude)
+            amplitude = gain / path
             path /= link.wavelength_m
-            _write_phasors(amplitude, path, out[modules], square)
+            _write_phasors(amplitude, path, out[modules])
     out.setflags(write=False)
     return out.ravel()
 
@@ -111,6 +104,6 @@ def array_response_upw(
     cycles = np.divide(path, link.wavelength_m, out=path)
     amplitude = np.full(cycles.shape, math.sqrt(link.reference_gain) / user.range_m)
     out = np.empty(cycles.shape, dtype=np.complex128)
-    _write_phasors(amplitude, cycles, out, np.empty(cycles.shape))
+    _write_phasors(amplitude, cycles, out)
     out.setflags(write=False)
     return out

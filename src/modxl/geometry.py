@@ -25,11 +25,10 @@ from .numerics import np
 #: Element-to-user distances below this floor (metres) are rejected: the 1/r
 #: free-space amplitude model diverges as the user reaches an element.
 DISTANCE_FLOOR_M = 1e-9
-#: Elements per block of the distance kernel and its consumers, which reuse
-#: their buffers for every block.  A block of 65,536 float64 values is
-#: 512 KiB, so the kernel's two buffers and a consumer's few stay within a
-#: 4 MiB L2 cache while each block is run through.  A block holds whole
-#: modules, and at least one.
+#: Elements per block of the distance kernel and of the Monte-Carlo uplink.
+#: A block of 65,536 float64 values is 512 KiB, so the few arrays of one
+#: block stay within a 4 MiB L2 cache while it is run through.  A block
+#: holds whole rows (modules, or uplink samples), and at least one.
 BLOCK_ELEMENTS = 1 << 16
 
 
@@ -134,6 +133,11 @@ def normalized_spacing(geom: ArrayGeometry, user: UserLocation) -> float:
     return geom.element_spacing / user.range_m
 
 
+def block_rows(width: int) -> int:
+    "Rows of ``width`` elements that fit in one block, and at least one."
+    return max(1, BLOCK_ELEMENTS // width)
+
+
 def squared_ratio_blocks(
     geom: ArrayGeometry, user: UserLocation
 ) -> Iterator[Tuple[slice, np.ndarray]]:
@@ -146,10 +150,8 @@ def squared_ratio_blocks(
     Yields ``(modules, ratios)`` for each run of whole modules of at most
     ``BLOCK_ELEMENTS`` elements (of one module, where a module alone is
     larger), in module-major order: the slice of module indices and their
-    ratios, shaped (modules, elements per module).  Two buffers serve every
-    block: the offsets stride*n + m are built in one, and the ratios are
-    written into the other, so ``ratios`` is a view that the next block
-    overwrites; the consumer may overwrite it too.
+    ratios, shaped (modules, elements per module).  Each block is a fresh
+    array that the consumer owns.
 
     Raises :class:`DegenerateGeometryError` in the block that holds a
     distance below ``DISTANCE_FLOOR_M``, and ``OverflowError`` where the
@@ -163,17 +165,13 @@ def squared_ratio_blocks(
     eps = normalized_spacing(geom, user)
     sin_t, cos_t = math.sin(user.angle_rad), math.cos(user.angle_rad)
     floor_ratio = (DISTANCE_FLOOR_M / user.range_m) ** 2
-    rows = min(modules.size, max(1, BLOCK_ELEMENTS // elements.size))
-    ue, ratios = np.empty((rows, elements.size)), np.empty((rows, elements.size))
+    rows = block_rows(elements.size)
     for start in range(0, modules.size, rows):
         stop = min(start + rows, modules.size)
-        if stop - start < rows:  # the last block, and shorter
-            ue, ratios = ue[: stop - start], ratios[: stop - start]
-        np.add(geom.stride * modules[start:stop, None], elements, out=ue)
+        ue = geom.stride * modules[start:stop, None] + elements
         with np.errstate(over="ignore"):
             ue *= eps
-            np.multiply(ue, sin_t, out=ratios)
-            np.subtract(1.0, ratios, out=ratios)  # along the array axis
+            ratios = 1.0 - ue * sin_t  # along the array axis
             ratios *= ratios
             ue *= cos_t  # across it
             ue *= ue

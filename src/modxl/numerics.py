@@ -47,11 +47,9 @@ def compensated_sum(values: Iterable[float]) -> float:
 
 
 def linear_to_db(value: float) -> float:
-    "Power ratio to decibels; 0 maps to -inf."
-    if value < 0:
-        raise ValueError("power ratio must be nonnegative")
-    if value == 0:
-        return float("-inf")
+    "Power ratio to decibels; a ratio of 0 or less raises ``ValueError``."
+    if value <= 0:
+        raise ValueError(f"power ratio must be positive, got {value!r}")
     return 10.0 * math.log10(value)
 
 

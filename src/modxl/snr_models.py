@@ -66,8 +66,8 @@ ENDFIRE_COS_FLOOR = 1e-9
 #: The plane-wave value is flagged when the range is closer than this multiple
 #: of the augmented span.
 FAR_FIELD_MARGIN = 5.0
-#: Relative error estimate the quadrature model must reach: a decade inside
-#: the 1e-8 to which it checks the closed form.
+#: Relative error estimate the quadrature model must reach: three decades
+#: inside the 1e-6 at which ``verify`` and the tests compare the closed form.
 QUADRATURE_REL_TOL = 1e-9
 #: Panels the quadrature model's adaptive rule may evaluate in all before it
 #: gives up.

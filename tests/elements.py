@@ -33,7 +33,7 @@ def element_distances(geom, user):
 
 def block_ratios(geom, user):
     """The squared distance ratios of ``squared_ratio_blocks`` in one
-    module-major array.  Each block is copied: the next one overwrites it."""
+    module-major array, joined from the blocks as they come."""
     return np.concatenate(
-        [ratios.flatten() for _, ratios in squared_ratio_blocks(geom, user)]
+        [ratios.ravel() for _, ratios in squared_ratio_blocks(geom, user)]
     )

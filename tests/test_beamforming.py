@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from modxl import beamforming
+from modxl import geometry
 from modxl.beamforming import (
     BeamformingWeights,
     UplinkSimulation,
@@ -220,7 +220,7 @@ class TestUplinkBlocks:
     def test_bit_identical_to_one_pass(
         self, monkeypatch, block_elements, elements, count
     ):
-        monkeypatch.setattr(beamforming, "BLOCK_ELEMENTS", block_elements)
+        monkeypatch.setattr(geometry, "BLOCK_ELEMENTS", block_elements)
         rng = np.random.Generator(np.random.PCG64(elements))
         response = rng.standard_normal(elements) + 1j * rng.standard_normal(elements)
         weights = mrc_weights(response)

@@ -95,6 +95,17 @@ def test_blocks_are_whole_modules_in_order(m, n):
     assert seen == [(s, min(s + rows, n)) for s in range(0, n, rows)]
 
 
+def test_kept_blocks_keep_their_values():
+    # Every block is the consumer's own: blocks kept, without copies, from
+    # one pass of three full blocks still hold their own ratios after it.
+    geom = ArrayGeometry(16, 3 * (BLOCK_ELEMENTS // 16), 0.0628, 2.5)
+    user = UserLocation(50.0, 0.2)
+    kept = [ratios for _, ratios in squared_ratio_blocks(geom, user)]
+    assert len(kept) == 3
+    joined = np.concatenate([ratios.ravel() for ratios in kept])
+    assert joined.tobytes() == block_ratios(geom, user).tobytes()
+
+
 def test_floor_in_a_later_block_outranks_an_earlier_overflow():
     # The user sits 1e-153 m out on the axis, on the centre element of the
     # second block, while most ratios of the first block overflow.  As on

@@ -75,9 +75,7 @@ class TestPhasors:
         reduced = cycles - np.repeat(whole, fraction.size)
         expected = amplitude * np.exp(-2j * np.pi * reduced)
         out = np.empty(cycles.shape, dtype=np.complex128)
-        channel._write_phasors(
-            np.full(cycles.shape, amplitude), cycles, out, np.empty(cycles.shape)
-        )
+        channel._write_phasors(np.full(cycles.shape, amplitude), cycles, out)
         error = np.abs(out - expected) / amplitude
         assert error.max() <= 1e-12
 

@@ -368,6 +368,17 @@ class TestEval:
             0.0999308 / 2, abs=1e-6
         )
 
+    @pytest.mark.parametrize(
+        "extra, spacing", [((), 0.1), (("--spacing-m", "0.05"), 0.05)]
+    )
+    def test_wavelength_sets_link_and_default_spacing(self, capsys, extra, spacing):
+        # Without --spacing-m the spacing stays half a wavelength.
+        code, out = run_cli(capsys, "eval", "--wavelength-m", "0.2", *extra)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["link"]["wavelength_m"] == 0.2
+        assert payload["geometry"]["element_spacing_m"] == spacing
+
 
 class TestSweep:
     def test_requires_out(self, capsys):
@@ -598,6 +609,17 @@ class TestConfig:
         assert code == 0
         assert out_path.exists()
 
+    def test_logx_true_matches_flag(self, capsys, tmp_path):
+        chart = DATA / "sweep_element_count.csv"
+        cfg = self.write(tmp_path, f"in = {chart}\nlogx = true\n")
+        from_config, from_flag = tmp_path / "config.svg", tmp_path / "flag.svg"
+        assert main(["plot", "--config", cfg, "--out", str(from_config)]) == 0
+        assert main(["plot", "--in", str(chart), "--logx",
+                     "--out", str(from_flag)]) == 0
+        capsys.readouterr()
+        assert from_config.read_bytes() == from_flag.read_bytes()
+        assert from_config.read_bytes() != chart.with_suffix(".svg").read_bytes()
+
     def test_unknown_key(self, capsys, tmp_path):
         cfg = self.write(tmp_path, "wavelength = 0.1\n")
         assert main(["eval", "--config", cfg]) == 2
@@ -722,6 +744,31 @@ class TestPlot:
     def test_missing_in(self, capsys, tmp_path):
         assert main(["plot", "--out", str(tmp_path / "c.svg")]) == 2
         capsys.readouterr()
+
+    def test_missing_out(self, capsys):
+        code = main(["plot", "--in", str(DATA / "sweep_element_count.csv")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "modxl: error: plot requires --out PATH\n"
+
+    def test_empty_y_list(self, capsys, sweep_csv, tmp_path):
+        out = tmp_path / "c.svg"
+        code = main(["plot", "--in", str(sweep_csv), "--y", ",", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "modxl: error: empty y column list\n"
+        assert not out.exists()
+
+    def test_no_populated_snr_column(self, capsys, tmp_path):
+        bad = tmp_path / "blank.csv"
+        bad.write_text("var_value,snr_exact_db,snr_closed_db\n1.0,,\n2.0,,\n")
+        out = tmp_path / "c.svg"
+        code = main(["plot", "--in", str(bad), "--out", str(out)])
+        assert code == 5
+        assert capsys.readouterr().err == (
+            f"modxl: error: {bad}: no populated SNR columns to plot\n"
+        )
+        assert not out.exists()
 
     def test_missing_input_file(self, capsys, tmp_path):
         code = main(["plot", "--in", str(tmp_path / "nope.csv"),

@@ -248,10 +248,10 @@ class TestDistance:
             block_ratios(REF, UserLocation(range_m))
 
     def test_offsets_left_unchanged(self):
-        # The kernel works in its own block buffers only: arrays a caller
-        # holds, the offsets among them, are never written by a later call of
-        # the kernel or of its two consumers, and no two results share
-        # memory.  Read-only, a write would raise.
+        # Each block of the kernel is a fresh array: arrays a caller holds,
+        # the offsets among them, are never written by a later call of the
+        # kernel or of its two consumers, and no two results share memory.
+        # Read-only, a write would raise.
         geom = ArrayGeometry(4, 3, 0.3, 2.5)
         user = UserLocation(12.0, -0.7)
         link = LinkBudget(0.1)

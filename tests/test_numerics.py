@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import pytest
@@ -42,8 +41,9 @@ class TestDecibels:
         assert linear_to_db(1.0) == 0.0
         assert linear_to_db(100.0) == 20.0
 
-    def test_zero_maps_to_minus_infinity(self):
-        assert linear_to_db(0.0) == -math.inf
+    def test_zero_rejected(self):
+        with pytest.raises(ValueError):
+            linear_to_db(0.0)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
