@@ -127,22 +127,20 @@ def snr_exact_sum(
         np.reciprocal(inverse, out=inverse)
         np.add.reduce(inverse, axis=1, out=partials[modules])
     total = compensated_sum(partials.tolist())
-    return SnrReport(SnrModel.EXACT_SUM, _power_over_range_squared(link, user) * total)
+    scale = _scale(link.effective_power, user.range_m**2, "P/r^2")
+    return SnrReport(SnrModel.EXACT_SUM, scale * total)
 
 
-def _power_over_range_squared(link: LinkBudget, user: UserLocation) -> float:
-    """Effective power over the squared range, the scale of the per-element
-    models.  Raises ``OverflowError`` where it overflows, as it does where
-    the squared range underflows to 0, so that no model multiplies an
-    infinite scale by a sum that underflowed to 0."""
-    range_squared = user.range_m**2
-    scale = link.effective_power / range_squared if range_squared else math.inf
-    if scale == math.inf:
-        raise OverflowError(
-            f"effective power over the squared range {user.range_m:.3g} m "
-            "overflows"
-        )
-    return scale
+def _scale(numerator: float, denominator: float, what: str) -> float:
+    """``numerator / denominator``, a checked scale of a model's value.  Raises
+    ``OverflowError`` where the quotient overflows, where the denominator
+    underflowed to 0, and where both operands overflowed (the quotient is
+    NaN).  Every model's scale passes through here, so none multiplies an
+    infinite scale by a factor that underflowed to 0."""
+    quotient = numerator / denominator if denominator else math.inf
+    if not quotient < math.inf:
+        raise OverflowError(f"{what} overflows")
+    return quotient
 
 
 def _endfire_fallback(geom, user, link, model: SnrModel, flags: frozenset) -> SnrReport:
@@ -161,9 +159,11 @@ def snr_closed_form(
     validity flag is raised otherwise (see :func:`_continuum_flags`).  Near
     endfire the expression degenerates and the exact sum is returned
     instead, flagged.  Raises ``OverflowError`` where the bracket's terms
-    overflow, at ranges below about 1e-76 m.  Only underflow makes the
-    bracket (see :func:`_continuum_bracket`) non-positive, as at a range of
-    1e200 m off broadside, and :class:`SnrReport` rejects the value then.
+    overflow, at ranges below about 1e-76 m, and where the prefactor
+    P/((M-1)d^2 + D d) overflows, as at spacings below about 1e-153 m in the
+    default scenario (see :func:`_scale`).  Only underflow makes the bracket
+    (see :func:`_continuum_bracket`) non-positive, as at a range of 1e200 m
+    off broadside, and :class:`SnrReport` rejects the value then.
     """
     flags = _continuum_flags(geom, user)
     if is_near_endfire(user):
@@ -171,17 +171,17 @@ def snr_closed_form(
     cos_t = math.cos(user.angle_rad)
     d = geom.element_spacing
     _, augmented = aperture(geom)
-    scale = 2.0 * user.range_m * cos_t
-    outer = augmented / scale if scale else math.inf
+    extent_scale = 2.0 * user.range_m * cos_t
+    outer = _scale(augmented, extent_scale, "closed form argument")
     # The bracket squares its arguments; where that overflows, it is NaN.
     if outer * outer == math.inf:
-        raise OverflowError(
-            f"closed form arguments at range {user.range_m:.3g} m overflow"
-        )
-    inner = (augmented - 2.0 * geom.elements_per_module * d) / scale
+        raise OverflowError("closed form argument squared overflows")
+    inner = (augmented - 2.0 * geom.elements_per_module * d) / extent_scale
     bracket = _continuum_bracket(outer, inner, abs(math.tan(user.angle_rad)))
-    prefactor = link.effective_power / (
-        (geom.elements_per_module - 1) * d * d + geom.module_separation * d
+    prefactor = _scale(
+        link.effective_power,
+        (geom.elements_per_module - 1) * d * d + geom.module_separation * d,
+        "closed form prefactor",
     )
     return SnrReport(SnrModel.CLOSED_FORM, prefactor * bracket, flags)
 
@@ -239,7 +239,9 @@ def snr_collocated(
     """Closed-form SNR for the collocated special case (separation ratio 1),
     which depends on the geometry only through the total element count.
     Flagged as the closed form is (see :func:`_continuum_flags`), and near
-    endfire the exact sum is returned instead, flagged."""
+    endfire the exact sum is returned instead, flagged.  Raises
+    ``OverflowError`` where the prefactor P/(r d cos(angle)) overflows, as it
+    does where r d cos(angle) underflows to 0 (see :func:`_scale`)."""
     if not is_collocated(geom):
         raise ModelMismatchError(
             "collocated model requires separation_ratio == 1, got "
@@ -251,8 +253,7 @@ def snr_collocated(
     cos_t = math.cos(user.angle_rad)
     tan_t = math.tan(user.angle_rad)
     d = geom.element_spacing
-    scale = user.range_m * d * cos_t
-    prefactor = link.effective_power / scale if scale else math.inf
+    prefactor = _scale(link.effective_power, user.range_m * d * cos_t, "P/(r d cos)")
     extent_scale = 2.0 * user.range_m * cos_t
     half_extent = geom.total_elements * d / extent_scale if extent_scale else math.inf
     # atan(a - t) + atan(a + t) as one angle: the two terms cancel as a -> 0.
@@ -262,10 +263,7 @@ def snr_collocated(
         bracket = math.pi
     else:
         bracket = math.atan2(extent, 1.0 + tan_t * tan_t - half_extent * half_extent)
-    # An infinite prefactor makes the value overflow (SnrReport raises), also
-    # where the bracket underflows to 0 and the product would be NaN.
-    value = prefactor * bracket if prefactor < math.inf else math.inf
-    return SnrReport(SnrModel.COLLOCATED, value, flags)
+    return SnrReport(SnrModel.COLLOCATED, prefactor * bracket, flags)
 
 
 def snr_asymptotic(
@@ -280,11 +278,10 @@ def snr_asymptotic(
     cos_t = math.cos(user.angle_rad)
     d = geom.element_spacing
     pitch = (geom.elements_per_module - 1) * d + geom.module_separation
-    value = (
-        math.pi
-        * geom.elements_per_module
-        * link.effective_power
-        / (pitch * user.range_m * cos_t)
+    value = _scale(
+        math.pi * geom.elements_per_module * link.effective_power,
+        pitch * user.range_m * cos_t,
+        "infinite-array limit",
     )
     return SnrReport(SnrModel.ASYMPTOTIC, value)
 
@@ -296,7 +293,8 @@ def snr_upw(geom: ArrayGeometry, user: UserLocation, link: LinkBudget) -> SnrRep
     _, augmented = aperture(geom)
     if user.range_m < FAR_FIELD_MARGIN * augmented:
         flags.add(FLAG_FAR_FIELD_ASSUMED)
-    value = _power_over_range_squared(link, user) * geom.total_elements
+    scale = _scale(link.effective_power, user.range_m**2, "P/r^2")
+    value = scale * geom.total_elements
     return SnrReport(SnrModel.UPW, value, frozenset(flags))
 
 
@@ -317,9 +315,11 @@ def snr_double_integral(
     Raises :class:`QuadratureAccuracyError`, carrying the current estimate,
     when ``QUADRATURE_MAX_PANELS`` panels do not reach that, as when the
     user is so close to the tip of the array segment that rounding alone
-    exceeds the tolerance.  Raises ``OverflowError`` at ranges so small that
-    the scale P/r^2 overflows; where the integrand overflows at every node,
-    the integral is 0 and :class:`SnrReport` rejects it.
+    exceeds the tolerance.  Raises ``OverflowError`` where the scale
+    (P/r^2)/eps^2 overflows (see :func:`_scale`), as at ranges or spacings
+    so small that r^2 or eps^2 underflows to 0; where the integrand
+    overflows at every node, the integral is 0 and :class:`SnrReport`
+    rejects it.
     """
     eps = normalized_spacing(geom, user)
     stride = geom.stride
@@ -340,7 +340,8 @@ def snr_double_integral(
         )
 
     # Checked before the quadrature: no integral rescues a scale that overflows.
-    scale = _power_over_range_squared(link, user) / eps**2
+    per_area = _scale(link.effective_power, user.range_m**2, "P/r^2")
+    scale = _scale(per_area, eps**2, "P/(r eps)^2")
 
     # The weight w is linear on each of the three panels split at
     # +-|a - b|: sloped on the two ends, flat between them.

@@ -208,7 +208,7 @@ def run_sweep(spec: SweepSpec) -> List[SweepRecord]:
 def default_scenario() -> Scenario:
     """Reference configuration used across the experiment scripts: a 16-element
     module repeated 20 times at separation ratio 20, half-wavelength spacing
-    at 2.4 GHz, broadside user at 35 m, 50 dB transmit SNR."""
+    at a wavelength of 0.1256 m, broadside user at 35 m, 50 dB transmit SNR."""
     wavelength = 0.1256
     geom = ArrayGeometry(
         elements_per_module=16,

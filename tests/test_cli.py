@@ -130,6 +130,16 @@ class TestEval:
             (("eval", "--frequency-ghz", "-0.0"), 2),
             (("eval", "--spacing-m", "0", "--separation-m", "1"), 2),
             (("eval", "--spacing-wl", "0", "--separation-m", "1"), 2),
+            # Each once exit 3 with "float division by zero": a zero divisor
+            # in a model's scale.
+            (("eval", "--spacing-m", "1e-170", "--models", "closed"), 2),
+            (("eval", "--spacing-m", "1e-170", "--models", "integral"), 2),
+            (("eval", "--range-m", "5e-324", "--theta-deg", "89.99999",
+              "--models", "asymptotic"), 2),
+            # Once exit 3 with "closed_form model returned NaN": an infinite
+            # prefactor times a bracket that underflowed to 0.
+            (("eval", "--spacing-m", "1e-152", "--range-m", "1e12",
+              "--txsnr-db", "60", "--models", "closed"), 2),
         ],
     )
     def test_error_exit_codes(self, capsys, argv, code):

@@ -1,9 +1,13 @@
 import math
+from dataclasses import replace
 
 import pytest
 
+from modxl import verify
 from modxl.channel import LinkBudget
+from modxl.cli import main
 from modxl.geometry import ArrayGeometry, UserLocation
+from modxl.snr_models import SnrModel, SnrReport
 from modxl.sweep import Scenario
 from modxl.verify import CheckResult, run_checks
 
@@ -91,3 +95,61 @@ class TestRunChecks:
         for result in raised:
             assert not result.passed
             assert math.isnan(result.observed)
+
+
+class TestFailLines:
+    """Each check's own FAIL branch, reached by corrupting the one routine it
+    tests, is the only failing line of ``modxl verify``, which exits 1."""
+
+    @staticmethod
+    def only_failure(capsys):
+        assert main(["verify"]) == 1
+        return [
+            line
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("FAIL")
+        ]
+
+    def test_asymptotic_limit_that_recedes(self, monkeypatch, capsys):
+        # Half the true limit: the exact sum moves away from it as N grows.
+        # The gap check sees both limits halved, so it still passes.
+        real = verify.snr_asymptotic
+
+        def halved(*args):
+            return SnrReport(SnrModel.ASYMPTOTIC, real(*args).value_linear / 2)
+
+        monkeypatch.setattr(verify, "snr_asymptotic", halved)
+        assert self.only_failure(capsys) == [
+            "FAIL  asymptotic_convergence: tolerance 5.000e-03, observed inf"
+            "  (error sequence not decreasing)"
+        ]
+
+    def test_endfire_fallback_without_its_flag(self, monkeypatch, capsys):
+        real = verify.snr_closed_form
+
+        def unflagged(*args):
+            return replace(real(*args), validity_flags=frozenset())
+
+        monkeypatch.setattr(verify, "snr_closed_form", unflagged)
+        assert self.only_failure(capsys) == [
+            "FAIL  endfire_fallback: tolerance 0.000e+00, observed inf"
+            "  (fallback flag missing)"
+        ]
+
+    def test_sweep_rerun_that_differs(self, monkeypatch, capsys):
+        # A rerun of a sweep already seen moves one point's variable value.
+        real, seen = verify.run_sweep, []
+
+        def drifting(spec):
+            records = real(spec)
+            if spec in seen:
+                moved = records[3].variable_value + 1.0
+                records[3] = replace(records[3], variable_value=moved)
+            seen.append(spec)
+            return records
+
+        monkeypatch.setattr(verify, "run_sweep", drifting)
+        assert self.only_failure(capsys) == [
+            "FAIL  sweep_determinism: tolerance 0.000e+00, observed inf"
+            "  (record mismatch at index 3)"
+        ]
