@@ -80,15 +80,12 @@ def array_response_nusw(
     is in cache."""
     gain = math.sqrt(link.reference_gain)
     out = np.empty((geom.module_count, geom.elements_per_module), dtype=np.complex128)
-    # A ratio that overflowed makes NaN phases in its block; the kernel
-    # raises OverflowError for it after the last block.
-    with np.errstate(invalid="ignore"):
-        for modules, path in squared_ratio_blocks(geom, user):
-            np.sqrt(path, out=path)
-            path *= user.range_m
-            amplitude = gain / path
-            path /= link.wavelength_m
-            _write_phasors(amplitude, path, out[modules])
+    for modules, path in squared_ratio_blocks(geom, user):
+        np.sqrt(path, out=path)
+        path *= user.range_m
+        amplitude = gain / path
+        path /= link.wavelength_m
+        _write_phasors(amplitude, path, out[modules])
     out.setflags(write=False)
     return out.ravel()
 

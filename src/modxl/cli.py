@@ -86,7 +86,10 @@ _FLAG_FAMILIES = (
 
 
 def _u64(raw: str) -> int:
-    value = int(raw)
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError("seed must be an integer") from None
     if not 0 <= value < 2**64:
         raise argparse.ArgumentTypeError("seed must fit in unsigned 64 bits")
     return value

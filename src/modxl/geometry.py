@@ -153,41 +153,37 @@ def squared_ratio_blocks(
     ratios, shaped (modules, elements per module).  Each block is a fresh
     array that the consumer owns.
 
-    Raises :class:`DegenerateGeometryError` in the block that holds a
-    distance below ``DISTANCE_FLOOR_M``, and ``OverflowError`` where the
-    floor's own ratio overflows, below a range of about 7.5e-164 m.  Where a
-    ratio overflows, as it does once u*eps passes about 1.3e154, it raises
-    ``OverflowError`` only after the last block, so the floor error comes
-    first as on one whole-array pass.
+    Raises ``OverflowError`` before the first block unless the floor's ratio
+    and the largest ratio are finite, as below a range of about 7.5e-164 m or
+    once u*eps passes about 1.3e154: ratios are convex in u and the end
+    offsets are opposites, so the largest is at an end.  Raises
+    :class:`DegenerateGeometryError` in the block that holds a distance
+    below ``DISTANCE_FLOOR_M``.
     """
     modules = _centered(geom.module_count)
     elements = _centered(geom.elements_per_module)
     eps = normalized_spacing(geom, user)
     sin_t, cos_t = math.sin(user.angle_rad), math.cos(user.angle_rad)
-    floor_ratio = (DISTANCE_FLOOR_M / user.range_m) ** 2
+    floor = DISTANCE_FLOOR_M / user.range_m
+    floor_ratio = floor * floor
+    end = (geom.stride * modules.item(-1) + elements.item(-1)) * eps
+    along, across = 1.0 + abs(end * sin_t), end * cos_t  # the larger end
+    largest = along * along + across * across
+    if not (largest < math.inf and floor_ratio < math.inf):
+        raise OverflowError(f"element distances at range {user.range_m:.3g} m overflow")
     rows = block_rows(elements.size)
     for start in range(0, modules.size, rows):
         stop = min(start + rows, modules.size)
         ue = geom.stride * modules[start:stop, None] + elements
-        with np.errstate(over="ignore"):
-            ue *= eps
-            ratios = 1.0 - ue * sin_t  # along the array axis
-            ratios *= ratios
-            ue *= cos_t  # across it
-            ue *= ue
-            ratios += ue
+        ue *= eps
+        ratios = 1.0 - ue * sin_t  # along the array axis
+        ratios *= ratios
+        ue *= cos_t  # across it
+        ue *= ue
+        ratios += ue
         if ratios.min() < floor_ratio:
             raise DegenerateGeometryError(
                 "user lies on the array: an element distance falls below "
                 f"{DISTANCE_FLOOR_M:.0e} m"
             )
-        if start == 0:
-            first = ratios[0, 0]
-        last = ratios[-1, -1]
         yield slice(start, stop), ratios
-    # Each ratio is convex in its offset, so where one overflows, the ratio
-    # at the first or the last of the ascending offsets overflows too.
-    if max(first, last) == math.inf:
-        raise OverflowError(
-            f"element distances over the range {user.range_m:.3g} m overflow"
-        )

@@ -2,8 +2,9 @@
 
 The kernel runs in blocks of whole modules of at most ``BLOCK_ELEMENTS``
 elements.  Its values must be bit-identical to one whole-array pass of the
-same formulas, which the reference below takes; its errors must come in the
-same order; and its temporaries must stay block-sized.
+same formulas, which the reference below takes; a ratio that would overflow
+must raise before the first block, ahead of a floor error in any block; and
+its temporaries must stay block-sized.
 """
 
 import math
@@ -15,7 +16,6 @@ import pytest
 
 from elements import block_ratios
 from modxl.channel import LinkBudget, array_response_nusw
-from modxl.errors import DegenerateGeometryError
 from modxl.geometry import (
     BLOCK_ELEMENTS,
     ArrayGeometry,
@@ -106,15 +106,8 @@ def test_kept_blocks_keep_their_values():
     assert joined.tobytes() == block_ratios(geom, user).tobytes()
 
 
-def test_floor_in_a_later_block_outranks_an_earlier_overflow():
-    # The user sits 1e-153 m out on the axis, on the centre element of the
-    # second block, while most ratios of the first block overflow.  As on
-    # one whole-array pass, the floor error comes first; numpy prints no
-    # warning on the way.
-    geom = ArrayGeometry(1, 2 * BLOCK_ELEMENTS + 1, 1.0)
-    user = UserLocation(1e-153, math.pi / 2)
-    first = next(iter(squared_ratio_blocks(geom, user)))[1]
-    assert first[0, 0] == math.inf
+def assert_every_consumer_overflows(geom, user):
+    "The kernel and both its consumers raise OverflowError, with no warning."
     calls = (
         lambda: block_ratios(geom, user),
         lambda: snr_exact_sum(geom, user, LINK),
@@ -123,24 +116,37 @@ def test_floor_in_a_later_block_outranks_an_earlier_overflow():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for call in calls:
-            with pytest.raises(DegenerateGeometryError):
+            with pytest.raises(OverflowError):
                 call()
 
 
-def test_overflow_raised_after_the_last_block():
+def test_overflow_outranks_a_floor_in_a_later_block():
+    # The user sits 1e-153 m out on the axis, on the centre element of the
+    # second block, while most ratios of the first block would overflow.
+    # The kernel checks its range before the first block, so the overflow
+    # comes first; numpy prints no warning on the way.
+    geom = ArrayGeometry(1, 2 * BLOCK_ELEMENTS + 1, 1.0)
+    user = UserLocation(1e-153, math.pi / 2)
+    assert_every_consumer_overflows(geom, user)
+
+
+def test_overflow_raised_before_the_first_block():
     # An even count puts no element at the centre, where the user is.
     geom = ArrayGeometry(1, 2 * BLOCK_ELEMENTS + 2, 1.0)
     user = UserLocation(1e-153, 1.0)
-    blocks = squared_ratio_blocks(geom, user)
-    next(blocks)
-    next(blocks)
-    next(blocks)
     with pytest.raises(OverflowError):
-        next(blocks)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(OverflowError):
-            array_response_nusw(geom, user, LINK)
+        next(squared_ratio_blocks(geom, user))
+    assert_every_consumer_overflows(geom, user)
+
+
+@pytest.mark.parametrize("range_m", [1e-318, 5e-324])
+def test_overflow_where_the_floor_is_infinite(range_m):
+    # Below about 5.6e-318 m, spacing/range and the floor over the range
+    # overflow to inf without raising, and 0*inf would make NaN ratios,
+    # which no floor test catches.
+    geom = ArrayGeometry(1, 2, 1.0)
+    user = UserLocation(range_m)
+    assert_every_consumer_overflows(geom, user)
 
 
 def traced_peak_mb(call):

@@ -546,11 +546,20 @@ class TestDoubleIntegral:
         assert info.value.estimate == pytest.approx(converged.value_linear, rel=1e-12)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_overflowing_panels_stop(self, reference):
-        # At 1e-307 m the panel edges overflow and every error estimate is
-        # NaN, so no panel is ever split; the quadrature must still stop.
+    def test_overflowing_panels_stop(self, monkeypatch):
+        # At separation ratio 1e308 the panel edges are +-1.5e308, their
+        # midpoints and widths overflow and every error estimate is NaN, so
+        # no panel is ever split; the quadrature must still stop.
+        runs = []
+        quadrature = snr_models._adaptive_gauss_legendre
+        monkeypatch.setattr(
+            snr_models, "_adaptive_gauss_legendre",
+            lambda *args: runs.append(args) or quadrature(*args),
+        )
+        geom = ArrayGeometry(2, 3, 1.0, 1e308)
         with pytest.raises(ArithmeticError):
-            snr_double_integral(reference.geometry, UserLocation(1e-307), LINK)
+            snr_double_integral(geom, UserLocation(1.0, 0.3), LINK)
+        assert len(runs) == 1
 
     @pytest.mark.parametrize(
         "modules,range_m,theta_deg", [(625, 4.0, 60.0), (400, 3.0, 80.0)]
@@ -661,6 +670,7 @@ TYPED_ERRORS = {
 }
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("model", list(SnrModel))
 @settings(max_examples=200)
 @given(
