@@ -1,10 +1,11 @@
 """Near-field SNR modelling for modular extremely large linear arrays.
 
-The package covers the spherical-wave and plane-wave array responses of a
-modular uniform linear array, maximal-ratio combining, exact and closed-form
-SNR expressions with their limiting cases, a quadrature cross-check, a
-deterministic sweep engine with CSV/SVG output, and a built-in verification
-suite.  See the ``modxl`` command-line tool for the packaged workflows.
+The package covers the spherical-wave array response of a modular uniform
+linear array, maximal-ratio combining, exact and closed-form SNR
+expressions with their limiting cases, the plane-wave SNR they are compared
+with, a quadrature cross-check, a deterministic sweep engine with CSV/SVG
+output, and a built-in verification suite.  See the ``modxl`` command-line
+tool for the packaged workflows.
 """
 
 from .beamforming import (
@@ -16,7 +17,7 @@ from .beamforming import (
     snr,
     uplink_power_estimates,
 )
-from .channel import LinkBudget, array_response_nusw, array_response_upw
+from .channel import LinkBudget, array_response_nusw
 from .errors import (
     DegenerateGeometryError,
     MalformedDataError,
@@ -31,7 +32,6 @@ from .geometry import (
     ArrayGeometry,
     UserLocation,
     aperture,
-    element_offsets,
     normalized_spacing,
 )
 from .numerics import compensated_sum, db_to_linear, linear_to_db
@@ -87,12 +87,10 @@ __all__ = [
     "aperture",
     "apply_variable",
     "array_response_nusw",
-    "array_response_upw",
     "compensated_sum",
     "complex_gaussian",
     "db_to_linear",
     "default_scenario",
-    "element_offsets",
     "evaluate_models",
     "linear_to_db",
     "mrc_weights",

@@ -1,11 +1,10 @@
-"""Complex array response vectors for line-of-sight propagation.
+"""The complex array response vector for line-of-sight propagation.
 
-Two models are provided: the non-uniform spherical wave (NUSW) response, in
-which amplitude and phase both follow the exact per-element distance, and the
-uniform plane wave (UPW) response, in which the amplitude is constant and the
-phase progresses linearly across the array.  Each returns a read-only
+The non-uniform spherical wave (NUSW) response, in which amplitude and phase
+both follow the exact per-element distance, is returned as a read-only
 complex128 array of per-element coefficients in module-major order (modules
-ascending, elements ascending within each module).
+ascending, elements ascending within each module).  The plane-wave (UPW)
+comparison enters only through its SNR, ``snr_models.snr_upw``.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 from .geometry import (
     ArrayGeometry,
     UserLocation,
-    element_offsets,
+    largest_squared_ratio,
     squared_ratio_blocks,
 )
 from .numerics import np
@@ -77,7 +76,15 @@ def array_response_nusw(
     """Spherical-wave response: coefficient sqrt(gain)/r_e * exp(-j*2*pi*r_e/wl)
     with r_e the exact element-to-user distance.  Each block of
     :func:`squared_ratio_blocks` is turned into its coefficients while it
-    is in cache."""
+    is in cache.
+
+    Raises ``OverflowError`` before the first block where the longest path
+    in wavelengths is not finite, as above about 2.3e307 m at a 0.1256 m
+    wavelength: no phase can be reduced from an infinite cycle count.
+    """
+    longest = math.sqrt(largest_squared_ratio(geom, user)) * user.range_m
+    if not longest / link.wavelength_m < math.inf:
+        raise OverflowError(f"element distances at range {user.range_m:.3g} m overflow")
     gain = math.sqrt(link.reference_gain)
     out = np.empty((geom.module_count, geom.elements_per_module), dtype=np.complex128)
     for modules, path in squared_ratio_blocks(geom, user):
@@ -88,19 +95,3 @@ def array_response_nusw(
         _write_phasors(amplitude, path, out[modules])
     out.setflags(write=False)
     return out.ravel()
-
-
-def array_response_upw(
-    geom: ArrayGeometry, user: UserLocation, link: LinkBudget
-) -> np.ndarray:
-    """Plane-wave response: constant amplitude sqrt(gain)/range and linear
-    phase progression from the element axis offsets."""
-    path = user.range_m - element_offsets(geom) * geom.element_spacing * math.sin(
-        user.angle_rad
-    )
-    cycles = np.divide(path, link.wavelength_m, out=path)
-    amplitude = np.full(cycles.shape, math.sqrt(link.reference_gain) / user.range_m)
-    out = np.empty(cycles.shape, dtype=np.complex128)
-    _write_phasors(amplitude, cycles, out)
-    out.setflags(write=False)
-    return out

@@ -1,5 +1,5 @@
-"""Modular uniform-linear-array layout: element offsets, spans, and the
-blocked kernel of element-to-user distances.
+"""Modular uniform-linear-array layout: spans and the blocked kernel of
+element-to-user distances.
 
 The array lies on the y axis, symmetric about the origin.  A layout consists
 of ``module_count`` modules of ``elements_per_module`` antenna elements each.
@@ -100,21 +100,6 @@ class UserLocation:
         if not abs(self.angle_rad) <= 0.5 * math.pi:
             raise ValueError("angle_rad must lie in [-pi/2, pi/2]")
 
-    @property
-    def position(self) -> np.ndarray:
-        "Cartesian coordinates [x, y] in metres."
-        return np.array([
-            self.range_m * math.cos(self.angle_rad),
-            self.range_m * math.sin(self.angle_rad),
-        ])
-
-
-def element_offsets(geom: ArrayGeometry) -> np.ndarray:
-    "Axis offsets of all elements in module-major order, units of the spacing."
-    m = _centered(geom.elements_per_module)
-    n = _centered(geom.module_count)
-    return (geom.stride * n[:, None] + m[None, :]).ravel()
-
 
 def aperture(geom: ArrayGeometry) -> Tuple[float, float]:
     """Physical spans of the array, metres.
@@ -138,6 +123,22 @@ def block_rows(width: int) -> int:
     return max(1, BLOCK_ELEMENTS // width)
 
 
+def largest_squared_ratio(geom: ArrayGeometry, user: UserLocation) -> float:
+    """The largest ratio of :func:`squared_ratio_blocks`, from one evaluation
+    of its formula in its operation order: ratios are convex in the offset u
+    and the end offsets are opposites, so the largest is at the end with the
+    larger along-axis term.  Reads inf or NaN where the kernel would
+    overflow."""
+    eps = normalized_spacing(geom, user)
+    end = (
+        geom.stride * (0.5 * (geom.module_count - 1))
+        + 0.5 * (geom.elements_per_module - 1)
+    ) * eps
+    along = 1.0 + abs(end * math.sin(user.angle_rad))
+    across = end * math.cos(user.angle_rad)
+    return along * along + across * across
+
+
 def squared_ratio_blocks(
     geom: ArrayGeometry, user: UserLocation
 ) -> Iterator[Tuple[slice, np.ndarray]]:
@@ -154,9 +155,8 @@ def squared_ratio_blocks(
     array that the consumer owns.
 
     Raises ``OverflowError`` before the first block unless the floor's ratio
-    and the largest ratio are finite, as below a range of about 7.5e-164 m or
-    once u*eps passes about 1.3e154: ratios are convex in u and the end
-    offsets are opposites, so the largest is at an end.  Raises
+    and :func:`largest_squared_ratio` are finite, as below a range of about
+    7.5e-164 m or once u*eps passes about 1.3e154.  Raises
     :class:`DegenerateGeometryError` in the block that holds a distance
     below ``DISTANCE_FLOOR_M``.
     """
@@ -166,10 +166,7 @@ def squared_ratio_blocks(
     sin_t, cos_t = math.sin(user.angle_rad), math.cos(user.angle_rad)
     floor = DISTANCE_FLOOR_M / user.range_m
     floor_ratio = floor * floor
-    end = (geom.stride * modules.item(-1) + elements.item(-1)) * eps
-    along, across = 1.0 + abs(end * sin_t), end * cos_t  # the larger end
-    largest = along * along + across * across
-    if not (largest < math.inf and floor_ratio < math.inf):
+    if not (largest_squared_ratio(geom, user) < math.inf and floor_ratio < math.inf):
         raise OverflowError(f"element distances at range {user.range_m:.3g} m overflow")
     rows = block_rows(elements.size)
     for start in range(0, modules.size, rows):

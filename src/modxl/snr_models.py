@@ -315,11 +315,12 @@ def snr_double_integral(
     Raises :class:`QuadratureAccuracyError`, carrying the current estimate,
     when ``QUADRATURE_MAX_PANELS`` panels do not reach that, as when the
     user is so close to the tip of the array segment that rounding alone
-    exceeds the tolerance.  Raises ``OverflowError`` where the scale
-    (P/r^2)/eps^2 overflows (see :func:`_scale`), as at ranges or spacings
-    so small that r^2 or eps^2 underflows to 0; where the integrand
-    overflows at every node, the integral is 0 and :class:`SnrReport`
-    rejects it.
+    exceeds the tolerance.  Raises ``OverflowError`` before the quadrature
+    where twice the half-width a + b of the interval overflows, as at a
+    separation ratio near 1e308, or where the scale (P/r^2)/eps^2 overflows
+    (see :func:`_scale`), as at ranges or spacings so small that r^2 or
+    eps^2 underflows to 0; where the integrand overflows at every node, the
+    integral is 0 and :class:`SnrReport` rejects it.
     """
     eps = normalized_spacing(geom, user)
     stride = geom.stride
@@ -329,11 +330,16 @@ def snr_double_integral(
     a = 0.5 * geom.elements_per_module * eps
     b = stride * 0.5 * geom.module_count * eps
 
+    # Checked before the quadrature, as the distance kernel checks its range:
+    # where 2*(a + b) is finite, no panel's midpoint or width overflows.
+    u_max = a + b
+    if not 2.0 * u_max < math.inf:
+        raise OverflowError(f"integration interval +-{u_max:.3g} overflows")
+
     # The integrand 1/((u - sin)^2 + cos^2) is the cancellation-safe
     # regrouping of 1/(1 - 2*u*sin + u^2).  It is singular exactly where the
     # user sits on the array segment: endfire direction with the range
     # inside the augmented half-span.
-    u_max = a + b
     if abs(sin_t) <= u_max and is_near_endfire(user):
         raise DegenerateGeometryError(
             "integrand singular: user lies on the array segment"
@@ -349,7 +355,8 @@ def snr_double_integral(
 
     def integrand(u: np.ndarray) -> tuple:
         off = u - sin_t
-        # At tiny ranges off**2 overflows to inf, where the value is 0.
+        # At tiny ranges off**2 overflows to inf, where the value is truly
+        # 0: the one floating-point warning that the package silences.
         with np.errstate(over="ignore"):
             value = 1.0 / (off * off + cos_sq)
         weight = np.minimum(u_max - np.abs(u), width)

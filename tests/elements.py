@@ -4,7 +4,9 @@
 index formula, offset = stride*n + m for element and module indices m and n
 centred on 0.  It shares no code with ``modxl.geometry``, so the tests that
 compare the toolkit against it stay independent of the layout they check.
-``block_ratios`` gathers the blocks of the distance kernel into one array.
+``user_position`` is the user's Cartesian position, r*cos(angle) and
+r*sin(angle).  ``block_ratios`` gathers the blocks of the distance kernel
+into one array.
 """
 
 import math
@@ -25,9 +27,17 @@ def element_positions(geom):
     ]
 
 
+def user_position(user):
+    "Cartesian coordinates [x, y] of the user, metres."
+    return np.array([
+        user.range_m * math.cos(user.angle_rad),
+        user.range_m * math.sin(user.angle_rad),
+    ])
+
+
 def element_distances(geom, user):
     "Cartesian distances from the user to ``element_positions``, metres."
-    x, y = user.position
+    x, y = user_position(user)
     return [math.hypot(x - ex, y - ey) for ex, ey in element_positions(geom)]
 
 

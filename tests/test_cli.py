@@ -197,6 +197,11 @@ class TestEval:
             # Spacing over range overflows to inf: once numpy's two-line
             # "invalid value" warning from the kernel, then the error line.
             ("--range-m", "1e-318", "--modules", "3", "--models", "exact"),
+            # The integration interval overflows: once four numpy warnings
+            # and "integral model returned NaN" (exit 3).
+            ("--elements-per-module", "2", "--modules", "3", "--spacing-m", "1",
+             "--separation-ratio", "1e308", "--range-m", "1", "--theta-deg", "17",
+             "--models", "integral"),
         ],
     )
     def test_overflow_writes_only_the_error_line(self, argv):

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from elements import block_ratios, element_distances
+from elements import block_ratios, element_distances, element_positions
 from modxl.channel import LinkBudget, array_response_nusw
 from modxl.errors import DegenerateGeometryError
 from modxl.geometry import (
     ArrayGeometry,
     UserLocation,
     aperture,
-    element_offsets,
     normalized_spacing,
     squared_ratio_blocks,
 )
@@ -107,49 +106,71 @@ class TestAperture:
 
     @given(geometries())
     def test_span_is_max_pairwise_distance(self, geom):
-        offsets = element_offsets(geom) * geom.element_spacing
+        ys = [y for _, y in element_positions(geom)]
         span, _ = aperture(geom)
-        assert span == pytest.approx(offsets.max() - offsets.min(), rel=1e-12, abs=1e-15)
+        assert span == pytest.approx(max(ys) - min(ys), rel=1e-12, abs=1e-15)
+
+
+def distances(geom, user):
+    "Element-to-user distances from the blocked kernel, module-major, metres."
+    return user.range_m * np.sqrt(block_ratios(geom, user))
+
+
+def axis_offsets(geom):
+    """Axis offsets of the elements in spacings, module-major, read back from
+    the distance kernel.  A user on the positive array axis at 2^k spacings,
+    beyond the array, sees the element at offset u at distance ratio
+    1 - u*2^-k, so u = (1 - sqrt(ratio))*2^k.  With eps = 2^-k, every step
+    is exact where u*eps fits the significand beside the 1."""
+    span, _ = aperture(geom)
+    scale = 2.0 ** math.ceil(math.log2(span / geom.element_spacing + 2.0))
+    user = UserLocation(scale * geom.element_spacing, math.pi / 2)
+    return (1.0 - np.sqrt(block_ratios(geom, user))) * scale
 
 
 class TestElementIndexing:
     def test_center_element_at_origin(self):
+        # The centre element sees the range itself at every angle.
         geom = ArrayGeometry(3, 3, 1.0, 2.0)
-        assert element_offsets(geom)[4] == 0.0
+        assert axis_offsets(geom)[4] == 0.0
+        for angle in (-1.2, 0.0, 0.4, math.pi / 2):
+            assert distances(geom, UserLocation(7.0, angle))[4] == 7.0
 
     def test_half_integer_offset(self):
         # K = 35, so (m, n) = (0.5, 0.5), element 168, sits 18 spacings off
         # center.
-        y = element_offsets(REF)[168] * REF.element_spacing
-        assert y == pytest.approx(18 * 0.0628, rel=1e-15)
-        assert y == pytest.approx(1.1304, rel=1e-12)
+        offset = axis_offsets(REF)[168]
+        assert offset == 18.0
+        assert offset * REF.element_spacing == pytest.approx(1.1304, rel=1e-12)
 
     def test_collocated_layout(self):
         # (m, n) = (1, 1) is the last element.
         geom = ArrayGeometry(3, 3, 1.0, 1.0)
-        assert element_offsets(geom)[8] * geom.element_spacing == 4.0
+        assert axis_offsets(geom)[8] * geom.element_spacing == 4.0
 
     def test_enumeration_is_module_major(self):
         # Modules ascending, elements ascending within each; K = 5.
         geom = ArrayGeometry(2, 3, 0.5, 4.0)
-        assert element_offsets(geom).tolist() == [-5.5, -4.5, -0.5, 0.5, 4.5, 5.5]
+        assert axis_offsets(geom).tolist() == [-5.5, -4.5, -0.5, 0.5, 4.5, 5.5]
 
     @given(geometries())
     def test_offsets_antisymmetric(self, geom):
-        offsets = element_offsets(geom)
+        offsets = axis_offsets(geom)
         np.testing.assert_allclose(offsets, -offsets[::-1], atol=1e-12)
 
     def test_positions_antisymmetric_in_index(self):
         # (m, n) = (2, 1.5) and (-2, -1.5) are the last and the first element.
         geom = ArrayGeometry(5, 4, 0.2, 3.5)
-        y = element_offsets(geom) * geom.element_spacing
+        y = axis_offsets(geom) * geom.element_spacing
         assert y[-1] == -y[0]
 
     def test_unit_separation_matches_plain_array(self):
-        # L = 1 collapses modules into one contiguous uniform array.
-        modular = element_offsets(ArrayGeometry(3, 2, 0.7, 1.0))
-        plain = element_offsets(ArrayGeometry(6, 1, 0.7, 1.0))
-        np.testing.assert_allclose(np.sort(modular), np.sort(plain), atol=0)
+        # L = 1 collapses modules into one contiguous uniform array: the
+        # kernel gives the same distances in the same order.
+        user = UserLocation(3.0, 0.8)
+        modular = distances(ArrayGeometry(3, 2, 0.7, 1.0), user)
+        plain = distances(ArrayGeometry(6, 1, 0.7, 1.0), user)
+        assert modular.tobytes() == plain.tobytes()
 
 
 class TestUserLocation:
@@ -165,22 +186,11 @@ class TestUserLocation:
         with pytest.raises(ValueError):
             UserLocation(math.nan)
 
-    @given(users())
-    def test_cartesian_norm_is_range(self, user):
-        assert np.linalg.norm(user.position) == pytest.approx(
-            user.range_m, rel=1e-12
-        )
-
     def test_normalized_spacing(self):
         user = UserLocation(35.0)
         assert normalized_spacing(REF, user) == pytest.approx(
             0.0628 / 35.0, rel=1e-15
         )
-
-
-def distances(geom, user):
-    "Element-to-user distances from the blocked kernel, module-major, metres."
-    return user.range_m * np.sqrt(block_ratios(geom, user))
 
 
 class TestDistance:
@@ -248,15 +258,14 @@ class TestDistance:
             block_ratios(REF, UserLocation(range_m))
 
     def test_offsets_left_unchanged(self):
-        # Each block of the kernel is a fresh array: arrays a caller holds,
-        # the offsets among them, are never written by a later call of the
-        # kernel or of its two consumers, and no two results share memory.
+        # Each block of the kernel is a fresh array: arrays a caller holds
+        # are never written by a later call of the kernel or of its two
+        # consumers, and no two results share memory.
         # Read-only, a write would raise.
         geom = ArrayGeometry(4, 3, 0.3, 2.5)
         user = UserLocation(12.0, -0.7)
         link = LinkBudget(0.1)
         held = [
-            element_offsets(geom),
             block_ratios(geom, user),
             array_response_nusw(geom, user, link),
         ]
@@ -266,7 +275,6 @@ class TestDistance:
         for _ in squared_ratio_blocks(geom, user):
             pass
         snr_exact_sum(geom, user, link)
-        held.append(element_offsets(geom))
         held.append(block_ratios(geom, user))
         held.append(array_response_nusw(geom, user, link))
         for array, copy in zip(held, before):

@@ -140,12 +140,6 @@ def test_no_environment_reads(path):
     assert environment_reads(path.read_text(encoding="utf-8")) == []
 
 
-#: Public names kept with no caller in ``src/``: the plane-wave channel of
-#: the paper, documented in the README, and the user's Cartesian position,
-#: the reference that the tests compare the distance kernel against.
-UNUSED_ALLOWED = {"channel.array_response_upw", "geometry.UserLocation.position"}
-
-
 def public_definitions(tree: ast.Module):
     """The public names ``tree`` defines, as dotted paths: module-level
     functions, classes and assigned constants, and the methods and properties
@@ -214,4 +208,4 @@ def test_detects_unused_public_names():
 
 def test_every_public_name_is_used():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
-    assert set(unused_public_names(sources)) == UNUSED_ALLOWED
+    assert unused_public_names(sources) == []

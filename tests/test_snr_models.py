@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elements import block_ratios, element_positions
+from elements import block_ratios, element_positions, user_position
 from modxl.channel import LinkBudget
 from modxl.errors import (
     DegenerateGeometryError,
@@ -67,7 +67,7 @@ class TestExactSum:
         geom = ArrayGeometry(3, 3, 0.5, 4.0)
         user = UserLocation(9.0, -0.6)
         total = sum(
-            1.0 / np.sum((user.position - position) ** 2)
+            1.0 / np.sum((user_position(user) - position) ** 2)
             for position in element_positions(geom)
         )
         report = snr_exact_sum(geom, user, LINK)
@@ -141,7 +141,7 @@ class TestExactSum:
         # exactly, in rationals; the sum is taken exactly too.
         geom = ArrayGeometry(m, n, spacing, ratio)
         user = UserLocation(10.0**log_r, math.radians(deg))
-        position = [Fraction(v) for v in user.position]
+        position = [Fraction(v) for v in user_position(user)]
         squared = [
             sum((p - Fraction(e)) ** 2 for p, e in zip(position, element))
             for element in element_positions(geom)
@@ -545,21 +545,31 @@ class TestDoubleIntegral:
         assert "integrand evaluations" in str(info.value)
         assert info.value.estimate == pytest.approx(converged.value_linear, rel=1e-12)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_overflowing_panels_stop(self, monkeypatch):
-        # At separation ratio 1e308 the panel edges are +-1.5e308, their
-        # midpoints and widths overflow and every error estimate is NaN, so
-        # no panel is ever split; the quadrature must still stop.
+    def test_overflowing_interval_raises_before_the_quadrature(self, monkeypatch):
+        # At separation ratio 1e308 the panel edges would be +-1.5e308, and
+        # their midpoints and widths would overflow; the model raises before
+        # the quadrature runs.
         runs = []
-        quadrature = snr_models._adaptive_gauss_legendre
         monkeypatch.setattr(
             snr_models, "_adaptive_gauss_legendre",
-            lambda *args: runs.append(args) or quadrature(*args),
+            lambda *args: runs.append(args),
         )
         geom = ArrayGeometry(2, 3, 1.0, 1e308)
-        with pytest.raises(ArithmeticError):
+        with pytest.raises(OverflowError):
             snr_double_integral(geom, UserLocation(1.0, 0.3), LINK)
-        assert len(runs) == 1
+        assert runs == []
+
+    def test_nan_estimates_stop_the_quadrature(self):
+        # A NaN error estimate splits no panel, so the loop must stop after
+        # the first generation rather than spin.
+        def integrand(u):
+            return np.full(u.shape, math.nan), np.zeros(u.shape)
+
+        total, error, evaluations = snr_models._adaptive_gauss_legendre(
+            integrand, (-1.0, -0.5, 0.5, 1.0), 1e-9
+        )
+        assert math.isnan(total) and math.isnan(error)
+        assert evaluations == 3 * (16 + 8)
 
     @pytest.mark.parametrize(
         "modules,range_m,theta_deg", [(625, 4.0, 60.0), (400, 3.0, 80.0)]
