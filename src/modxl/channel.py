@@ -16,7 +16,7 @@ from .geometry import (
     ArrayGeometry,
     UserLocation,
     largest_squared_ratio,
-    squared_ratio_blocks,
+    run_ratio_blocks,
 )
 from .numerics import np
 
@@ -75,8 +75,8 @@ def array_response_nusw(
 ) -> np.ndarray:
     """Spherical-wave response: coefficient sqrt(gain)/r_e * exp(-j*2*pi*r_e/wl)
     with r_e the exact element-to-user distance.  Each block of
-    :func:`squared_ratio_blocks` is turned into its coefficients while it
-    is in cache.
+    :func:`run_ratio_blocks` is turned into its coefficients while it is
+    in cache, on the thread that made it.
 
     Raises ``OverflowError`` before the first block where the longest path
     in wavelengths is not finite, as above about 2.3e307 m at a 0.1256 m
@@ -87,11 +87,14 @@ def array_response_nusw(
         raise OverflowError(f"element distances at range {user.range_m:.3g} m overflow")
     gain = math.sqrt(link.reference_gain)
     out = np.empty((geom.module_count, geom.elements_per_module), dtype=np.complex128)
-    for modules, path in squared_ratio_blocks(geom, user):
+
+    def coefficients(modules: slice, path: np.ndarray) -> None:
         np.sqrt(path, out=path)
         path *= user.range_m
         amplitude = gain / path
         path /= link.wavelength_m
         _write_phasors(amplitude, path, out[modules])
+
+    run_ratio_blocks(geom, user, coefficients)
     out.setflags(write=False)
     return out.ravel()

@@ -1,5 +1,5 @@
-"""Modular uniform-linear-array layout: spans and the blocked kernel of
-element-to-user distances.
+"""Modular uniform-linear-array layout: spans and the blocked, threaded
+kernel of element-to-user distances.
 
 The array lies on the y axis, symmetric about the origin.  A layout consists
 of ``module_count`` modules of ``elements_per_module`` antenna elements each.
@@ -15,9 +15,11 @@ All operations are pure functions of immutable inputs.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from numbers import Integral
-from typing import Iterator, Tuple
+from typing import Callable, Tuple
 
 from .errors import DegenerateGeometryError
 from .numerics import np
@@ -30,6 +32,14 @@ DISTANCE_FLOOR_M = 1e-9
 #: block stay within a 4 MiB L2 cache while it is run through.  A block
 #: holds whole rows (modules, or uplink samples), and at least one.
 BLOCK_ELEMENTS = 1 << 16
+#: Helper threads of the distance kernel: one for each usable CPU but the
+#: caller's.
+_HELPERS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+    else os.cpu_count() or 1
+) - 1
+_pool = None
+_pool_lock = threading.Lock()
 
 
 def _centered(count: int) -> np.ndarray:
@@ -118,13 +128,36 @@ def normalized_spacing(geom: ArrayGeometry, user: UserLocation) -> float:
     return geom.element_spacing / user.range_m
 
 
+def _helper_pool():
+    """The helper threads' executor, made on first use, so that a run of
+    one-block arrays neither starts a thread nor imports concurrent.futures."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(_HELPERS, thread_name_prefix="modxl-blocks")
+    return _pool
+
+
+def _forget_pool() -> None:
+    """In a forked child: drop the parent's executor, whose threads the
+    child does not have, so that its first call makes its own."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
 def block_rows(width: int) -> int:
     "Rows of ``width`` elements that fit in one block, and at least one."
     return max(1, BLOCK_ELEMENTS // width)
 
 
 def largest_squared_ratio(geom: ArrayGeometry, user: UserLocation) -> float:
-    """The largest ratio of :func:`squared_ratio_blocks`, from one evaluation
+    """The largest ratio of :func:`run_ratio_blocks`, from one evaluation
     of its formula in its operation order: ratios are convex in the offset u
     and the end offsets are opposites, so the largest is at the end with the
     larger along-axis term.  Reads inf or NaN where the kernel would
@@ -139,38 +172,79 @@ def largest_squared_ratio(geom: ArrayGeometry, user: UserLocation) -> float:
     return along * along + across * across
 
 
-def squared_ratio_blocks(
-    geom: ArrayGeometry, user: UserLocation
-) -> Iterator[Tuple[slice, np.ndarray]]:
+def run_ratio_blocks(
+    geom: ArrayGeometry,
+    user: UserLocation,
+    body: Callable[[slice, np.ndarray], None],
+) -> None:
     """Squared element-to-user distances over the squared range, in
     cache-sized blocks: the toolkit's one distance kernel.
 
     Each ratio is (1 - u*eps*sin)^2 + (u*eps*cos)^2 for axis offset u and
     eps = spacing/range, which keeps the precision that
     1 - 2*u*eps*sin + (u*eps)^2 loses to cancellation near the array axis.
-    Yields ``(modules, ratios)`` for each run of whole modules of at most
+    Calls ``body(modules, ratios)`` for each run of whole modules of at most
     ``BLOCK_ELEMENTS`` elements (of one module, where a module alone is
-    larger), in module-major order: the slice of module indices and their
-    ratios, shaped (modules, elements per module).  Each block is a fresh
-    array that the consumer owns.
+    larger): the slice of module indices and their ratios, shaped
+    (modules, elements per module).  Each block is a fresh array that the
+    body owns.
+
+    The blocks are split into contiguous shares, one per usable CPU and at
+    most one per block.  The calling thread runs the first share and a
+    helper thread each other share, every share in module order, so bodies
+    of different blocks must write disjoint data.  A call of one block runs
+    wholly in the caller.  Returns once every share has finished.
 
     Raises ``OverflowError`` before the first block unless the floor's ratio
     and :func:`largest_squared_ratio` are finite, as below a range of about
     7.5e-164 m or once u*eps passes about 1.3e154.  Raises
-    :class:`DegenerateGeometryError` in the block that holds a distance
-    below ``DISTANCE_FLOOR_M``.
+    :class:`DegenerateGeometryError` for a distance below
+    ``DISTANCE_FLOOR_M``, and any error of ``body``, from the first failing
+    block in module order, after every share has finished.
     """
-    modules = _centered(geom.module_count)
-    elements = _centered(geom.elements_per_module)
-    eps = normalized_spacing(geom, user)
-    sin_t, cos_t = math.sin(user.angle_rad), math.cos(user.angle_rad)
     floor = DISTANCE_FLOOR_M / user.range_m
     floor_ratio = floor * floor
     if not (largest_squared_ratio(geom, user) < math.inf and floor_ratio < math.inf):
         raise OverflowError(f"element distances at range {user.range_m:.3g} m overflow")
-    rows = block_rows(elements.size)
-    for start in range(0, modules.size, rows):
-        stop = min(start + rows, modules.size)
+    starts = range(0, geom.module_count, block_rows(geom.elements_per_module))
+    count = min(_HELPERS + 1, len(starts))
+    if count == 1:
+        _run_share(geom, user, floor_ratio, starts, body)
+        return
+    blocks = len(starts)
+    shares = [
+        starts[blocks * k // count : blocks * (k + 1) // count] for k in range(count)
+    ]
+    pool = _helper_pool()
+    helpers = [
+        pool.submit(_run_share, geom, user, floor_ratio, share, body)
+        for share in shares[1:]
+    ]
+    try:
+        _run_share(geom, user, floor_ratio, shares[0], body)
+    finally:
+        for helper in helpers:
+            helper.exception()  # waits; a helper's error is raised below
+    for helper in helpers:
+        helper.result()
+
+
+def _run_share(
+    geom: ArrayGeometry,
+    user: UserLocation,
+    floor_ratio: float,
+    starts: range,
+    body: Callable[[slice, np.ndarray], None],
+) -> None:
+    """Make the blocks of :func:`run_ratio_blocks` that begin at the module
+    indices ``starts``, one block of ``starts.step`` modules at each, in
+    order, and hand each to ``body``."""
+    modules = _centered(geom.module_count)
+    elements = _centered(geom.elements_per_module)
+    eps = normalized_spacing(geom, user)
+    sin_t, cos_t = math.sin(user.angle_rad), math.cos(user.angle_rad)
+    for start in starts:
+        stop = min(start + starts.step, modules.size)
         ue = geom.stride * modules[start:stop, None] + elements
         ue *= eps
         ratios = 1.0 - ue * sin_t  # along the array axis
@@ -183,4 +257,4 @@ def squared_ratio_blocks(
                 "user lies on the array: an element distance falls below "
                 f"{DISTANCE_FLOOR_M:.0e} m"
             )
-        yield slice(start, stop), ratios
+        body(slice(start, stop), ratios)

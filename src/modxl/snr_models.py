@@ -33,7 +33,7 @@ from .geometry import (
     UserLocation,
     aperture,
     normalized_spacing,
-    squared_ratio_blocks,
+    run_ratio_blocks,
 )
 from .numerics import compensated_sum, linear_to_db, np
 
@@ -116,17 +116,20 @@ def snr_exact_sum(
     distances.
 
     Each module's terms are summed by numpy's pairwise summation, block by
-    block of :func:`squared_ratio_blocks`, and the module partials by
-    :func:`compensated_sum`.  The terms are positive, so
-    the relative error grows only as the logarithm of the module size
-    (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 4), and
-    the fixed module-major order keeps reruns bit-identical.
+    block of :func:`run_ratio_blocks`, and the module partials by
+    :func:`compensated_sum`, read from their buffer.  The terms are
+    positive, so the relative error grows only as the logarithm of the
+    module size (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    ch. 4), and the fixed module-major order keeps reruns bit-identical.
     """
     partials = np.empty(geom.module_count)
-    for modules, inverse in squared_ratio_blocks(geom, user):
+
+    def module_sums(modules: slice, inverse: np.ndarray) -> None:
         np.reciprocal(inverse, out=inverse)
         np.add.reduce(inverse, axis=1, out=partials[modules])
-    total = compensated_sum(partials.tolist())
+
+    run_ratio_blocks(geom, user, module_sums)
+    total = compensated_sum(memoryview(partials))
     scale = _scale(link.effective_power, user.range_m**2, "P/r^2")
     return SnrReport(SnrModel.EXACT_SUM, scale * total)
 

@@ -5,15 +5,15 @@ index formula, offset = stride*n + m for element and module indices m and n
 centred on 0.  It shares no code with ``modxl.geometry``, so the tests that
 compare the toolkit against it stay independent of the layout they check.
 ``user_position`` is the user's Cartesian position, r*cos(angle) and
-r*sin(angle).  ``block_ratios`` gathers the blocks of the distance kernel
-into one array.
+r*sin(angle).  ``ratio_blocks`` collects the blocks of the distance kernel,
+and ``block_ratios`` joins them into one array.
 """
 
 import math
 
 import numpy as np
 
-from modxl.geometry import squared_ratio_blocks
+from modxl.geometry import run_ratio_blocks
 
 
 def element_positions(geom):
@@ -41,9 +41,15 @@ def element_distances(geom, user):
     return [math.hypot(x - ex, y - ey) for ex, ey in element_positions(geom)]
 
 
+def ratio_blocks(geom, user):
+    """The ``(modules, ratios)`` blocks of ``run_ratio_blocks``, as its
+    threads hand them over, sorted into module order."""
+    blocks = []
+    run_ratio_blocks(geom, user, lambda *block: blocks.append(block))
+    return sorted(blocks, key=lambda block: block[0].start)
+
+
 def block_ratios(geom, user):
-    """The squared distance ratios of ``squared_ratio_blocks`` in one
-    module-major array, joined from the blocks as they come."""
-    return np.concatenate(
-        [ratios.ravel() for _, ratios in squared_ratio_blocks(geom, user)]
-    )
+    """The squared distance ratios of ``run_ratio_blocks`` in one
+    module-major array, joined from its blocks."""
+    return np.concatenate([ratios.ravel() for _, ratios in ratio_blocks(geom, user)])

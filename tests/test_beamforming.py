@@ -165,7 +165,7 @@ class TestUplinkSimulation:
         weights = mrc_weights(response)
         sim = UplinkSimulation(4096, noise_power=1.0, transmit_power=1e5, seed=3)
         signal_power, noise_power = uplink_power_estimates(response, weights, sim)
-        gain = np.vdot(weights.weights, response)
+        gain = combined_channel(weights.weights, response)
         assert signal_power == sim.transmit_power * np.abs(gain) ** 2
         assert noise_power == pytest.approx(1.0, rel=0.1)
 
@@ -188,14 +188,23 @@ class TestUplinkSimulation:
             uplink_power_estimates(np.array([1.0, 2.0]), unit([1.0]), sim)
 
 
+def combined_channel(w, h):
+    """w^H h from the interleaved real and imaginary parts of both vectors:
+    real part w_re.h_re + w_im.h_im, imaginary part w_re.h_im - w_im.h_re."""
+    w, h = w.view(np.float64), h.view(np.float64)
+    imag = np.einsum("i,i->", w[::2], h[1::2]) - np.einsum("i,i->", w[1::2], h[::2])
+    return complex(np.einsum("i,i->", w, h), imag)
+
+
 def reference_power_estimates(response, weights, sim):
     "(signal, noise) power from one whole-sample pass: every draw at once."
     rng = np.random.Generator(np.random.PCG64(sim.seed))
     pairs = rng.standard_normal((sim.sample_count, len(response), 2))
     pairs *= math.sqrt(sim.noise_power / 2.0)
     noise = pairs.view(np.complex128)[..., 0]
-    samples = np.abs(noise @ np.conj(weights.weights)) ** 2
-    gain = np.vdot(weights.weights, response)
+    conj_weights = np.conj(weights.weights)
+    samples = np.abs(np.einsum("ij,j->i", noise, conj_weights)) ** 2
+    gain = combined_channel(weights.weights, response)
     return sim.transmit_power * abs(gain) ** 2, math.fsum(samples) / sim.sample_count
 
 

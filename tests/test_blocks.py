@@ -1,26 +1,36 @@
 """The blocked distance kernel and its consumers.
 
 The kernel runs in blocks of whole modules of at most ``BLOCK_ELEMENTS``
-elements.  Its values must be bit-identical to one whole-array pass of the
-same formulas, which the reference below takes; a ratio that would overflow
-must raise before the first block, ahead of a floor error in any block; and
-its temporaries must stay block-sized.
+elements, split into contiguous shares: the caller runs the first, helper
+threads the others.  Its values must be bit-identical to one whole-array
+pass of the same formulas, which the reference below takes; a ratio that
+would overflow must raise before the first block, ahead of a floor error in
+any block; an error in any block must raise from the first failing block in
+module order once every share has finished; and its temporaries must stay
+block-sized.
 """
 
 import math
+import multiprocessing
+import os
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from elements import block_ratios
+from elements import block_ratios, ratio_blocks
+from modxl import geometry
 from modxl.channel import LinkBudget, array_response_nusw
+from modxl.errors import DegenerateGeometryError
 from modxl.geometry import (
     BLOCK_ELEMENTS,
     ArrayGeometry,
     UserLocation,
-    squared_ratio_blocks,
+    run_ratio_blocks,
 )
 from modxl.snr_models import snr_exact_sum
 
@@ -67,11 +77,17 @@ def block_cases():
             yield m, n
 
 
+@pytest.fixture
+def helper(monkeypatch):
+    "At least one helper thread, so that a call of two blocks or more uses it."
+    monkeypatch.setattr(geometry, "_HELPERS", max(1, geometry._HELPERS))
+
+
 @pytest.mark.parametrize("m, n", list(block_cases()))
 @pytest.mark.parametrize(
     "range_m, theta_rad", [(0.7, 0.3), (80.0, -1.2), (3e7, 1.5)]
 )
-def test_bit_identical_to_one_pass(m, n, range_m, theta_rad):
+def test_bit_identical_to_one_pass(helper, m, n, range_m, theta_rad):
     geom = ArrayGeometry(m, n, 0.0628, 2.5)
     user = UserLocation(range_m, theta_rad)
     assert block_ratios(geom, user).tobytes() == reference_ratios(geom, user).tobytes()
@@ -88,7 +104,7 @@ def test_blocks_are_whole_modules_in_order(m, n):
     user = UserLocation(50.0, 0.2)
     rows = min(n, max(1, BLOCK_ELEMENTS // m))
     seen = []
-    for modules, ratios in squared_ratio_blocks(geom, user):
+    for modules, ratios in ratio_blocks(geom, user):
         assert ratios.shape == (modules.stop - modules.start, m)
         assert ratios.size <= max(BLOCK_ELEMENTS, m)
         seen.append((modules.start, modules.stop))
@@ -100,7 +116,7 @@ def test_kept_blocks_keep_their_values():
     # one pass of three full blocks still hold their own ratios after it.
     geom = ArrayGeometry(16, 3 * (BLOCK_ELEMENTS // 16), 0.0628, 2.5)
     user = UserLocation(50.0, 0.2)
-    kept = [ratios for _, ratios in squared_ratio_blocks(geom, user)]
+    kept = [ratios for _, ratios in ratio_blocks(geom, user)]
     assert len(kept) == 3
     joined = np.concatenate([ratios.ravel() for ratios in kept])
     assert joined.tobytes() == block_ratios(geom, user).tobytes()
@@ -134,8 +150,10 @@ def test_overflow_raised_before_the_first_block():
     # An even count puts no element at the centre, where the user is.
     geom = ArrayGeometry(1, 2 * BLOCK_ELEMENTS + 2, 1.0)
     user = UserLocation(1e-153, 1.0)
+    blocks = []
     with pytest.raises(OverflowError):
-        next(squared_ratio_blocks(geom, user))
+        run_ratio_blocks(geom, user, lambda modules, ratios: blocks.append(modules))
+    assert blocks == []
     assert_every_consumer_overflows(geom, user)
 
 
@@ -147,6 +165,126 @@ def test_overflow_where_the_floor_is_infinite(range_m):
     geom = ArrayGeometry(1, 2, 1.0)
     user = UserLocation(range_m)
     assert_every_consumer_overflows(geom, user)
+
+
+def block_threads(geom, user):
+    "The thread that ran each block, by block index."
+    rows = max(1, BLOCK_ELEMENTS // geom.elements_per_module)
+    threads = {}
+
+    def body(modules, ratios):
+        threads[modules.start // rows] = threading.get_ident()
+
+    run_ratio_blocks(geom, user, body)
+    return [threads[block] for block in sorted(threads)]
+
+
+def test_one_block_runs_in_the_caller(monkeypatch):
+    def no_pool():
+        raise AssertionError("a one-block call reached the helper pool")
+
+    monkeypatch.setattr(geometry, "_helper_pool", no_pool)
+    monkeypatch.setattr(geometry, "_HELPERS", 3)
+    geom = ArrayGeometry(16, BLOCK_ELEMENTS // 16, 0.0628, 2.5)
+    assert block_threads(geom, UserLocation(50.0, 0.2)) == [threading.get_ident()]
+
+
+def test_shares_are_contiguous_and_the_caller_runs_the_first(monkeypatch):
+    monkeypatch.setattr(geometry, "_HELPERS", 1)
+    geom = ArrayGeometry(16, 5 * (BLOCK_ELEMENTS // 16), 0.0628, 2.5)
+    threads = block_threads(geom, UserLocation(50.0, 0.2))
+    caller = threading.get_ident()
+    assert threads[:2] == [caller] * 2
+    assert caller not in threads[2:] and len(set(threads[2:])) == 1
+
+
+def test_floor_in_a_helpers_share(monkeypatch):
+    # Three blocks of 65,536 one-element modules on the axis; the caller
+    # runs the first, a helper the other two.  The user sits on an element
+    # of the third, 40,000.5 spacings from the centre.
+    monkeypatch.setattr(geometry, "_HELPERS", 1)
+    geom = ArrayGeometry(1, 3 * BLOCK_ELEMENTS, 1.0)
+    user = UserLocation(40_000.5, math.pi / 2)
+    ran = []
+    with pytest.raises(DegenerateGeometryError):
+        run_ratio_blocks(geom, user, lambda modules, ratios: ran.append(modules.start))
+    assert sorted(ran) == [0, BLOCK_ELEMENTS]
+    calls = (
+        lambda: block_ratios(geom, user),
+        lambda: snr_exact_sum(geom, user, LINK),
+        lambda: array_response_nusw(geom, user, LINK),
+    )
+    for call in calls:
+        with pytest.raises(DegenerateGeometryError) as raised:
+            call()
+        assert str(raised.value) == (
+            "user lies on the array: an element distance falls below 1e-09 m"
+        )
+
+
+def test_first_failing_block_raises_after_every_share(monkeypatch):
+    # Blocks 0 and 1 are the caller's, 2 and 3 the helper's; 1 and 3 fail.
+    # The helper's failure comes late, and the caller's error waits for it.
+    monkeypatch.setattr(geometry, "_HELPERS", 1)
+    rows = BLOCK_ELEMENTS // 16
+    geom = ArrayGeometry(16, 4 * rows, 0.0628, 2.5)
+    finished = []
+
+    def body(modules, ratios):
+        block = modules.start // rows
+        if block == 3:
+            time.sleep(0.2)
+        finished.append(block)
+        if block % 2:
+            raise ValueError(f"block {block}")
+
+    with pytest.raises(ValueError, match="^block 1$"):
+        run_ratio_blocks(geom, UserLocation(50.0, 0.2), body)
+    assert sorted(finished) == [0, 1, 2, 3]
+
+
+def test_concurrent_callers_share_the_helpers(monkeypatch):
+    # Four callers race to make a pool of four helpers, more than the cores,
+    # and share it on a shortened switch interval.  A lost or misplaced
+    # block would change a sum.
+    monkeypatch.setattr(geometry, "_HELPERS", 4)
+    monkeypatch.setattr(geometry, "_pool", None)
+    geom = ArrayGeometry(16, 5 * (BLOCK_ELEMENTS // 16), 0.0628, 2.5)
+    users = [UserLocation(50.0 + k, 0.2) for k in range(4)]
+    results = {}
+
+    def caller(k):
+        sums = [snr_exact_sum(geom, users[k], LINK) for _ in range(3)]
+        results[k] = [report.value_linear for report in sums]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+        if geometry._pool is not None:
+            geometry._pool.shutdown()
+    expected = [reference_exact_sum(geom, user, LINK) for user in users]
+    assert [results.get(k) for k in range(4)] == [[value] * 3 for value in expected]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.filterwarnings("ignore:This process .* multi-threaded:DeprecationWarning")
+def test_a_forked_child_makes_its_own_helpers(helper):
+    # The parent's helper threads exist now; a forked child has none of
+    # them, so a multi-block call there must not wait on the parent's pool.
+    geom = ArrayGeometry(16, 3 * (BLOCK_ELEMENTS // 16), 0.0628, 2.5)
+    user = UserLocation(50.0, 0.2)
+    expected = snr_exact_sum(geom, user, LINK)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        forked = pool.apply_async(snr_exact_sum, (geom, user, LINK)).get(timeout=60)
+    assert forked.value_linear == expected.value_linear
 
 
 def traced_peak_mb(call):

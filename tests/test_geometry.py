@@ -13,7 +13,7 @@ from modxl.geometry import (
     UserLocation,
     aperture,
     normalized_spacing,
-    squared_ratio_blocks,
+    run_ratio_blocks,
 )
 from modxl.snr_models import snr_exact_sum
 
@@ -272,8 +272,7 @@ class TestDistance:
         before = [array.copy() for array in held]
         for array in held:
             array.setflags(write=False)
-        for _ in squared_ratio_blocks(geom, user):
-            pass
+        run_ratio_blocks(geom, user, lambda modules, ratios: None)
         snr_exact_sum(geom, user, link)
         held.append(block_ratios(geom, user))
         held.append(array_response_nusw(geom, user, link))
