@@ -32,11 +32,16 @@ DISTANCE_FLOOR_M = 1e-9
 #: block stay within a 4 MiB L2 cache while it is run through.  A block
 #: holds whole rows (modules, or uplink samples), and at least one.
 BLOCK_ELEMENTS = 1 << 16
+#: Threads of the distance kernel at most, the caller's among them.  Each
+#: holds at most four arrays of one block at once (2.1 MB at 65,536
+#: elements), so a call's temporaries stay within 6.3 MB on any host.
+_MAX_THREADS = 3
 #: Helper threads of the distance kernel: one for each usable CPU but the
-#: caller's.
-_HELPERS = (
+#: caller's, within ``_MAX_THREADS``.
+_HELPERS = min(
+    _MAX_THREADS,
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-    else os.cpu_count() or 1
+    else os.cpu_count() or 1,
 ) - 1
 _pool = None
 _pool_lock = threading.Lock()
@@ -189,11 +194,12 @@ def run_ratio_blocks(
     (modules, elements per module).  Each block is a fresh array that the
     body owns.
 
-    The blocks are split into contiguous shares, one per usable CPU and at
-    most one per block.  The calling thread runs the first share and a
-    helper thread each other share, every share in module order, so bodies
-    of different blocks must write disjoint data.  A call of one block runs
-    wholly in the caller.  Returns once every share has finished.
+    The blocks are split into contiguous shares, one per usable CPU (three
+    at most) and at most one per block.  The calling thread runs the first
+    share and a helper thread each other share, every share in module
+    order, so bodies of different blocks must write disjoint data.  A call
+    of one block runs wholly in the caller.  Returns once every share has
+    finished.
 
     Raises ``OverflowError`` before the first block unless the floor's ratio
     and :func:`largest_squared_ratio` are finite, as below a range of about
@@ -207,11 +213,11 @@ def run_ratio_blocks(
     if not (largest_squared_ratio(geom, user) < math.inf and floor_ratio < math.inf):
         raise OverflowError(f"element distances at range {user.range_m:.3g} m overflow")
     starts = range(0, geom.module_count, block_rows(geom.elements_per_module))
-    count = min(_HELPERS + 1, len(starts))
-    if count == 1:
+    if geom.module_count <= starts.step or not _HELPERS:
         _run_share(geom, user, floor_ratio, starts, body)
         return
     blocks = len(starts)
+    count = min(_HELPERS + 1, blocks)
     shares = [
         starts[blocks * k // count : blocks * (k + 1) // count] for k in range(count)
     ]
@@ -238,20 +244,23 @@ def _run_share(
 ) -> None:
     """Make the blocks of :func:`run_ratio_blocks` that begin at the module
     indices ``starts``, one block of ``starts.step`` modules at each, in
-    order, and hand each to ``body``."""
-    modules = _centered(geom.module_count)
+    order, and hand each to ``body``.  A block's module indices are made
+    with it, so a thread holds no array longer than a block, and three of
+    them at most until ``body`` is called."""
+    low = 0.5 * (1 - geom.module_count)  # the first centred module index
     elements = _centered(geom.elements_per_module)
     eps = normalized_spacing(geom, user)
     sin_t, cos_t = math.sin(user.angle_rad), math.cos(user.angle_rad)
     for start in starts:
-        stop = min(start + starts.step, modules.size)
-        ue = geom.stride * modules[start:stop, None] + elements
+        stop = min(start + starts.step, geom.module_count)
+        ue = geom.stride * np.arange(low + start, low + stop)[:, None] + elements
         ue *= eps
         ratios = 1.0 - ue * sin_t  # along the array axis
         ratios *= ratios
         ue *= cos_t  # across it
         ue *= ue
         ratios += ue
+        del ue
         if ratios.min() < floor_ratio:
             raise DegenerateGeometryError(
                 "user lies on the array: an element distance falls below "

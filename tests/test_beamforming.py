@@ -196,6 +196,23 @@ def combined_channel(w, h):
     return complex(np.einsum("i,i->", w, h), imag)
 
 
+def test_combined_channel_and_snr_match_vdot():
+    # combined_channel repeats the module's formula, so np.vdot checks both
+    # independently, to the rounding bound of a dot product of n terms:
+    # |error| <= n * 2**-53 * ||w|| * ||h||, with ||w|| = 1.
+    geom = ArrayGeometry(16, 64, 0.0628, 3.0)
+    response = array_response_nusw(geom, UserLocation(35.0, 0.3), LINK)
+    rng = np.random.Generator(np.random.PCG64(5))
+    pairs = rng.standard_normal((len(response), 2))
+    bound = 1e-15 * len(response) * np.linalg.norm(response)
+    for weights in (mrc_weights(response), unit(pairs[:, 0] + 1j * pairs[:, 1])):
+        expected = np.vdot(weights.weights, response)
+        assert abs(combined_channel(weights.weights, response) - expected) <= bound
+        assert math.sqrt(snr(weights, response, LINK) / LINK.transmit_snr) == (
+            pytest.approx(abs(expected), abs=bound)
+        )
+
+
 def reference_power_estimates(response, weights, sim):
     "(signal, noise) power from one whole-sample pass: every draw at once."
     rng = np.random.Generator(np.random.PCG64(sim.seed))

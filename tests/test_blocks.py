@@ -244,10 +244,10 @@ def test_first_failing_block_raises_after_every_share(monkeypatch):
 
 
 def test_concurrent_callers_share_the_helpers(monkeypatch):
-    # Four callers race to make a pool of four helpers, more than the cores,
-    # and share it on a shortened switch interval.  A lost or misplaced
-    # block would change a sum.
-    monkeypatch.setattr(geometry, "_HELPERS", 4)
+    # Four callers race to make a pool of the most helpers the kernel uses
+    # on any host, and share it on a shortened switch interval.  A lost or
+    # misplaced block would change a sum.
+    monkeypatch.setattr(geometry, "_HELPERS", geometry._MAX_THREADS - 1)
     monkeypatch.setattr(geometry, "_pool", None)
     geom = ArrayGeometry(16, 5 * (BLOCK_ELEMENTS // 16), 0.0628, 2.5)
     users = [UserLocation(50.0 + k, 0.2) for k in range(4)]
@@ -299,15 +299,37 @@ def traced_peak_mb(call):
 
 # One whole-array pass held 38.4 MB at the peak of the exact sum and
 # 51.2 MB in the channel, at 1.6e6 elements.
+MEMORY_GEOMETRY = ArrayGeometry(16, 100_000, 0.0628, 20.0)
+MEMORY_USER = UserLocation(80.0, 0.4)
+
+
+def exact_sum_peak_mb():
+    return traced_peak_mb(lambda: snr_exact_sum(MEMORY_GEOMETRY, MEMORY_USER, LINK))[0]
+
+
+def channel_peak_beyond_output_mb():
+    peak, response = traced_peak_mb(
+        lambda: array_response_nusw(MEMORY_GEOMETRY, MEMORY_USER, LINK)
+    )
+    return peak - response.nbytes / 1e6
+
+
 def test_exact_sum_memory_is_block_sized():
-    geom = ArrayGeometry(16, 100_000, 0.0628, 20.0)
-    peak, _ = traced_peak_mb(lambda: snr_exact_sum(geom, UserLocation(80.0, 0.4), LINK))
-    assert peak <= 10.0
+    assert exact_sum_peak_mb() <= 10.0
 
 
 def test_channel_memory_is_output_plus_blocks():
-    geom = ArrayGeometry(16, 100_000, 0.0628, 20.0)
-    peak, response = traced_peak_mb(
-        lambda: array_response_nusw(geom, UserLocation(80.0, 0.4), LINK)
-    )
-    assert peak <= response.nbytes / 1e6 + 8.0
+    assert channel_peak_beyond_output_mb() <= 8.0
+
+
+def test_memory_bounds_hold_with_the_most_helpers(monkeypatch):
+    # The most helpers that the kernel uses on any host, from a pool of
+    # that size: every thread holds its own block's temporaries.
+    monkeypatch.setattr(geometry, "_HELPERS", geometry._MAX_THREADS - 1)
+    monkeypatch.setattr(geometry, "_pool", None)
+    try:
+        assert exact_sum_peak_mb() <= 10.0
+        assert channel_peak_beyond_output_mb() <= 8.0
+    finally:
+        if geometry._pool is not None:
+            geometry._pool.shutdown()
