@@ -1,10 +1,17 @@
 """Receive beamforming: weight vectors, the resulting SNR, and a seeded
 Monte-Carlo uplink simulation for empirical validation.
 
-Every reduction over the elements is a numpy ``einsum``, never a BLAS call:
-einsum's own loops give the same bits on every CPU and start no thread,
-while OpenBLAS picks its kernel by CPU and, above 10,000 elements, wakes a
-second thread that keeps the other core busy.
+The three passes over the elements, the squared norm, the MRC scaling and
+the combined channel w^H h, run in fixed blocks of ``BLOCK_ELEMENTS``
+elements on :func:`geometry.run_shares`, so every usable CPU (three at
+most) takes a share of the blocks while each block is in cache.  A block's
+sums are numpy ``einsum`` loops, never a BLAS call: einsum's own loops give
+the same bits on every CPU and start no thread, while OpenBLAS picks its
+kernel by CPU and, above 10,000 elements, wakes a thread of its own.  The
+blocks' partial sums are added by :func:`compensated_sum` in block order,
+on the calling thread.  So a vector of one block gets one einsum's bits,
+and a longer one bits that depend on the block boundaries alone, never on
+the number of threads.
 """
 
 from __future__ import annotations
@@ -14,8 +21,12 @@ from dataclasses import dataclass
 from numbers import Integral
 
 from .channel import LinkBudget
-from .geometry import block_rows
+from .geometry import BLOCK_ELEMENTS, block_rows, run_shares
 from .numerics import compensated_sum, np
+
+#: Floats per block of the float64 views: the parts of ``BLOCK_ELEMENTS``
+#: complex elements, 1 MiB.
+_BLOCK_PARTS = 2 * BLOCK_ELEMENTS
 
 
 def _parts(vector: np.ndarray) -> np.ndarray:
@@ -23,20 +34,67 @@ def _parts(vector: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(vector, dtype=np.complex128).view(np.float64)
 
 
+def _total(partials: list) -> float:
+    """The sum of the blocks' partial sums by :func:`compensated_sum`, in
+    block order.  The correctly rounded sum of one value is that value, so
+    one block's partial is returned as it is, without the call."""
+    return partials[0] if len(partials) == 1 else compensated_sum(partials)
+
+
+def _norm_share(args: tuple, share: range) -> None:
+    """Each block's dot product of the parts with themselves, into
+    ``partials``; ``args`` is (parts, partials)."""
+    parts, partials = args
+    step = share.step
+    for start in share:
+        block = parts[start : start + step]
+        partials[start // step] = np.einsum("i,i->", block, block)
+
+
 def _squared_norm(vector: np.ndarray) -> float:
     "Sum of squared magnitudes: the dot product of the parts with themselves."
     parts = _parts(vector)
-    return float(np.einsum("i,i->", parts, parts))
+    starts = range(0, len(parts), _BLOCK_PARTS)
+    partials = [0.0] * len(starts)
+    run_shares(starts, _norm_share, (parts, partials))
+    return _total(partials)
+
+
+def _combine_share(args: tuple, share: range) -> None:
+    """Each block's real and imaginary parts of w^H h, into ``real`` and
+    ``imag``: the dot product of the parts, and sum(w_re h_im) -
+    sum(w_im h_re), read from the block while it is in cache; ``args`` is
+    (w, h, real, imag), with w and h the parts of both vectors."""
+    w, h, real, imag = args
+    step = share.step
+    for start in share:
+        wb, hb = w[start : start + step], h[start : start + step]
+        k = start // step
+        real[k] = np.einsum("i,i->", wb, hb)
+        imag[k] = np.einsum("i,i->", wb[::2], hb[1::2]) - np.einsum(
+            "i,i->", wb[1::2], hb[::2]
+        )
 
 
 def _combine(weights: BeamformingWeights, response: np.ndarray) -> complex:
     """The combined channel w^H h, from the parts of both vectors: no
     conjugated copy of the weights, which at 1.6 million elements would
-    hold 25.6 MB beside the two vectors.  The real part is the dot product
-    of the parts, the imaginary part sum(w_re h_im) - sum(w_im h_re)."""
+    hold 25.6 MB beside the two vectors."""
     w, h = _parts(weights.weights), _parts(response)
-    imag = np.einsum("i,i->", w[::2], h[1::2]) - np.einsum("i,i->", w[1::2], h[::2])
-    return complex(np.einsum("i,i->", w, h), imag)
+    starts = range(0, len(w), _BLOCK_PARTS)
+    real, imag = [0.0] * len(starts), [0.0] * len(starts)
+    run_shares(starts, _combine_share, (w, h, real, imag))
+    return complex(_total(real), _total(imag))
+
+
+def _scale_share(args: tuple, share: range) -> None:
+    """Each block of ``response`` times ``scale``, into the same block of
+    ``out``; ``args`` is (response, scale, out)."""
+    response, scale, out = args
+    step = share.step
+    for start in share:
+        stop = start + step
+        np.multiply(response[start:stop], scale, out=out[start:stop])
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,13 +137,18 @@ class UplinkSimulation:
 
 
 def mrc_weights(response: np.ndarray) -> BeamformingWeights:
-    "Maximal-ratio combining weights: the response normalised to unit norm."
+    """Maximal-ratio combining weights: the response normalised to unit
+    norm, written block by block into one new array."""
+    response = np.ascontiguousarray(response, dtype=np.complex128)
     norm = math.sqrt(_squared_norm(response))
     if not 0 < norm < math.inf:
         raise ValueError(f"cannot normalise a response vector of norm {norm}")
+    weights = np.empty_like(response)
     # numpy divides by a real scalar as a product with its reciprocal, so
     # this multiplication gives the same bits without the complex division.
-    return BeamformingWeights(response * (1.0 / norm))
+    starts = range(0, len(response), BLOCK_ELEMENTS)
+    run_shares(starts, _scale_share, (response, 1.0 / norm, weights))
+    return BeamformingWeights(weights)
 
 
 def snr(weights: BeamformingWeights, response: np.ndarray, link: LinkBudget) -> float:

@@ -1,5 +1,5 @@
-"""Modular uniform-linear-array layout: spans and the blocked, threaded
-kernel of element-to-user distances.
+"""Modular uniform-linear-array layout: spans, the blocked kernel of
+element-to-user distances, and the runner that puts blocks on threads.
 
 The array lies on the y axis, symmetric about the origin.  A layout consists
 of ``module_count`` modules of ``elements_per_module`` antenna elements each.
@@ -27,16 +27,18 @@ from .numerics import np
 #: Element-to-user distances below this floor (metres) are rejected: the 1/r
 #: free-space amplitude model diverges as the user reaches an element.
 DISTANCE_FLOOR_M = 1e-9
-#: Elements per block of the distance kernel and of the Monte-Carlo uplink.
-#: A block of 65,536 float64 values is 512 KiB, so the few arrays of one
-#: block stay within a 4 MiB L2 cache while it is run through.  A block
-#: holds whole rows (modules, or uplink samples), and at least one.
+#: Elements per block of the distance kernel, of the Monte-Carlo uplink and
+#: of the beamforming reductions.  A block of 65,536 float64 values is
+#: 512 KiB, so the few arrays of one block stay within a 4 MiB L2 cache
+#: while it is run through.  A kernel or uplink block holds whole rows
+#: (modules, or uplink samples), and at least one.
 BLOCK_ELEMENTS = 1 << 16
-#: Threads of the distance kernel at most, the caller's among them.  Each
-#: holds at most four arrays of one block at once (2.1 MB at 65,536
-#: elements), so a call's temporaries stay within 6.3 MB on any host.
+#: Threads of :func:`run_shares` at most, the caller's among them.  A
+#: thread of the distance kernel holds at most four arrays of one block at
+#: once (2.1 MB at 65,536 elements), so a call's temporaries stay within
+#: 6.3 MB on any host.
 _MAX_THREADS = 3
-#: Helper threads of the distance kernel: one for each usable CPU but the
+#: Helper threads of :func:`run_shares`: one for each usable CPU but the
 #: caller's, within ``_MAX_THREADS``.
 _HELPERS = min(
     _MAX_THREADS,
@@ -194,12 +196,9 @@ def run_ratio_blocks(
     (modules, elements per module).  Each block is a fresh array that the
     body owns.
 
-    The blocks are split into contiguous shares, one per usable CPU (three
-    at most) and at most one per block.  The calling thread runs the first
-    share and a helper thread each other share, every share in module
-    order, so bodies of different blocks must write disjoint data.  A call
-    of one block runs wholly in the caller.  Returns once every share has
-    finished.
+    The blocks run on :func:`run_shares`: the calling thread runs the
+    first contiguous share and helper threads the others, every share in
+    module order, so bodies of different blocks must write disjoint data.
 
     Raises ``OverflowError`` before the first block unless the floor's ratio
     and :func:`largest_squared_ratio` are finite, as below a range of about
@@ -213,21 +212,37 @@ def run_ratio_blocks(
     if not (largest_squared_ratio(geom, user) < math.inf and floor_ratio < math.inf):
         raise OverflowError(f"element distances at range {user.range_m:.3g} m overflow")
     starts = range(0, geom.module_count, block_rows(geom.elements_per_module))
-    if geom.module_count <= starts.step or not _HELPERS:
-        _run_share(geom, user, floor_ratio, starts, body)
-        return
+    run_shares(starts, _ratio_share, (geom, user, floor_ratio, body))
+
+
+def run_shares(
+    starts: range, work: Callable[[tuple, range], None], args: tuple
+) -> None:
+    """Run ``work(args, share)`` over contiguous shares of the blocks that
+    begin at ``starts``: the toolkit's one runner of blocks on threads.
+
+    The shares are one per usable CPU (three at most) and at most one per
+    block.  The calling thread runs the first share and a helper thread
+    each other share, so work on different blocks must write disjoint data.
+    A call of one block, or on one usable CPU, runs wholly in the caller.
+    Returns once every share has finished.  An error of ``work`` is raised
+    from the first share that failed, in block order, after every share
+    has finished, so no thread still writes to the caller's arrays.
+    ``args`` is one tuple, not spread arguments: a call through ``*args``
+    cost a one-block call about 0.3 us more, on CPython 3.11.
+    """
     blocks = len(starts)
+    if blocks <= 1 or not _HELPERS:
+        work(args, starts)
+        return
     count = min(_HELPERS + 1, blocks)
     shares = [
         starts[blocks * k // count : blocks * (k + 1) // count] for k in range(count)
     ]
     pool = _helper_pool()
-    helpers = [
-        pool.submit(_run_share, geom, user, floor_ratio, share, body)
-        for share in shares[1:]
-    ]
+    helpers = [pool.submit(work, args, share) for share in shares[1:]]
     try:
-        _run_share(geom, user, floor_ratio, shares[0], body)
+        work(args, shares[0])
     finally:
         for helper in helpers:
             helper.exception()  # waits; a helper's error is raised below
@@ -235,18 +250,14 @@ def run_ratio_blocks(
         helper.result()
 
 
-def _run_share(
-    geom: ArrayGeometry,
-    user: UserLocation,
-    floor_ratio: float,
-    starts: range,
-    body: Callable[[slice, np.ndarray], None],
-) -> None:
+def _ratio_share(args: tuple, starts: range) -> None:
     """Make the blocks of :func:`run_ratio_blocks` that begin at the module
     indices ``starts``, one block of ``starts.step`` modules at each, in
-    order, and hand each to ``body``.  A block's module indices are made
-    with it, so a thread holds no array longer than a block, and three of
-    them at most until ``body`` is called."""
+    order, and hand each to ``body``; ``args`` is (geom, user, floor_ratio,
+    body).  A block's module indices are made with it, so a thread holds no
+    array longer than a block, and three of them at most until ``body`` is
+    called."""
+    geom, user, floor_ratio, body = args
     low = 0.5 * (1 - geom.module_count)  # the first centred module index
     elements = _centered(geom.elements_per_module)
     eps = normalized_spacing(geom, user)

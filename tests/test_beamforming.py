@@ -8,6 +8,8 @@ from modxl import geometry
 from modxl.beamforming import (
     BeamformingWeights,
     UplinkSimulation,
+    _combine,
+    _squared_norm,
     complex_gaussian,
     mrc_weights,
     simulate_uplink,
@@ -271,3 +273,107 @@ class TestUplinkBlocks:
         finally:
             tracemalloc.stop()
         assert peak_mb <= 50_000 * 8 / 1e6 + 4 * block_mb
+
+
+def random_vector(rng, n):
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+#: The channel at 1.6e6 elements, and a vector of three full blocks and a
+#: tail of seven elements.
+LONG_GEOMETRY = ArrayGeometry(16, 100_000, 0.0628, 20.0)
+LONG_USER = UserLocation(80.0, 0.4)
+TAILED = 3 * BLOCK_ELEMENTS + 7
+
+
+@pytest.fixture(scope="module")
+def long_response():
+    return array_response_nusw(LONG_GEOMETRY, LONG_USER, LINK)
+
+
+class TestBlockedReductions:
+    """The squared norm, the MRC scaling and w^H h run in fixed blocks of
+    ``BLOCK_ELEMENTS`` elements on the usable CPUs.  A vector of one block
+    must give one pass's bits, a longer one the same bits on any number of
+    threads, and neither may copy its vectors."""
+
+    @staticmethod
+    def results(monkeypatch, helpers, response, weights):
+        "Each blocked result's bits, computed with ``helpers`` helper threads."
+        monkeypatch.setattr(geometry, "_HELPERS", helpers)
+        monkeypatch.setattr(geometry, "_pool", None)
+        try:
+            mrc = mrc_weights(response)
+            combined = _combine(weights, response)
+            bits = (
+                _squared_norm(response).hex(),
+                combined.real.hex(),
+                combined.imag.hex(),
+                mrc.weights.tobytes(),
+                snr(mrc, response, LINK).hex(),
+            )
+            assert (geometry._pool is not None) == (helpers > 0)
+            return bits
+        finally:
+            if geometry._pool is not None:
+                geometry._pool.shutdown()
+
+    @pytest.mark.parametrize("size", ["long", "tailed"])
+    def test_bits_do_not_depend_on_the_threads(self, monkeypatch, long_response, size):
+        rng = np.random.Generator(np.random.PCG64(17))
+        response = long_response if size == "long" else random_vector(rng, TAILED)
+        weights = unit(random_vector(rng, len(response)))
+        bits = [
+            self.results(monkeypatch, helpers, response, weights)
+            for helpers in (0, 1, geometry._MAX_THREADS - 1)
+        ]
+        assert bits[1] == bits[0] and bits[2] == bits[0]
+
+    @pytest.mark.parametrize("n", [1, 7, 320, BLOCK_ELEMENTS])
+    def test_one_block_is_one_pass(self, n):
+        rng = np.random.Generator(np.random.PCG64(n))
+        response = random_vector(rng, n)
+        weights = unit(random_vector(rng, n))
+        parts = response.view(np.float64)
+        norm_sq = np.einsum("i,i->", parts, parts)
+        assert _squared_norm(response).hex() == norm_sq.hex()
+        mrc = mrc_weights(response)
+        assert mrc.weights.tobytes() == (response * (1.0 / math.sqrt(norm_sq))).tobytes()
+        for w in (weights, mrc):
+            combined = combined_channel(w.weights, response)
+            assert _combine(w, response) == combined
+            assert snr(w, response, LINK) == LINK.transmit_snr * abs(combined) ** 2
+
+    def test_fsum_of_the_products(self):
+        # An exact sum of the rounded products, independent of the blocks:
+        # relative to |w| |h|, the bound of a dot product's error.
+        rng = np.random.Generator(np.random.PCG64(23))
+        response = random_vector(rng, TAILED)
+        h = response.view(np.float64)
+        norm_sq = math.fsum(h * h)
+        assert _squared_norm(response) == pytest.approx(norm_sq, rel=1e-15, abs=0)
+        for weights in (mrc_weights(response), unit(random_vector(rng, TAILED))):
+            w = weights.weights.view(np.float64)
+            real = math.fsum(w * h)
+            imag = math.fsum(np.concatenate([w[::2] * h[1::2], -w[1::2] * h[::2]]))
+            combined = _combine(weights, response)
+            bound = 1e-15 * math.sqrt(norm_sq)
+            assert abs(combined.real - real) <= bound
+            assert abs(combined.imag - imag) <= bound
+
+    def test_memory_is_the_output_alone(self, long_response):
+        weights = mrc_weights(long_response)
+        assert traced_peak(lambda: _squared_norm(long_response)) < 1e6
+        assert traced_peak(lambda: snr(weights, long_response, LINK)) < 1e6
+        output = long_response.nbytes
+        assert traced_peak(lambda: mrc_weights(long_response)) - output < 1e6
+
+
+def traced_peak(call):
+    "Peak traced memory of ``call()``, bytes, counting what it returns."
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
