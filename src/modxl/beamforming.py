@@ -2,16 +2,18 @@
 Monte-Carlo uplink simulation for empirical validation.
 
 The three passes over the elements, the squared norm, the MRC scaling and
-the combined channel w^H h, run in fixed blocks of ``BLOCK_ELEMENTS``
-elements on :func:`geometry.run_shares`, so every usable CPU (three at
-most) takes a share of the blocks while each block is in cache.  A block's
-sums are numpy ``einsum`` loops, never a BLAS call: einsum's own loops give
-the same bits on every CPU and start no thread, while OpenBLAS picks its
-kernel by CPU and, above 10,000 elements, wakes a thread of its own.  The
-blocks' partial sums are added by :func:`compensated_sum` in block order,
-on the calling thread.  So a vector of one block gets one einsum's bits,
-and a longer one bits that depend on the block boundaries alone, never on
-the number of threads.
+the combined channel w^H h, state what one block of ``BLOCK_ELEMENTS``
+elements does, and :func:`geometry.run_blocks` runs the blocks on every
+usable CPU (three at most) and returns their results in block order: the
+partial sums of the norm and of w^H h, and nothing for the scaling, which
+writes its block of the weights.  A block's sums are numpy ``einsum``
+loops over its interleaved real and imaginary parts, never a BLAS call:
+einsum's own loops give the same bits on every CPU and start no thread,
+while OpenBLAS picks its kernel by CPU and, above 10,000 elements, wakes a
+thread of its own.  :func:`compensated_sum` adds the partials in block
+order on the calling thread.  So a vector of one block gets one einsum's
+bits, and a longer one bits that depend on the block boundaries alone,
+never on the number of threads.
 """
 
 from __future__ import annotations
@@ -21,80 +23,52 @@ from dataclasses import dataclass
 from numbers import Integral
 
 from .channel import LinkBudget
-from .geometry import BLOCK_ELEMENTS, block_rows, run_shares
+from .geometry import BLOCK_ELEMENTS, block_rows, run_blocks
 from .numerics import compensated_sum, np
 
-#: Floats per block of the float64 views: the parts of ``BLOCK_ELEMENTS``
-#: complex elements, 1 MiB.
-_BLOCK_PARTS = 2 * BLOCK_ELEMENTS
 
-
-def _parts(vector: np.ndarray) -> np.ndarray:
-    "The interleaved real and imaginary parts of a complex vector, as float64."
-    return np.ascontiguousarray(vector, dtype=np.complex128).view(np.float64)
-
-
-def _total(partials: list) -> float:
-    """The sum of the blocks' partial sums by :func:`compensated_sum`, in
-    block order.  The correctly rounded sum of one value is that value, so
-    one block's partial is returned as it is, without the call."""
-    return partials[0] if len(partials) == 1 else compensated_sum(partials)
-
-
-def _norm_share(args: tuple, share: range) -> None:
-    """Each block's dot product of the parts with themselves, into
-    ``partials``; ``args`` is (parts, partials)."""
-    parts, partials = args
-    step = share.step
-    for start in share:
-        block = parts[start : start + step]
-        partials[start // step] = np.einsum("i,i->", block, block)
+def _norm_block(vector: np.ndarray, start: int, stop: int) -> float:
+    "The block's dot product of its real and imaginary parts with themselves."
+    parts = vector[start:stop].view(np.float64)
+    return np.einsum("i,i->", parts, parts)
 
 
 def _squared_norm(vector: np.ndarray) -> float:
-    "Sum of squared magnitudes: the dot product of the parts with themselves."
-    parts = _parts(vector)
-    starts = range(0, len(parts), _BLOCK_PARTS)
-    partials = [0.0] * len(starts)
-    run_shares(starts, _norm_share, (parts, partials))
-    return _total(partials)
+    "Sum of squared magnitudes of a complex vector, block by block."
+    vector = np.ascontiguousarray(vector, dtype=np.complex128)
+    return compensated_sum(run_blocks(len(vector), BLOCK_ELEMENTS, _norm_block, vector))
 
 
-def _combine_share(args: tuple, share: range) -> None:
-    """Each block's real and imaginary parts of w^H h, into ``real`` and
-    ``imag``: the dot product of the parts, and sum(w_re h_im) -
-    sum(w_im h_re), read from the block while it is in cache; ``args`` is
-    (w, h, real, imag), with w and h the parts of both vectors."""
-    w, h, real, imag = args
-    step = share.step
-    for start in share:
-        wb, hb = w[start : start + step], h[start : start + step]
-        k = start // step
-        real[k] = np.einsum("i,i->", wb, hb)
-        imag[k] = np.einsum("i,i->", wb[::2], hb[1::2]) - np.einsum(
-            "i,i->", wb[1::2], hb[::2]
-        )
+def _combine_block(args: tuple, start: int, stop: int) -> tuple:
+    """The block's (real, imaginary) parts of w^H h: the dot product of the
+    parts of both vectors, and sum(w_re h_im) - sum(w_im h_re); ``args``
+    is (w, h)."""
+    w, h = args
+    wb, hb = w[start:stop].view(np.float64), h[start:stop].view(np.float64)
+    imag = np.einsum("i,i->", wb[::2], hb[1::2]) - np.einsum("i,i->", wb[1::2], hb[::2])
+    return np.einsum("i,i->", wb, hb), imag
 
 
 def _combine(weights: BeamformingWeights, response: np.ndarray) -> complex:
     """The combined channel w^H h, from the parts of both vectors: no
     conjugated copy of the weights, which at 1.6 million elements would
     hold 25.6 MB beside the two vectors."""
-    w, h = _parts(weights.weights), _parts(response)
-    starts = range(0, len(w), _BLOCK_PARTS)
-    real, imag = [0.0] * len(starts), [0.0] * len(starts)
-    run_shares(starts, _combine_share, (w, h, real, imag))
-    return complex(_total(real), _total(imag))
+    if len(weights) != len(response):
+        raise ValueError(
+            f"weights length {len(weights)} != response length {len(response)}"
+        )
+    h = np.ascontiguousarray(response, dtype=np.complex128)
+    real, imag = zip(
+        *run_blocks(len(h), BLOCK_ELEMENTS, _combine_block, (weights.weights, h))
+    )
+    return complex(compensated_sum(real), compensated_sum(imag))
 
 
-def _scale_share(args: tuple, share: range) -> None:
-    """Each block of ``response`` times ``scale``, into the same block of
+def _scale_block(args: tuple, start: int, stop: int) -> None:
+    """The block of ``response`` times ``scale``, into the same block of
     ``out``; ``args`` is (response, scale, out)."""
     response, scale, out = args
-    step = share.step
-    for start in share:
-        stop = start + step
-        np.multiply(response[start:stop], scale, out=out[start:stop])
+    np.multiply(response[start:stop], scale, out=out[start:stop])
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,7 +78,7 @@ class BeamformingWeights:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.weights, dtype=np.complex128)
+        arr = np.ascontiguousarray(self.weights, dtype=np.complex128)
         norm = math.sqrt(_squared_norm(arr))
         if not abs(norm - 1.0) <= 1e-12:
             raise ValueError(f"weights must have unit norm, got {norm!r}")
@@ -146,18 +120,14 @@ def mrc_weights(response: np.ndarray) -> BeamformingWeights:
     weights = np.empty_like(response)
     # numpy divides by a real scalar as a product with its reciprocal, so
     # this multiplication gives the same bits without the complex division.
-    starts = range(0, len(response), BLOCK_ELEMENTS)
-    run_shares(starts, _scale_share, (response, 1.0 / norm, weights))
+    args = (response, 1.0 / norm, weights)
+    run_blocks(len(response), BLOCK_ELEMENTS, _scale_block, args)
     return BeamformingWeights(weights)
 
 
 def snr(weights: BeamformingWeights, response: np.ndarray, link: LinkBudget) -> float:
     """Linear SNR after receive beamforming: transmit SNR times the squared
     magnitude of the combined channel."""
-    if len(weights) != len(response):
-        raise ValueError(
-            f"weights length {len(weights)} != response length {len(response)}"
-        )
     return link.transmit_snr * abs(_combine(weights, response)) ** 2
 
 
@@ -188,10 +158,8 @@ def uplink_power_estimates(
     stream in C order, so the values drawn, and with them the estimate's
     bits, do not depend on the block size.
     """
-    if len(weights) != len(response):
-        raise ValueError(
-            f"weights length {len(weights)} != response length {len(response)}"
-        )
+    # _combine checks the lengths, before anything is drawn.
+    signal_power = sim.transmit_power * abs(_combine(weights, response)) ** 2
     conj_weights = np.conj(weights.weights)
     count = sim.sample_count
     rows = block_rows(len(response))
@@ -204,7 +172,6 @@ def uplink_power_estimates(
         combined_noise = np.einsum("ij,j->i", noise, conj_weights)
         noise_samples[start:stop] = np.abs(combined_noise) ** 2
 
-    signal_power = sim.transmit_power * abs(_combine(weights, response)) ** 2
     noise_power = compensated_sum(memoryview(noise_samples)) / count
     return signal_power, noise_power
 

@@ -1,5 +1,6 @@
 """Modular uniform-linear-array layout: spans, the blocked kernel of
-element-to-user distances, and the runner that puts blocks on threads.
+element-to-user distances, and :func:`run_blocks`, which runs a function on
+each block on threads and returns the results in block order.
 
 The array lies on the y axis, symmetric about the origin.  A layout consists
 of ``module_count`` modules of ``elements_per_module`` antenna elements each.
@@ -33,12 +34,12 @@ DISTANCE_FLOOR_M = 1e-9
 #: while it is run through.  A kernel or uplink block holds whole rows
 #: (modules, or uplink samples), and at least one.
 BLOCK_ELEMENTS = 1 << 16
-#: Threads of :func:`run_shares` at most, the caller's among them.  A
+#: Threads of :func:`run_blocks` at most, the caller's among them.  A
 #: thread of the distance kernel holds at most four arrays of one block at
 #: once (2.1 MB at 65,536 elements), so a call's temporaries stay within
 #: 6.3 MB on any host.
 _MAX_THREADS = 3
-#: Helper threads of :func:`run_shares`: one for each usable CPU but the
+#: Helper threads of :func:`run_blocks`: one for each usable CPU but the
 #: caller's, within ``_MAX_THREADS``.
 _HELPERS = min(
     _MAX_THREADS,
@@ -196,7 +197,7 @@ def run_ratio_blocks(
     (modules, elements per module).  Each block is a fresh array that the
     body owns.
 
-    The blocks run on :func:`run_shares`: the calling thread runs the
+    The blocks run on :func:`run_blocks`: the calling thread runs the
     first contiguous share and helper threads the others, every share in
     module order, so bodies of different blocks must write disjoint data.
 
@@ -211,70 +212,82 @@ def run_ratio_blocks(
     floor_ratio = floor * floor
     if not (largest_squared_ratio(geom, user) < math.inf and floor_ratio < math.inf):
         raise OverflowError(f"element distances at range {user.range_m:.3g} m overflow")
-    starts = range(0, geom.module_count, block_rows(geom.elements_per_module))
-    run_shares(starts, _ratio_share, (geom, user, floor_ratio, body))
+    rows = block_rows(geom.elements_per_module)
+    run_blocks(geom.module_count, rows, _ratio_block, (geom, user, floor_ratio, body))
 
 
-def run_shares(
-    starts: range, work: Callable[[tuple, range], None], args: tuple
-) -> None:
-    """Run ``work(args, share)`` over contiguous shares of the blocks that
-    begin at ``starts``: the toolkit's one runner of blocks on threads.
+def run_blocks(
+    count: int, step: int, work: Callable[[object, int, int], object], args: object
+) -> list:
+    """The results of ``work(args, start, stop)`` on each block of ``step``
+    items of ``range(count)`` (the last may be shorter), in block order:
+    the toolkit's one runner of blocks on threads.
 
-    The shares are one per usable CPU (three at most) and at most one per
-    block.  The calling thread runs the first share and a helper thread
-    each other share, so work on different blocks must write disjoint data.
-    A call of one block, or on one usable CPU, runs wholly in the caller.
-    Returns once every share has finished.  An error of ``work`` is raised
-    from the first share that failed, in block order, after every share
-    has finished, so no thread still writes to the caller's arrays.
-    ``args`` is one tuple, not spread arguments: a call through ``*args``
-    cost a one-block call about 0.3 us more, on CPython 3.11.
+    The blocks are split into contiguous shares, one per usable CPU (three
+    at most) and at most one per block.  The calling thread runs the first
+    share and a helper thread each other share, every share in block
+    order, so work on different blocks must write disjoint data.  One
+    block, or any number on one usable CPU, runs wholly in the caller.  An
+    error of ``work`` is raised from the first failing block in block
+    order, after every share has finished, so no thread still writes to
+    the caller's arrays.  ``args`` is one object, not spread arguments: a
+    call through ``*args`` cost a one-block call about 0.3 us more, on
+    CPython 3.11.
     """
+    if count <= step:
+        return [work(args, 0, count)]
+    starts = range(0, count, step)
+    if not _HELPERS:
+        return _run_share(work, args, count, starts)
     blocks = len(starts)
-    if blocks <= 1 or not _HELPERS:
-        work(args, starts)
-        return
-    count = min(_HELPERS + 1, blocks)
+    threads = min(_HELPERS + 1, blocks)
     shares = [
-        starts[blocks * k // count : blocks * (k + 1) // count] for k in range(count)
+        starts[blocks * k // threads : blocks * (k + 1) // threads]
+        for k in range(threads)
     ]
     pool = _helper_pool()
-    helpers = [pool.submit(work, args, share) for share in shares[1:]]
+    helpers = [pool.submit(_run_share, work, args, count, s) for s in shares[1:]]
     try:
-        work(args, shares[0])
+        results = _run_share(work, args, count, shares[0])
     finally:
         for helper in helpers:
             helper.exception()  # waits; a helper's error is raised below
     for helper in helpers:
-        helper.result()
+        results += helper.result()
+    return results
 
 
-def _ratio_share(args: tuple, starts: range) -> None:
-    """Make the blocks of :func:`run_ratio_blocks` that begin at the module
-    indices ``starts``, one block of ``starts.step`` modules at each, in
-    order, and hand each to ``body``; ``args`` is (geom, user, floor_ratio,
-    body).  A block's module indices are made with it, so a thread holds no
-    array longer than a block, and three of them at most until ``body`` is
-    called."""
+def _run_share(work: Callable, args: object, count: int, starts: range) -> list:
+    "The results of ``work`` on the blocks that begin at ``starts``, in order."
+    step = starts.step
+    return [work(args, start, min(start + step, count)) for start in starts]
+
+
+def _ratio_block(args: tuple, start: int, stop: int) -> None:
+    """Make the block of :func:`run_ratio_blocks` of modules ``start`` to
+    ``stop`` and hand it to ``body``; ``args`` is (geom, user, floor_ratio,
+    body).  The block's module indices are made with it, so a thread holds
+    no array longer than a block, and two of them at most until ``body``
+    is called: a third, as ``1.0 - ue * sin``, took the memory each block
+    frees over glibc's trim threshold, and the exact sum at 1.6 million
+    elements then faulted every block's pages in again (8,640 page faults
+    a call against 419)."""
     geom, user, floor_ratio, body = args
     low = 0.5 * (1 - geom.module_count)  # the first centred module index
-    elements = _centered(geom.elements_per_module)
     eps = normalized_spacing(geom, user)
-    sin_t, cos_t = math.sin(user.angle_rad), math.cos(user.angle_rad)
-    for start in starts:
-        stop = min(start + starts.step, geom.module_count)
-        ue = geom.stride * np.arange(low + start, low + stop)[:, None] + elements
-        ue *= eps
-        ratios = 1.0 - ue * sin_t  # along the array axis
-        ratios *= ratios
-        ue *= cos_t  # across it
-        ue *= ue
-        ratios += ue
-        del ue
-        if ratios.min() < floor_ratio:
-            raise DegenerateGeometryError(
-                "user lies on the array: an element distance falls below "
-                f"{DISTANCE_FLOOR_M:.0e} m"
-            )
-        body(slice(start, stop), ratios)
+    elements = _centered(geom.elements_per_module)
+    ue = geom.stride * np.arange(low + start, low + stop)[:, None] + elements
+    ue *= eps
+    ratios = ue * math.sin(user.angle_rad)
+    np.subtract(1.0, ratios, out=ratios)  # along the array axis
+    ratios *= ratios
+    ue *= math.cos(user.angle_rad)  # across it
+    ue *= ue
+    ratios += ue
+    del ue
+    if ratios.min() < floor_ratio:
+        raise DegenerateGeometryError(
+            "user lies on the array: an element distance falls below "
+            f"{DISTANCE_FLOOR_M:.0e} m"
+        )
+    body(slice(start, stop), ratios)

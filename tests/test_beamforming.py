@@ -33,6 +33,13 @@ class TestBeamformingWeights:
         assert len(w) == 2
         with pytest.raises(ValueError):
             w.weights[0] = 1.0
+        # A strided view is stored as a contiguous copy, which the blocked
+        # reductions view as float64.
+        strided = BeamformingWeights(np.array([0.6, 9.0, 0.8j, 9.0])[::2])
+        assert strided.weights.tobytes() == w.weights.tobytes()
+        assert snr(strided, np.array([1.0, 1.0j]), LINK) == snr(
+            w, np.array([1.0, 1.0j]), LINK
+        )
 
     @pytest.mark.parametrize(
         "vector", [[1.0, 1.0], [0.5], [0.0, 0.0], [np.nan, 0.0], [np.inf, 0.0]]

@@ -1,4 +1,4 @@
-"""The blocked distance kernel and its consumers.
+"""The block runner, the blocked distance kernel and its consumers.
 
 The kernel runs in blocks of whole modules of at most ``BLOCK_ELEMENTS``
 elements, split into contiguous shares: the caller runs the first, helper
@@ -177,6 +177,29 @@ def block_threads(geom, user):
 
     run_ratio_blocks(geom, user, body)
     return [threads[block] for block in sorted(threads)]
+
+
+STEP = 5
+
+
+@pytest.mark.parametrize("helpers", [0, 1, geometry._MAX_THREADS - 1])
+@pytest.mark.parametrize(
+    "count",
+    # Last blocks of 1, STEP - 1 and STEP items, after 0, 1 and 6 full ones.
+    [1, STEP - 1, STEP, STEP + 1, 2 * STEP - 1, 2 * STEP]
+    + [6 * STEP + 1, 7 * STEP - 1, 7 * STEP],
+)
+def test_run_blocks_returns_each_block_in_order(monkeypatch, helpers, count):
+    monkeypatch.setattr(geometry, "_HELPERS", helpers)
+    monkeypatch.setattr(geometry, "_pool", None)
+    try:
+        results = geometry.run_blocks(count, STEP, lambda args, *block: block, None)
+    finally:
+        if geometry._pool is not None:
+            geometry._pool.shutdown()
+    assert results == [
+        (start, min(start + STEP, count)) for start in range(0, count, STEP)
+    ]
 
 
 def test_one_block_runs_in_the_caller(monkeypatch):

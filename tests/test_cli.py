@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy
 import pytest
 
-from modxl import sweep
+from modxl import cli, sweep
 from modxl.cli import CSV_HEADER, main
+from modxl.errors import SweepPointError
 from modxl.snr_models import SnrModel
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -576,6 +577,25 @@ class TestSweep:
                      str(tmp_path / "missing" / "x.csv")])
         assert code == 4
         capsys.readouterr()
+
+    def test_programming_error_is_not_a_usage_error(self, tmp_path, monkeypatch):
+        # An exception outside the documented families is a bug: main lets
+        # it through with its own type, raised directly or as the cause of
+        # a failed sweep point, instead of reporting an exit code.
+        def bug(*args):
+            raise RuntimeError("a bug")
+
+        monkeypatch.setattr(cli, "evaluate_models", bug)
+        monkeypatch.setattr(sweep, "evaluate_models", bug)
+        with pytest.raises(RuntimeError, match="^a bug$") as raised:
+            main(["eval"])
+        assert type(raised.value) is RuntimeError
+        target = tmp_path / "x.csv"
+        with pytest.raises(SweepPointError) as raised:
+            main(["sweep", "--steps", "2", "--out", str(target)])
+        assert type(raised.value.__cause__) is RuntimeError
+        assert str(raised.value.__cause__) == "a bug"
+        assert not target.exists()
 
 
 class TestConfig:

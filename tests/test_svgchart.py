@@ -80,6 +80,10 @@ class TestRenderLineChart:
         root = ET.fromstring(doc)
         texts = {t.text for t in root.iter(f"{SVG_NS}text")}
         assert {"1", "10", "100", "1000"} <= texts
+        # No decade lies within [2, 8]: the axis falls back to its ends.
+        doc = render(ChartSeries("b", (2.0, 8.0), (1.0, 1.0)), log_x=True)
+        texts = {t.text for t in ET.fromstring(doc).iter(f"{SVG_NS}text")}
+        assert {"2", "8"} <= texts
 
     def test_deterministic(self):
         assert render(simple_series()) == render(simple_series())
