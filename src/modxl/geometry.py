@@ -237,16 +237,14 @@ def run_blocks(
     if count <= step:
         return [work(args, 0, count)]
     starts = range(0, count, step)
-    if not _HELPERS:
-        return _run_share(work, args, count, starts)
     blocks = len(starts)
     threads = min(_HELPERS + 1, blocks)
     shares = [
         starts[blocks * k // threads : blocks * (k + 1) // threads]
         for k in range(threads)
     ]
-    pool = _helper_pool()
-    helpers = [pool.submit(_run_share, work, args, count, s) for s in shares[1:]]
+    helpers = [_helper_pool().submit(_run_share, work, args, count, share)
+               for share in shares[1:]]
     try:
         results = _run_share(work, args, count, shares[0])
     finally:

@@ -40,8 +40,8 @@ def compensated_sum(values: Iterable[float]) -> float:
     """Sum ``values`` with exact compensated accumulation.
 
     Backed by Shewchuk partial sums (``math.fsum``), so the result is the
-    correctly rounded sum of the inputs and depends only on the input order,
-    never on chunking.
+    correctly rounded sum of the inputs and depends on neither their order
+    nor their chunking.
     """
     return math.fsum(values)
 

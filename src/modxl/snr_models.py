@@ -387,6 +387,17 @@ def snr_double_integral(
     return report
 
 
+#: Each model's function, in a module-level dict so that a tracer can swap it.
+EVALUATORS = {
+    SnrModel.EXACT_SUM: snr_exact_sum,
+    SnrModel.CLOSED_FORM: snr_closed_form,
+    SnrModel.COLLOCATED: snr_collocated,
+    SnrModel.ASYMPTOTIC: snr_asymptotic,
+    SnrModel.UPW: snr_upw,
+    SnrModel.INTEGRAL: snr_double_integral,
+}
+
+
 @functools.cache
 def _gauss_legendre_rules() -> tuple:
     """Nodes and weights on [-1, 1] of the 16- and 8-point Gauss-Legendre

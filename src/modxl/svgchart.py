@@ -19,6 +19,10 @@ _MARGIN_RIGHT = 18
 _MARGIN_TOP = 30
 _MARGIN_BOTTOM = 56
 
+#: The narrowest extent an axis maps as it is.  Near 1e-306 its pixel scale
+#: overflows and near 1e-323 its tick step rounds to 0; narrower is flat.
+_NARROWEST = 1e-300
+
 _PALETTE = (
     "#1f77b4",
     "#d62728",
@@ -63,7 +67,7 @@ def _nice_step(raw: float) -> float:
 
 
 def _linear_ticks(lo: float, hi: float, target: int = 6) -> List[float]:
-    if hi <= lo:
+    if not hi - lo >= _NARROWEST:
         return [lo]
     step = _nice_step((hi - lo) / max(target - 1, 1))
     first = math.ceil(lo / step)
@@ -77,7 +81,7 @@ def _log_ticks(lo: float, hi: float) -> List[float]:
     last = math.floor(math.log10(hi) + 1e-12)
     ticks = [10.0**k for k in range(first, last + 1)]
     if len(ticks) < 2:
-        return [lo, hi]
+        return [lo, hi] if hi > lo else [lo]
     return ticks
 
 
@@ -92,9 +96,9 @@ class _Mapper:
         self.log = log
         if log:
             lo, hi = math.log10(lo), math.log10(hi)
-        if hi == lo:
-            # Flat extent: pad so the line sits mid-box.
-            pad = 0.5 if lo == 0 else abs(lo) * 0.05
+        if not hi - lo >= _NARROWEST:
+            # Flat extent, or too narrow to map: pad so the line sits mid-box.
+            pad = max(abs(lo) * 0.05, 0.5)
             lo, hi = lo - pad, hi + pad
         self._lo = lo
         self._scale = (pix_hi - pix_lo) / (hi - lo)
@@ -158,8 +162,8 @@ def render_line_chart(
     if log_x:
         x_ticks = _log_ticks(x_lo, x_hi)
     else:
-        x_ticks = _linear_ticks(x_lo, x_hi) or [x_lo, x_hi]
-    y_ticks = _linear_ticks(y_lo, y_hi) or [y_lo, y_hi]
+        x_ticks = _linear_ticks(x_lo, x_hi)
+    y_ticks = _linear_ticks(y_lo, y_hi)
 
     for t in x_ticks:
         px = map_x(t)

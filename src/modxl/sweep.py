@@ -16,30 +16,16 @@ from .channel import LinkBudget
 from .errors import SweepPointError
 from .geometry import ArrayGeometry, UserLocation
 from .snr_models import (
+    EVALUATORS,
     SnrModel,
     SnrReport,
     is_collocated,
     is_near_endfire,
-    snr_asymptotic,
-    snr_closed_form,
-    snr_collocated,
-    snr_double_integral,
-    snr_exact_sum,
-    snr_upw,
 )
 
 #: ``tuple(SnrModel)``, the canonical output order.  Per-point loops iterate
 #: it because iterating the Enum class runs a slower Python-level generator.
 MODEL_ORDER: Tuple[SnrModel, ...] = tuple(SnrModel)
-
-_EVALUATORS: Dict[SnrModel, Callable] = {
-    SnrModel.EXACT_SUM: snr_exact_sum,
-    SnrModel.CLOSED_FORM: snr_closed_form,
-    SnrModel.COLLOCATED: snr_collocated,
-    SnrModel.ASYMPTOTIC: snr_asymptotic,
-    SnrModel.UPW: snr_upw,
-    SnrModel.INTEGRAL: snr_double_integral,
-}
 
 
 @dataclass(frozen=True)
@@ -163,7 +149,7 @@ def evaluate_models(
     "Evaluate the requested models in canonical order."
     wanted = set(models)
     return {
-        model: _EVALUATORS[model](scenario.geometry, scenario.user, scenario.link)
+        model: EVALUATORS[model](scenario.geometry, scenario.user, scenario.link)
         for model in MODEL_ORDER
         if model in wanted
     }

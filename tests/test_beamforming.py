@@ -305,33 +305,28 @@ class TestBlockedReductions:
     threads, and neither may copy its vectors."""
 
     @staticmethod
-    def results(monkeypatch, helpers, response, weights):
+    def results(set_helpers, helpers, response, weights):
         "Each blocked result's bits, computed with ``helpers`` helper threads."
-        monkeypatch.setattr(geometry, "_HELPERS", helpers)
-        monkeypatch.setattr(geometry, "_pool", None)
-        try:
-            mrc = mrc_weights(response)
-            combined = _combine(weights, response)
-            bits = (
-                _squared_norm(response).hex(),
-                combined.real.hex(),
-                combined.imag.hex(),
-                mrc.weights.tobytes(),
-                snr(mrc, response, LINK).hex(),
-            )
-            assert (geometry._pool is not None) == (helpers > 0)
-            return bits
-        finally:
-            if geometry._pool is not None:
-                geometry._pool.shutdown()
+        set_helpers(helpers)
+        mrc = mrc_weights(response)
+        combined = _combine(weights, response)
+        bits = (
+            _squared_norm(response).hex(),
+            combined.real.hex(),
+            combined.imag.hex(),
+            mrc.weights.tobytes(),
+            snr(mrc, response, LINK).hex(),
+        )
+        assert (geometry._pool is not None) == (helpers > 0)
+        return bits
 
     @pytest.mark.parametrize("size", ["long", "tailed"])
-    def test_bits_do_not_depend_on_the_threads(self, monkeypatch, long_response, size):
+    def test_bits_do_not_depend_on_the_threads(self, set_helpers, long_response, size):
         rng = np.random.Generator(np.random.PCG64(17))
         response = long_response if size == "long" else random_vector(rng, TAILED)
         weights = unit(random_vector(rng, len(response)))
         bits = [
-            self.results(monkeypatch, helpers, response, weights)
+            self.results(set_helpers, helpers, response, weights)
             for helpers in (0, 1, geometry._MAX_THREADS - 1)
         ]
         assert bits[1] == bits[0] and bits[2] == bits[0]

@@ -189,14 +189,9 @@ STEP = 5
     [1, STEP - 1, STEP, STEP + 1, 2 * STEP - 1, 2 * STEP]
     + [6 * STEP + 1, 7 * STEP - 1, 7 * STEP],
 )
-def test_run_blocks_returns_each_block_in_order(monkeypatch, helpers, count):
-    monkeypatch.setattr(geometry, "_HELPERS", helpers)
-    monkeypatch.setattr(geometry, "_pool", None)
-    try:
-        results = geometry.run_blocks(count, STEP, lambda args, *block: block, None)
-    finally:
-        if geometry._pool is not None:
-            geometry._pool.shutdown()
+def test_run_blocks_returns_each_block_in_order(set_helpers, helpers, count):
+    set_helpers(helpers)
+    results = geometry.run_blocks(count, STEP, lambda args, *block: block, None)
     assert results == [
         (start, min(start + STEP, count)) for start in range(0, count, STEP)
     ]
@@ -266,12 +261,11 @@ def test_first_failing_block_raises_after_every_share(monkeypatch):
     assert sorted(finished) == [0, 1, 2, 3]
 
 
-def test_concurrent_callers_share_the_helpers(monkeypatch):
+def test_concurrent_callers_share_the_helpers(set_helpers):
     # Four callers race to make a pool of the most helpers the kernel uses
     # on any host, and share it on a shortened switch interval.  A lost or
     # misplaced block would change a sum.
-    monkeypatch.setattr(geometry, "_HELPERS", geometry._MAX_THREADS - 1)
-    monkeypatch.setattr(geometry, "_pool", None)
+    set_helpers(geometry._MAX_THREADS - 1)
     geom = ArrayGeometry(16, 5 * (BLOCK_ELEMENTS // 16), 0.0628, 2.5)
     users = [UserLocation(50.0 + k, 0.2) for k in range(4)]
     results = {}
@@ -291,8 +285,6 @@ def test_concurrent_callers_share_the_helpers(monkeypatch):
         assert not any(thread.is_alive() for thread in threads)
     finally:
         sys.setswitchinterval(interval)
-        if geometry._pool is not None:
-            geometry._pool.shutdown()
     expected = [reference_exact_sum(geom, user, LINK) for user in users]
     assert [results.get(k) for k in range(4)] == [[value] * 3 for value in expected]
 
@@ -345,14 +337,9 @@ def test_channel_memory_is_output_plus_blocks():
     assert channel_peak_beyond_output_mb() <= 8.0
 
 
-def test_memory_bounds_hold_with_the_most_helpers(monkeypatch):
+def test_memory_bounds_hold_with_the_most_helpers(set_helpers):
     # The most helpers that the kernel uses on any host, from a pool of
     # that size: every thread holds its own block's temporaries.
-    monkeypatch.setattr(geometry, "_HELPERS", geometry._MAX_THREADS - 1)
-    monkeypatch.setattr(geometry, "_pool", None)
-    try:
-        assert exact_sum_peak_mb() <= 10.0
-        assert channel_peak_beyond_output_mb() <= 8.0
-    finally:
-        if geometry._pool is not None:
-            geometry._pool.shutdown()
+    set_helpers(geometry._MAX_THREADS - 1)
+    assert exact_sum_peak_mb() <= 10.0
+    assert channel_peak_beyond_output_mb() <= 8.0

@@ -93,6 +93,30 @@ class TestRenderLineChart:
         root = ET.fromstring(render(series))
         assert root.findall(f"{SVG_NS}polyline")
 
+    @pytest.mark.parametrize(
+        "x,y",
+        [
+            # The tick step underflowed to 0: "math domain error".
+            ((0.0, 5e-324), (1.0, 2.0)),
+            # The pixel scale overflowed: every coordinate read inf or nan.
+            ((1e-310, 1.5e-310), (1.0, 2.0)),
+            ((1.0, 2.0), (1e-310, 1.5e-310)),
+        ],
+    )
+    def test_too_narrow_extent_renders_as_flat(self, x, y):
+        doc = render(ChartSeries("narrow", x, y))
+        assert "inf" not in doc and "nan" not in doc
+        for poly in ET.fromstring(doc).findall(f"{SVG_NS}polyline"):
+            for pair in poly.attrib["points"].split():
+                x_px, y_px = map(float, pair.split(","))
+                assert 0.0 <= x_px <= 720.0
+                assert 0.0 <= y_px <= 480.0
+
+    def test_log_axis_of_equal_x_draws_one_tick(self):
+        doc = render(ChartSeries("a", (5.0, 5.0), (1.0, 2.0)), log_x=True)
+        texts = [t.text for t in ET.fromstring(doc).iter(f"{SVG_NS}text")]
+        assert texts.count("5") == 1
+
     def test_coordinates_inside_viewbox(self):
         doc = render(simple_series())
         root = ET.fromstring(doc)
