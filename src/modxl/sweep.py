@@ -192,7 +192,7 @@ def run_sweep(spec: SweepSpec) -> List[SweepRecord]:
 
 
 def default_scenario() -> Scenario:
-    """Reference configuration used across the experiment scripts: a 16-element
+    """Reference configuration of the CLI and the presets: a 16-element
     module repeated 20 times at separation ratio 20, half-wavelength spacing
     at a wavelength of 0.1256 m, broadside user at 35 m, 50 dB transmit SNR."""
     wavelength = 0.1256

@@ -730,12 +730,11 @@ class TestConfig:
         assert from_config == direct
 
     def test_config_seed_matches_flag(self, capsys, tmp_path):
-        cfg = self.write(tmp_path, "seed = 123\n")
-        code, from_config = run_cli(capsys, "verify", "--config", cfg)
+        # verify_seed_1.txt is the stdout of `verify --seed 1`.
+        cfg = self.write(tmp_path, "seed = 1\n")
+        code, out = run_cli(capsys, "verify", "--config", cfg)
         assert code == 0
-        _, from_flag = run_cli(capsys, "verify", "--seed", "123")
-        assert from_config == from_flag
-        assert "seed 123" in from_config
+        assert out.encode() == (DATA / "verify_seed_1.txt").read_bytes()
 
     def test_sweep_settings_from_config(self, capsys, tmp_path):
         cfg = self.write(tmp_path, "preset = separation\nsteps = 5\n")
