@@ -50,7 +50,7 @@ _pool = None
 _pool_lock = threading.Lock()
 
 
-def _centered(count: int) -> np.ndarray:
+def centered(count: int) -> np.ndarray:
     "Centred unit-step index values for ``count`` positions."
     return np.arange(0.5 * (1 - count), 0.5 * count)
 
@@ -208,12 +208,43 @@ def run_ratio_blocks(
     ``DISTANCE_FLOOR_M``, and any error of ``body``, from the first failing
     block in module order, after every share has finished.
     """
+    floor_ratio = checked_floor_ratio(geom, user)
+    rows = block_rows(geom.elements_per_module)
+    run_blocks(geom.module_count, rows, _ratio_block, (geom, user, floor_ratio, body))
+
+
+def checked_floor_ratio(geom: ArrayGeometry, user: UserLocation) -> float:
+    """The squared ratio of ``DISTANCE_FLOOR_M`` to the range, after the
+    kernel's range check: raises ``OverflowError`` unless it and
+    :func:`largest_squared_ratio` are finite."""
     floor = DISTANCE_FLOOR_M / user.range_m
     floor_ratio = floor * floor
     if not (largest_squared_ratio(geom, user) < math.inf and floor_ratio < math.inf):
         raise OverflowError(f"element distances at range {user.range_m:.3g} m overflow")
-    rows = block_rows(geom.elements_per_module)
-    run_blocks(geom.module_count, rows, _ratio_block, (geom, user, floor_ratio, body))
+    return floor_ratio
+
+
+def offset_ratios(
+    geom: ArrayGeometry, user: UserLocation, ue: np.ndarray, floor_ratio: float
+) -> np.ndarray:
+    """The kernel's squared distance ratios of the elements at axis offsets
+    ``ue``, in element spacings.  ``ue`` is consumed: it holds the
+    across-axis terms afterwards.  Raises :class:`DegenerateGeometryError`
+    where a ratio is below ``floor_ratio``, from
+    :func:`checked_floor_ratio`."""
+    ue *= normalized_spacing(geom, user)
+    ratios = ue * math.sin(user.angle_rad)
+    np.subtract(1.0, ratios, out=ratios)  # along the array axis
+    ratios *= ratios
+    ue *= math.cos(user.angle_rad)  # across it
+    ue *= ue
+    ratios += ue
+    if ratios.min() < floor_ratio:
+        raise DegenerateGeometryError(
+            "user lies on the array: an element distance falls below "
+            f"{DISTANCE_FLOOR_M:.0e} m"
+        )
+    return ratios
 
 
 def run_blocks(
@@ -272,20 +303,8 @@ def _ratio_block(args: tuple, start: int, stop: int) -> None:
     a call against 419)."""
     geom, user, floor_ratio, body = args
     low = 0.5 * (1 - geom.module_count)  # the first centred module index
-    eps = normalized_spacing(geom, user)
-    elements = _centered(geom.elements_per_module)
+    elements = centered(geom.elements_per_module)
     ue = geom.stride * np.arange(low + start, low + stop)[:, None] + elements
-    ue *= eps
-    ratios = ue * math.sin(user.angle_rad)
-    np.subtract(1.0, ratios, out=ratios)  # along the array axis
-    ratios *= ratios
-    ue *= math.cos(user.angle_rad)  # across it
-    ue *= ue
-    ratios += ue
+    ratios = offset_ratios(geom, user, ue, floor_ratio)
     del ue
-    if ratios.min() < floor_ratio:
-        raise DegenerateGeometryError(
-            "user lies on the array: an element distance falls below "
-            f"{DISTANCE_FLOOR_M:.0e} m"
-        )
     body(slice(start, stop), ratios)

@@ -6,7 +6,8 @@ centred on 0.  It shares no code with ``modxl.geometry``, so the tests that
 compare the toolkit against it stay independent of the layout they check.
 ``user_position`` is the user's Cartesian position, r*cos(angle) and
 r*sin(angle).  ``ratio_blocks`` collects the blocks of the distance kernel,
-and ``block_ratios`` joins them into one array.
+``block_ratios`` joins them into one array, and ``module_sums`` reduces
+them as the exact sum reduces an array of one block.
 """
 
 import math
@@ -53,3 +54,16 @@ def block_ratios(geom, user):
     """The squared distance ratios of ``run_ratio_blocks`` in one
     module-major array, joined from its blocks."""
     return np.concatenate([ratios.ravel() for _, ratios in ratio_blocks(geom, user)])
+
+
+def module_sums(geom, user):
+    """Each module's sum of the kernel's inverse ratios, block by block, as
+    the exact sum reduces an array of one block."""
+    partials = np.empty(geom.module_count)
+
+    def body(modules, inverse):
+        np.reciprocal(inverse, out=inverse)
+        np.add.reduce(inverse, axis=1, out=partials[modules])
+
+    run_ratio_blocks(geom, user, body)
+    return partials

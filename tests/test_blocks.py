@@ -22,7 +22,7 @@ import warnings
 import numpy as np
 import pytest
 
-from elements import block_ratios, ratio_blocks
+from elements import block_ratios, module_sums, ratio_blocks
 from modxl import geometry
 from modxl.channel import LinkBudget, array_response_nusw
 from modxl.errors import DegenerateGeometryError
@@ -30,6 +30,7 @@ from modxl.geometry import (
     BLOCK_ELEMENTS,
     ArrayGeometry,
     UserLocation,
+    block_rows,
     run_ratio_blocks,
 )
 from modxl.snr_models import snr_exact_sum
@@ -49,9 +50,14 @@ def reference_ratios(geom, user):
     return along * along + across * across
 
 
-def reference_exact_sum(geom, user, link):
+def reference_module_sums(geom, user):
+    "Each module's sum of inverse ratios, in one whole-array pass."
     inverse = 1.0 / reference_ratios(geom, user)
-    partials = inverse.reshape(geom.module_count, geom.elements_per_module).sum(axis=1)
+    return inverse.reshape(geom.module_count, geom.elements_per_module).sum(axis=1)
+
+
+def reference_exact_sum(geom, user, link):
+    partials = reference_module_sums(geom, user)
     return link.effective_power / user.range_m**2 * math.fsum(partials.tolist())
 
 
@@ -91,9 +97,13 @@ def test_bit_identical_to_one_pass(helper, m, n, range_m, theta_rad):
     geom = ArrayGeometry(m, n, 0.0628, 2.5)
     user = UserLocation(range_m, theta_rad)
     assert block_ratios(geom, user).tobytes() == reference_ratios(geom, user).tobytes()
-    assert snr_exact_sum(geom, user, LINK).value_linear == reference_exact_sum(
-        geom, user, LINK
+    assert (
+        module_sums(geom, user).tobytes() == reference_module_sums(geom, user).tobytes()
     )
+    if n <= block_rows(m):  # larger arrays take the exact sum off the kernel
+        assert snr_exact_sum(geom, user, LINK).value_linear == reference_exact_sum(
+            geom, user, LINK
+        )
     coefficients = array_response_nusw(geom, user, LINK)
     assert coefficients.tobytes() == reference_coefficients(geom, user, LINK).tobytes()
 
@@ -264,15 +274,14 @@ def test_first_failing_block_raises_after_every_share(monkeypatch):
 def test_concurrent_callers_share_the_helpers(set_helpers):
     # Four callers race to make a pool of the most helpers the kernel uses
     # on any host, and share it on a shortened switch interval.  A lost or
-    # misplaced block would change a sum.
+    # misplaced block would change a module's sum.
     set_helpers(geometry._MAX_THREADS - 1)
     geom = ArrayGeometry(16, 5 * (BLOCK_ELEMENTS // 16), 0.0628, 2.5)
     users = [UserLocation(50.0 + k, 0.2) for k in range(4)]
     results = {}
 
     def caller(k):
-        sums = [snr_exact_sum(geom, users[k], LINK) for _ in range(3)]
-        results[k] = [report.value_linear for report in sums]
+        results[k] = [module_sums(geom, users[k]).tobytes() for _ in range(3)]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -285,7 +294,7 @@ def test_concurrent_callers_share_the_helpers(set_helpers):
         assert not any(thread.is_alive() for thread in threads)
     finally:
         sys.setswitchinterval(interval)
-    expected = [reference_exact_sum(geom, user, LINK) for user in users]
+    expected = [reference_module_sums(geom, user).tobytes() for user in users]
     assert [results.get(k) for k in range(4)] == [[value] * 3 for value in expected]
 
 
@@ -296,10 +305,10 @@ def test_a_forked_child_makes_its_own_helpers(helper):
     # them, so a multi-block call there must not wait on the parent's pool.
     geom = ArrayGeometry(16, 3 * (BLOCK_ELEMENTS // 16), 0.0628, 2.5)
     user = UserLocation(50.0, 0.2)
-    expected = snr_exact_sum(geom, user, LINK)
+    expected = module_sums(geom, user)
     with multiprocessing.get_context("fork").Pool(1) as pool:
-        forked = pool.apply_async(snr_exact_sum, (geom, user, LINK)).get(timeout=60)
-    assert forked.value_linear == expected.value_linear
+        forked = pool.apply_async(module_sums, (geom, user)).get(timeout=60)
+    assert forked.tobytes() == expected.tobytes()
 
 
 def traced_peak_mb(call):
@@ -322,6 +331,11 @@ def exact_sum_peak_mb():
     return traced_peak_mb(lambda: snr_exact_sum(MEMORY_GEOMETRY, MEMORY_USER, LINK))[0]
 
 
+def module_sums_peak_mb():
+    "The kernel's blocks reduced as the exact sum reduces one block."
+    return traced_peak_mb(lambda: module_sums(MEMORY_GEOMETRY, MEMORY_USER))[0]
+
+
 def channel_peak_beyond_output_mb():
     peak, response = traced_peak_mb(
         lambda: array_response_nusw(MEMORY_GEOMETRY, MEMORY_USER, LINK)
@@ -331,6 +345,7 @@ def channel_peak_beyond_output_mb():
 
 def test_exact_sum_memory_is_block_sized():
     assert exact_sum_peak_mb() <= 10.0
+    assert module_sums_peak_mb() <= 10.0
 
 
 def test_channel_memory_is_output_plus_blocks():
@@ -341,5 +356,5 @@ def test_memory_bounds_hold_with_the_most_helpers(set_helpers):
     # The most helpers that the kernel uses on any host, from a pool of
     # that size: every thread holds its own block's temporaries.
     set_helpers(geometry._MAX_THREADS - 1)
-    assert exact_sum_peak_mb() <= 10.0
+    assert module_sums_peak_mb() <= 10.0
     assert channel_peak_beyond_output_mb() <= 8.0

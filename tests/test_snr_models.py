@@ -1,13 +1,15 @@
+import contextlib
 import math
 import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from elements import block_ratios, element_positions, user_position
+from elements import block_ratios, element_positions, module_sums, user_position
 from modxl.channel import LinkBudget
 from modxl.errors import (
     DegenerateGeometryError,
@@ -16,7 +18,7 @@ from modxl.errors import (
     QuadratureAccuracyError,
     UnboundedLimitError,
 )
-from modxl import snr_models
+from modxl import geometry, snr_models
 from modxl.geometry import ArrayGeometry, UserLocation
 from modxl.snr_models import (
     FLAG_EPSILON_NOT_SMALL,
@@ -34,6 +36,20 @@ from modxl.snr_models import (
 
 LINK = LinkBudget(wavelength_m=0.1256, transmit_snr=1e5)
 BROADSIDE = UserLocation(35.0)
+
+
+def rational_squared_distances(geom, user):
+    """The squared element distances in rationals, from the Cartesian
+    offsets of the float positions, or None where an element is nearer than
+    1e-2 r: ill-conditioned for every route of the exact sum."""
+    position = [Fraction(v) for v in user_position(user)]
+    squared = [
+        sum((p - Fraction(e)) ** 2 for p, e in zip(position, element))
+        for element in element_positions(geom)
+    ]
+    if min(squared) < Fraction(1e-2 * user.range_m) ** 2:
+        return None
+    return squared
 
 
 class TestSnrReport:
@@ -141,13 +157,9 @@ class TestExactSum:
         # exactly, in rationals; the sum is taken exactly too.
         geom = ArrayGeometry(m, n, spacing, ratio)
         user = UserLocation(10.0**log_r, math.radians(deg))
-        position = [Fraction(v) for v in user_position(user)]
-        squared = [
-            sum((p - Fraction(e)) ** 2 for p, e in zip(position, element))
-            for element in element_positions(geom)
-        ]
-        if min(squared) < Fraction(1e-2 * user.range_m) ** 2:
-            return  # an element nearer than 1e-2 r: ill-conditioned for both routes
+        squared = rational_squared_distances(geom, user)
+        if squared is None:
+            return
         try:
             report = snr_exact_sum(geom, user, LINK)
             ratios = block_ratios(geom, user)
@@ -159,6 +171,121 @@ class TestExactSum:
         np.testing.assert_allclose(
             ratios, [float(v / range_squared) for v in squared], rtol=1e-12
         )
+
+
+@contextlib.contextmanager
+def progression_route():
+    """Blocks of one element: an array of two modules or more then takes the
+    exact sum's progression route, and the distance kernel must not run."""
+
+    def kernel(*args):
+        raise AssertionError("the exact sum ran the distance kernel")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "BLOCK_ELEMENTS", 1)
+        patch.setattr(snr_models, "run_ratio_blocks", kernel)
+        yield
+
+
+class TestProgressionRoute:
+    """Arrays of more than one block, off endfire, sum their progressions of
+    like elements through psi differences rather than element by element."""
+
+    @given(
+        st.integers(1, 64),
+        st.integers(2, 64),
+        st.floats(1e-3, 2.0),
+        st.floats(1.0, 30.0),
+        st.floats(-1.0, 9.0),
+        st.floats(-89.9, 89.9),
+    )
+    # The user 0.11 m from the centre, inside the span: offsets formed as
+    # (element - foot) / stride + k, not as the kernel forms them, were
+    # 3.9e-12 off here.
+    @example(17, 97, 1.0233, 27.318, math.log10(0.11), 45.228)
+    # Every element on the negative side of the user's foot.
+    @example(4, 40, 0.5, 3.0, 2.0, 80.0)
+    @example(40, 4, 0.5, 3.0, 2.0, -80.0)
+    def test_matches_rational_sum_over_decades(self, m, n, spacing, ratio, log_r, deg):
+        geom = ArrayGeometry(m, n, spacing, ratio)
+        user = UserLocation(10.0**log_r, math.radians(deg))
+        squared = rational_squared_distances(geom, user)
+        if squared is None:
+            return
+        with progression_route():
+            try:
+                report = snr_exact_sum(geom, user, LINK)
+            except DegenerateGeometryError:
+                return
+        # Each exact term rounded once and summed exactly: within 2.3e-16 of
+        # the rational sum, with no rational sum to take.
+        oracle = LINK.effective_power * math.fsum(float(1 / value) for value in squared)
+        assert report.value_linear == pytest.approx(oracle, rel=1e-12)
+
+    def test_matches_the_kernel_at_scale(self):
+        geom = ArrayGeometry(16, 100_000, 0.0628, 20.0)
+        user = UserLocation(80.0, 0.4)
+        # The kernel route's value: each module summed, the partials by fsum.
+        kernel = math.fsum(module_sums(geom, user).tolist())
+        kernel *= LINK.effective_power / user.range_m**2
+        value = snr_exact_sum(geom, user, LINK).value_linear
+        assert value == pytest.approx(kernel, rel=1e-14)
+
+    @settings(max_examples=200)
+    @given(
+        st.integers(1, 8),
+        st.integers(2, 8),
+        st.one_of(st.just(1.0), st.floats(1.0, 30.0), st.floats(1.0, 1e300)),
+        st.floats(-320.0, 3.0),
+        st.floats(-323.0, 300.0),
+        st.floats(-89.99999, 89.99999),
+    )
+    def test_kernels_value_or_error_over_the_float_range(
+        self, m, n, ratio, log_d, log_r, deg
+    ):
+        # Where the route's values would leave the floating-point range, the
+        # kernel takes the sum; elsewhere the two agree, and raise alike.
+        geom = ArrayGeometry(m, n, 10.0**log_d, ratio)
+        user = UserLocation(10.0**log_r, math.radians(deg))
+        outcomes = []
+        for block_elements in (1, geometry.BLOCK_ELEMENTS):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(geometry, "BLOCK_ELEMENTS", block_elements)
+                try:
+                    outcomes.append(snr_exact_sum(geom, user, LINK).value_linear)
+                except (OverflowError, ValueError, DegenerateGeometryError) as error:
+                    outcomes.append((type(error), str(error)))
+        route, kernel = outcomes
+        if isinstance(kernel, float):
+            assert route == pytest.approx(kernel, rel=1e-14)
+        else:
+            assert route == kernel
+
+    def test_floor_raises_as_the_kernel(self):
+        # The user is 2e-10 m off the array line, beside the element at
+        # 0.1 m, so within the 1e-9 m floor; cos(angle) = 2e-9 is off the
+        # endfire predicate.
+        geom = ArrayGeometry(2, 2 * geometry.block_rows(2) + 1, 0.2, 2.0)
+        user = UserLocation(0.1, math.acos(2e-9))
+        assert not snr_models.is_near_endfire(user)
+        with pytest.raises(DegenerateGeometryError) as kernel:
+            block_ratios(geom, user)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateGeometryError) as route:
+                snr_exact_sum(geom, user, LINK)
+        assert str(route.value) == str(kernel.value)
+
+    def test_overflow_outranks_the_floor(self):
+        # The same layout scaled to 1e-165 m: the floor's own ratio
+        # overflows, so the range check raises before the floor test.
+        geom = ArrayGeometry(2, 2 * geometry.block_rows(2) + 1, 2e-165, 2.0)
+        user = UserLocation(1e-165, math.acos(2e-9))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (block_ratios, lambda *args: snr_exact_sum(*args, LINK)):
+                with pytest.raises(OverflowError):
+                    call(geom, user)
 
 
 class TestClosedForm:
