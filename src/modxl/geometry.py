@@ -1,6 +1,7 @@
 """Modular uniform-linear-array layout: spans, the blocked kernel of
-element-to-user distances, and :func:`run_blocks`, which runs a function on
-each block on threads and returns the results in block order.
+element-to-user distances with its cache of one-block element offsets, and
+:func:`run_blocks`, which runs a function on each block on threads and
+returns the results in block order.
 
 The array lies on the y axis, symmetric about the origin.  A layout consists
 of ``module_count`` modules of ``elements_per_module`` antenna elements each.
@@ -15,6 +16,7 @@ All operations are pure functions of immutable inputs.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -46,6 +48,11 @@ _HELPERS = min(
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
     else os.cpu_count() or 1,
 ) - 1
+#: Offset arrays of one-block layouts that :func:`_one_block_offsets`
+#: keeps, least recently used out first.  A sweep over range, angle or
+#: spacing evaluates one layout at every point in turn, so a few entries
+#: catch its repeats; each is at most one block, so all hold 4 MiB at most.
+_OFFSET_CACHE_SIZE = 8
 _pool = None
 _pool_lock = threading.Lock()
 
@@ -228,11 +235,16 @@ def offset_ratios(
     geom: ArrayGeometry, user: UserLocation, ue: np.ndarray, floor_ratio: float
 ) -> np.ndarray:
     """The kernel's squared distance ratios of the elements at axis offsets
-    ``ue``, in element spacings.  ``ue`` is consumed: it holds the
-    across-axis terms afterwards.  Raises :class:`DegenerateGeometryError`
-    where a ratio is below ``floor_ratio``, from
-    :func:`checked_floor_ratio`."""
-    ue *= normalized_spacing(geom, user)
+    ``ue``, in element spacings.  A writeable ``ue`` is consumed: it holds
+    the across-axis terms afterwards.  A read-only one, as from
+    :func:`_one_block_offsets`, is left as it is.  Raises
+    :class:`DegenerateGeometryError` where a ratio is below
+    ``floor_ratio``, from :func:`checked_floor_ratio`."""
+    eps = normalized_spacing(geom, user)
+    if ue.flags.writeable:
+        ue *= eps
+    else:
+        ue = ue * eps
     ratios = ue * math.sin(user.angle_rad)
     np.subtract(1.0, ratios, out=ratios)  # along the array axis
     ratios *= ratios
@@ -295,16 +307,40 @@ def _run_share(work: Callable, args: object, count: int, starts: range) -> list:
 def _ratio_block(args: tuple, start: int, stop: int) -> None:
     """Make the block of :func:`run_ratio_blocks` of modules ``start`` to
     ``stop`` and hand it to ``body``; ``args`` is (geom, user, floor_ratio,
-    body).  The block's module indices are made with it, so a thread holds
-    no array longer than a block, and two of them at most until ``body``
-    is called: a third, as ``1.0 - ue * sin``, took the memory each block
-    frees over glibc's trim threshold, and the exact sum at 1.6 million
-    elements then faulted every block's pages in again (8,640 page faults
-    a call against 419)."""
+    body).  An array of at most ``BLOCK_ELEMENTS`` elements, which is one
+    block, takes its offsets from :func:`_one_block_offsets`.  A larger
+    array's block makes its offsets with it, so a thread holds no array
+    longer than a block, and two of them at most until ``body`` is called:
+    a third, as ``1.0 - ue * sin``, took the memory each block frees over
+    glibc's trim threshold, and the exact sum at 1.6 million elements then
+    faulted every block's pages in again (8,640 page faults a call against
+    419)."""
     geom, user, floor_ratio, body = args
-    low = 0.5 * (1 - geom.module_count)  # the first centred module index
-    elements = centered(geom.elements_per_module)
-    ue = geom.stride * np.arange(low + start, low + stop)[:, None] + elements
+    m, n, stride = geom.elements_per_module, geom.module_count, geom.stride
+    if m * n <= BLOCK_ELEMENTS:
+        ue = _one_block_offsets(m, n, stride)
+    else:
+        ue = _module_offsets(m, n, stride, start, stop)
     ratios = offset_ratios(geom, user, ue, floor_ratio)
     del ue
     body(slice(start, stop), ratios)
+
+
+def _module_offsets(
+    elements: int, modules: int, stride: float, start: int, stop: int
+) -> np.ndarray:
+    """Axis offsets, in element spacings, of the elements of modules
+    ``start`` to ``stop`` of ``modules``: stride * module + element, on
+    centred indices, shaped (modules, elements)."""
+    low = 0.5 * (1 - modules)  # the first centred module index
+    return stride * np.arange(low + start, low + stop)[:, None] + centered(elements)
+
+
+@functools.lru_cache(maxsize=_OFFSET_CACHE_SIZE)
+def _one_block_offsets(elements: int, modules: int, stride: float) -> np.ndarray:
+    """The :func:`_module_offsets` of every module, read-only, cached by
+    what they depend on.  Only arrays of at most ``BLOCK_ELEMENTS``
+    elements come here."""
+    offsets = _module_offsets(elements, modules, stride, 0, modules)
+    offsets.setflags(write=False)
+    return offsets

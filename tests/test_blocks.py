@@ -1,4 +1,5 @@
-"""The block runner, the blocked distance kernel and its consumers.
+"""The block runner, the blocked distance kernel, its offset cache and its
+consumers.
 
 The kernel runs in blocks of whole modules of at most ``BLOCK_ELEMENTS``
 elements, split into contiguous shares: the caller runs the first, helper
@@ -7,7 +8,8 @@ pass of the same formulas, which the reference below takes; a ratio that
 would overflow must raise before the first block, ahead of a floor error in
 any block; an error in any block must raise from the first failing block in
 module order once every share has finished; and its temporaries must stay
-block-sized.
+block-sized.  The offsets of an array of one block come from a bounded
+cache, which must change no bit and keep no array of a larger layout.
 """
 
 import math
@@ -33,7 +35,15 @@ from modxl.geometry import (
     block_rows,
     run_ratio_blocks,
 )
-from modxl.snr_models import snr_exact_sum
+from modxl.snr_models import SnrModel, snr_exact_sum
+from modxl.sweep import (
+    Scenario,
+    SweepScale,
+    SweepSpec,
+    SweepVariable,
+    _evaluate_point,
+    run_sweep,
+)
 
 LINK = LinkBudget(wavelength_m=0.1256, reference_gain=1.7, transmit_snr=3.0)
 
@@ -358,3 +368,101 @@ def test_memory_bounds_hold_with_the_most_helpers(set_helpers):
     set_helpers(geometry._MAX_THREADS - 1)
     assert module_sums_peak_mb() <= 10.0
     assert channel_peak_beyond_output_mb() <= 8.0
+
+
+class TestOffsetCache:
+    """``geometry._one_block_offsets``: each test starts from an empty
+    cache, so no verdict depends on which test ran before."""
+
+    cache = staticmethod(geometry._one_block_offsets)
+
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        self.cache.cache_clear()
+        yield
+        self.cache.cache_clear()
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (16, 20), (16, BLOCK_ELEMENTS // 16)])
+    def test_values_cold_and_warm(self, m, n):
+        geom = ArrayGeometry(m, n, 0.0628, 2.5)
+        for user in (UserLocation(0.7, 0.3), UserLocation(80.0, -1.2)):
+            self.cache.cache_clear()
+            for _ in range(2):  # a cold call, then a warm one
+                assert snr_exact_sum(geom, user, LINK).value_linear == (
+                    reference_exact_sum(geom, user, LINK)
+                )
+                coefficients = array_response_nusw(geom, user, LINK)
+                assert coefficients.tobytes() == (
+                    reference_coefficients(geom, user, LINK).tobytes()
+                )
+        assert self.cache.cache_info().currsize == 1
+
+    @pytest.mark.parametrize(
+        "variable, start, stop, scale",
+        [
+            (SweepVariable.RANGE, 0.5, 1e6, SweepScale.LOGARITHMIC),
+            (SweepVariable.THETA, -1.5, 1.5, SweepScale.LINEAR),
+            (SweepVariable.ELEMENT_SPACING, 0.01, 0.5, SweepScale.LINEAR),
+        ],
+    )
+    def test_sweep_records_cold_and_warm(self, variable, start, stop, scale):
+        base = Scenario(
+            ArrayGeometry(16, 12, 0.0628, 7.0), UserLocation(40.0, 0.3), LINK
+        )
+        models = frozenset({SnrModel.EXACT_SUM, SnrModel.CLOSED_FORM, SnrModel.UPW})
+        spec = SweepSpec(base, variable, start, stop, steps=40, scale=scale,
+                         models=models)
+        cold = []
+        for index in range(spec.steps):
+            self.cache.cache_clear()
+            cold.append(_evaluate_point(spec, index))
+        assert self.cache.cache_info().currsize == 1
+        warm = run_sweep(spec)
+        assert self.cache.cache_info().hits >= spec.steps
+        assert warm == cold
+
+    def test_offsets_are_read_only_and_blocks_are_the_bodys(self):
+        geom = ArrayGeometry(16, 20, 0.0628, 20.0)
+        user = UserLocation(35.0, 0.2)
+        offsets = self.cache(16, 20, geom.stride)
+        assert not offsets.flags.writeable
+        with pytest.raises(ValueError):
+            offsets[0, 0] = 1.0
+        assert offsets is self.cache(16, 20, geom.stride)
+
+        def scribble(modules, ratios):
+            np.reciprocal(ratios, out=ratios)  # as the exact sum does
+            ratios[...] = -1.0
+
+        expected = reference_ratios(geom, user).tobytes()
+        for _ in range(2):
+            run_ratio_blocks(geom, user, scribble)
+            assert block_ratios(geom, user).tobytes() == expected
+        assert snr_exact_sum(geom, user, LINK).value_linear == reference_exact_sum(
+            geom, user, LINK
+        )
+
+    @pytest.mark.parametrize(
+        "m, n", [(16, BLOCK_ELEMENTS // 16 + 1), (BLOCK_ELEMENTS + 1, 1)]
+    )
+    def test_larger_arrays_never_enter(self, m, n):
+        # Two blocks, and one module longer than a block.  Past one block
+        # the exact sum takes progressions, except near endfire, where it
+        # runs the kernel.
+        geom = ArrayGeometry(m, n, 0.0628, 2.5)
+        for user in (UserLocation(80.0, 0.4), UserLocation(80.0, math.pi / 2)):
+            block_ratios(geom, user)
+            snr_exact_sum(geom, user, LINK)
+            array_response_nusw(geom, user, LINK)
+        assert self.cache.cache_info().currsize == 0
+
+    def test_bounded_over_a_module_count_sweep(self):
+        base = Scenario(
+            ArrayGeometry(16, 1, 0.0628, 20.0), UserLocation(35.0, 0.2), LINK
+        )
+        spec = SweepSpec(base, SweepVariable.MODULE_COUNT, 1.0, 40.0, steps=40,
+                         models=frozenset({SnrModel.EXACT_SUM}))
+        run_sweep(spec)
+        info = self.cache.cache_info()
+        assert info.misses == 40
+        assert info.currsize == info.maxsize == geometry._OFFSET_CACHE_SIZE

@@ -550,10 +550,15 @@ class TestSweep:
             (("--preset", "separation"), "sweep_separation_0deg.csv"),
             (("--preset", "separation", "--theta-deg", "75"),
              "sweep_separation_75deg.csv"),
+            # Range and angle sweeps, whose points share one layout.
+            (("--var", "range", "--start", "10", "--stop", "1e4", "--steps", "40",
+              "--scale", "log", "--models", "all"), "sweep_range_log.csv"),
+            (("--var", "theta", "--start", "-75", "--stop", "75", "--steps", "40",
+              "--models", "all"), "sweep_theta.csv"),
         ],
     )
-    def test_preset_csv_matches_golden_file(self, capsys, tmp_path, argv, golden):
-        target = tmp_path / "preset.csv"
+    def test_sweep_csv_matches_golden_file(self, capsys, tmp_path, argv, golden):
+        target = tmp_path / "sweep.csv"
         assert main(["sweep", *argv, "--out", str(target)]) == 0
         capsys.readouterr()
         assert target.read_bytes() == (DATA / golden).read_bytes()

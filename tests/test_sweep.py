@@ -158,6 +158,11 @@ class TestEvaluateModels:
         reports = evaluate_models(scen, {SnrModel.UPW, EXACT})
         assert list(reports) == [EXACT, SnrModel.UPW]
 
+    def test_one_shot_iterable(self):
+        # A set is tested for membership as it is; an iterator is copied.
+        reports = evaluate_models(default_scenario(), iter([SnrModel.UPW, EXACT]))
+        assert list(reports) == [EXACT, SnrModel.UPW]
+
     def test_record_flag_union(self):
         scen = default_scenario()
         reports = evaluate_models(scen, {SnrModel.CLOSED_FORM, SnrModel.UPW})
