@@ -110,6 +110,13 @@ class ArrayGeometry:
     def total_elements(self) -> int:
         return self.elements_per_module * self.module_count
 
+    @property
+    def half_span(self) -> float:
+        """The largest centred axis offset of an element, in element
+        spacings: half the end-to-end aperture."""
+        m, n = self.elements_per_module, self.module_count
+        return self.stride * (0.5 * (n - 1)) + 0.5 * (m - 1)
+
 
 @dataclass(frozen=True)
 class UserLocation:
@@ -133,7 +140,7 @@ def aperture(geom: ArrayGeometry) -> Tuple[float, float]:
     module width plus one module separation) that drives the closed-form SNR.
     """
     d = geom.element_spacing
-    span = (geom.stride * (geom.module_count - 1) + (geom.elements_per_module - 1)) * d
+    span = 2.0 * geom.half_span * d
     augmented = span + geom.elements_per_module * d + geom.module_separation
     return span, augmented
 
@@ -171,17 +178,19 @@ def block_rows(width: int) -> int:
     return max(1, BLOCK_ELEMENTS // width)
 
 
+def one_block(geom: ArrayGeometry) -> bool:
+    """Whether the array fits one block of :func:`run_ratio_blocks`; its
+    offsets are then cached, and its exact sum runs the kernel."""
+    return geom.total_elements <= BLOCK_ELEMENTS
+
+
 def largest_squared_ratio(geom: ArrayGeometry, user: UserLocation) -> float:
     """The largest ratio of :func:`run_ratio_blocks`, from one evaluation
     of its formula in its operation order: ratios are convex in the offset u
     and the end offsets are opposites, so the largest is at the end with the
     larger along-axis term.  Reads inf or NaN where the kernel would
     overflow."""
-    eps = normalized_spacing(geom, user)
-    end = (
-        geom.stride * (0.5 * (geom.module_count - 1))
-        + 0.5 * (geom.elements_per_module - 1)
-    ) * eps
+    end = geom.half_span * normalized_spacing(geom, user)
     along = 1.0 + abs(end * math.sin(user.angle_rad))
     across = end * math.cos(user.angle_rad)
     return along * along + across * across
@@ -231,20 +240,13 @@ def checked_floor_ratio(geom: ArrayGeometry, user: UserLocation) -> float:
     return floor_ratio
 
 
-def offset_ratios(
-    geom: ArrayGeometry, user: UserLocation, ue: np.ndarray, floor_ratio: float
-) -> np.ndarray:
+def offset_ratios(user: UserLocation, ue: np.ndarray, floor_ratio: float) -> np.ndarray:
     """The kernel's squared distance ratios of the elements at axis offsets
-    ``ue``, in element spacings.  A writeable ``ue`` is consumed: it holds
-    the across-axis terms afterwards.  A read-only one, as from
-    :func:`_one_block_offsets`, is left as it is.  Raises
-    :class:`DegenerateGeometryError` where a ratio is below
-    ``floor_ratio``, from :func:`checked_floor_ratio`."""
-    eps = normalized_spacing(geom, user)
-    if ue.flags.writeable:
-        ue *= eps
-    else:
-        ue = ue * eps
+    ``ue``, in units of the range (offsets in element spacings times
+    :func:`normalized_spacing`).  ``ue`` is consumed: it holds the
+    across-axis terms afterwards.  Raises :class:`DegenerateGeometryError`
+    where a ratio is below ``floor_ratio``, from
+    :func:`checked_floor_ratio`."""
     ratios = ue * math.sin(user.angle_rad)
     np.subtract(1.0, ratios, out=ratios)  # along the array axis
     ratios *= ratios
@@ -307,21 +309,22 @@ def _run_share(work: Callable, args: object, count: int, starts: range) -> list:
 def _ratio_block(args: tuple, start: int, stop: int) -> None:
     """Make the block of :func:`run_ratio_blocks` of modules ``start`` to
     ``stop`` and hand it to ``body``; ``args`` is (geom, user, floor_ratio,
-    body).  An array of at most ``BLOCK_ELEMENTS`` elements, which is one
-    block, takes its offsets from :func:`_one_block_offsets`.  A larger
-    array's block makes its offsets with it, so a thread holds no array
-    longer than a block, and two of them at most until ``body`` is called:
-    a third, as ``1.0 - ue * sin``, took the memory each block frees over
-    glibc's trim threshold, and the exact sum at 1.6 million elements then
-    faulted every block's pages in again (8,640 page faults a call against
-    419)."""
+    body).  An array of :func:`one_block` takes its offsets from
+    :func:`_one_block_offsets`.  A larger array's block makes its offsets
+    with it, so a thread holds no array longer than a block, and two of
+    them at most until ``body`` is called: a third, as ``1.0 - ue * sin``,
+    took the memory each block frees over glibc's trim threshold, and the
+    exact sum at 1.6 million elements then faulted every block's pages in
+    again (8,640 page faults a call against 419)."""
     geom, user, floor_ratio, body = args
     m, n, stride = geom.elements_per_module, geom.module_count, geom.stride
-    if m * n <= BLOCK_ELEMENTS:
-        ue = _one_block_offsets(m, n, stride)
+    eps = normalized_spacing(geom, user)
+    if one_block(geom):
+        ue = _one_block_offsets(m, n, stride) * eps
     else:
         ue = _module_offsets(m, n, stride, start, stop)
-    ratios = offset_ratios(geom, user, ue, floor_ratio)
+        ue *= eps
+    ratios = offset_ratios(user, ue, floor_ratio)
     del ue
     body(slice(start, stop), ratios)
 
@@ -339,8 +342,7 @@ def _module_offsets(
 @functools.lru_cache(maxsize=_OFFSET_CACHE_SIZE)
 def _one_block_offsets(elements: int, modules: int, stride: float) -> np.ndarray:
     """The :func:`_module_offsets` of every module, read-only, cached by
-    what they depend on.  Only arrays of at most ``BLOCK_ELEMENTS``
-    elements come here."""
+    what they depend on.  Only arrays of :func:`one_block` come here."""
     offsets = _module_offsets(elements, modules, stride, 0, modules)
     offsets.setflags(write=False)
     return offsets

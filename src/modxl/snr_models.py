@@ -33,11 +33,11 @@ from .geometry import (
     ArrayGeometry,
     UserLocation,
     aperture,
-    block_rows,
     centered,
     checked_floor_ratio,
     normalized_spacing,
     offset_ratios,
+    one_block,
     run_ratio_blocks,
 )
 from .numerics import compensated_sum, linear_to_db, np
@@ -120,24 +120,20 @@ def snr_exact_sum(
     """Exact SNR: effective power times the sum of inverse squared element
     distances.
 
-    An array of one block of :func:`run_ratio_blocks`, or a user near
-    endfire (:func:`is_near_endfire`), takes the distance kernel: each
-    module's terms are summed by numpy's pairwise summation and the module
-    partials by :func:`compensated_sum`, read from their buffer.  The terms
-    are positive, so the relative error grows only as the logarithm of the
-    module size (Higham, *Accuracy and Stability of Numerical Algorithms*,
-    ch. 4), and the fixed module-major order keeps reruns bit-identical.
-    These values keep the kernel's bits.  A larger array takes
-    :func:`_progression_sum`, in O(min(M, N)) operations and on the calling
-    thread alone, unless its values would leave the floating-point range.
-    Its bits are deterministic too, and differ from the kernel's in the
-    last places.  Both routes raise the kernel's ``OverflowError`` and then
-    its :class:`DegenerateGeometryError`.
+    One rule picks the route: an array of :func:`one_block` takes the
+    distance kernel, and a larger one :func:`_progression_sum`, at any
+    angle.  The kernel sums each module's terms by numpy's pairwise
+    summation and the module partials by :func:`compensated_sum`, read from
+    their buffer.  The terms are positive, so the relative error grows only
+    as the logarithm of the module size (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, ch. 4), and the fixed module-major order keeps
+    reruns bit-identical.  The progression route takes O(min(M, N))
+    operations on the calling thread, with deterministic bits that differ
+    from the kernel's in the last places; where its values would leave the
+    float range, it leaves the sum to the kernel.  Both routes raise the
+    kernel's ``OverflowError`` and then its :class:`DegenerateGeometryError`.
     """
-    total = None
-    multi_block = geom.module_count > block_rows(geom.elements_per_module)
-    if multi_block and not is_near_endfire(user):
-        total = _progression_sum(geom, user)
+    total = None if one_block(geom) else _progression_sum(geom, user)
     if total is None:
         partials = np.empty(geom.module_count)
 
@@ -200,8 +196,7 @@ def _progression_sum(
     foot = math.sin(user.angle_rad) * spacings  # the user's foot on the axis
     per_step = spacings / step  # the range, in steps
     b = math.cos(user.angle_rad) * per_step
-    end = stride * (0.5 * (n - 1)) + 0.5 * (m - 1)  # the largest offset
-    farthest = (end + abs(foot)) / step + 1.0
+    farthest = (geom.half_span + abs(foot)) / step + 1.0
     # Where b^2 is subnormal or an offset's square overflows, as where the
     # range is over 1e154 spacings, the kernel takes the sum.
     if not (b * b >= sys.float_info.min and farthest * farthest + b * b < math.inf):
@@ -229,7 +224,8 @@ def _progression_sum(
     single = (near >= below) & (near < above)
     ue = axis_offsets(np.clip(near, 0.0, length - 1.0))
     v = steps(ue)
-    offset_ratios(geom, user, ue, floor_ratio)  # the kernel's floor test
+    ue *= normalized_spacing(geom, user)
+    offset_ratios(user, ue, floor_ratio)  # the kernel's floor test
     terms = np.where(single, 1.0 / (v * v + b * b), 0.0)
 
     # Each part's first offset and the one past its last: the negative

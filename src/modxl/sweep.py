@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from numbers import Integral
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .channel import LinkBudget
@@ -74,8 +75,9 @@ class SweepSpec:
         for model in self.models:
             if not isinstance(model, SnrModel):
                 raise ValueError(f"unknown model {model!r}")
-        if not (isinstance(self.steps, int) and self.steps >= 2):
+        if not (isinstance(self.steps, Integral) and self.steps >= 2):
             raise ValueError(f"steps must be an integer >= 2, got {self.steps}")
+        object.__setattr__(self, "steps", int(self.steps))  # points stay Python floats
         if not self.start < self.stop:
             raise ValueError(
                 f"start must be below stop, got [{self.start}, {self.stop}]"

@@ -41,7 +41,8 @@ for total in (40_000, 1_600_000):
 
 #: The exact sum of arrays of more than one block, which sums progressions
 #: of like elements: the 160,000- and 1.6-million-element arrays, and a
-#: digest over 1,200 users of three layouts.
+#: digest over 440 users each, 40 of them at endfire, of four layouts, one
+#: of them a single module longer than a block.
 _EXACT_SUM_PROBE = """
 import hashlib, math
 from modxl.channel import LinkBudget
@@ -53,10 +54,11 @@ for total in (160_000, 1_600_000):
     geom = ArrayGeometry(16, total // 16, 0.0628, 20.0)
     print(total, snr_exact_sum(geom, UserLocation(80.0, 0.4), link).value_linear.hex())
 digest = hashlib.sha256()
-for m, n in ((8, 20_000), (100, 1_600), (65_537, 3)):
+for m, n in ((8, 20_000), (100, 1_600), (65_537, 3), (65_537, 1)):
     geom = ArrayGeometry(m, n, 0.0628, 20.0)
-    for i in range(400):
-        log_r, deg = -1.0 + 0.37 * i % 10.0, -89.0 + 1.37 * i % 178.0
+    for i in range(440):
+        log_r = -1.0 + 0.37 * i % 10.0
+        deg = -89.0 + 1.37 * i % 178.0 if i < 400 else (-90.0, 90.0)[i % 2]
         user = UserLocation(10.0**log_r, math.radians(deg))
         digest.update(snr_exact_sum(geom, user, link).value_linear.hex().encode())
 print(digest.hexdigest())

@@ -32,7 +32,7 @@ from modxl.geometry import (
     BLOCK_ELEMENTS,
     ArrayGeometry,
     UserLocation,
-    block_rows,
+    one_block,
     run_ratio_blocks,
 )
 from modxl.snr_models import SnrModel, snr_exact_sum
@@ -110,7 +110,7 @@ def test_bit_identical_to_one_pass(helper, m, n, range_m, theta_rad):
     assert (
         module_sums(geom, user).tobytes() == reference_module_sums(geom, user).tobytes()
     )
-    if n <= block_rows(m):  # larger arrays take the exact sum off the kernel
+    if one_block(geom):  # larger arrays take the exact sum off the kernel
         assert snr_exact_sum(geom, user, LINK).value_linear == reference_exact_sum(
             geom, user, LINK
         )
@@ -447,8 +447,8 @@ class TestOffsetCache:
     )
     def test_larger_arrays_never_enter(self, m, n):
         # Two blocks, and one module longer than a block.  Past one block
-        # the exact sum takes progressions, except near endfire, where it
-        # runs the kernel.
+        # the exact sum takes progressions, at endfire too, and the kernel
+        # makes each block's offsets with it.
         geom = ArrayGeometry(m, n, 0.0628, 2.5)
         for user in (UserLocation(80.0, 0.4), UserLocation(80.0, math.pi / 2)):
             block_ratios(geom, user)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from elements import block_ratios, element_positions, module_sums, user_position
@@ -175,8 +175,9 @@ class TestExactSum:
 
 @contextlib.contextmanager
 def progression_route():
-    """Blocks of one element: an array of two modules or more then takes the
-    exact sum's progression route, and the distance kernel must not run."""
+    """Blocks of one element: an array of two elements or more then takes
+    the exact sum's progression route, and the distance kernel must not
+    run."""
 
     def kernel(*args):
         raise AssertionError("the exact sum ran the distance kernel")
@@ -188,16 +189,17 @@ def progression_route():
 
 
 class TestProgressionRoute:
-    """Arrays of more than one block, off endfire, sum their progressions of
-    like elements through psi differences rather than element by element."""
+    """Arrays of more than one block, at every angle, sum their progressions
+    of like elements through psi differences rather than element by
+    element."""
 
     @given(
         st.integers(1, 64),
-        st.integers(2, 64),
+        st.integers(1, 64),
         st.floats(1e-3, 2.0),
         st.floats(1.0, 30.0),
         st.floats(-1.0, 9.0),
-        st.floats(-89.9, 89.9),
+        st.floats(-90.0, 90.0),
     )
     # The user 0.11 m from the centre, inside the span: offsets formed as
     # (element - foot) / stride + k, not as the kernel forms them, were
@@ -206,7 +208,12 @@ class TestProgressionRoute:
     # Every element on the negative side of the user's foot.
     @example(4, 40, 0.5, 3.0, 2.0, 80.0)
     @example(40, 4, 0.5, 3.0, 2.0, -80.0)
+    # Endfire, beyond the span and on the axis inside it, and one module.
+    @example(16, 40, 0.0628, 20.0, 1.9, 90.0)
+    @example(16, 40, 0.0628, 20.0, 1.0, -90.0)
+    @example(64, 1, 0.5, 1.0, 0.7, 90.0)
     def test_matches_rational_sum_over_decades(self, m, n, spacing, ratio, log_r, deg):
+        assume(m * n >= 2)  # one element is one block however small
         geom = ArrayGeometry(m, n, spacing, ratio)
         user = UserLocation(10.0**log_r, math.radians(deg))
         squared = rational_squared_distances(geom, user)
@@ -223,22 +230,25 @@ class TestProgressionRoute:
         assert report.value_linear == pytest.approx(oracle, rel=1e-12)
 
     def test_matches_the_kernel_at_scale(self):
-        geom = ArrayGeometry(16, 100_000, 0.0628, 20.0)
         user = UserLocation(80.0, 0.4)
-        # The kernel route's value: each module summed, the partials by fsum.
-        kernel = math.fsum(module_sums(geom, user).tolist())
-        kernel *= LINK.effective_power / user.range_m**2
-        value = snr_exact_sum(geom, user, LINK).value_linear
-        assert value == pytest.approx(kernel, rel=1e-14)
+        # Many modules, and one module longer than a block.
+        for m, n in ((16, 100_000), (geometry.BLOCK_ELEMENTS + 1, 1)):
+            geom = ArrayGeometry(m, n, 0.0628, 20.0)
+            # The kernel route's value: each module summed, the partials by
+            # fsum.
+            kernel = math.fsum(module_sums(geom, user).tolist())
+            kernel *= LINK.effective_power / user.range_m**2
+            value = snr_exact_sum(geom, user, LINK).value_linear
+            assert value == pytest.approx(kernel, rel=1e-14)
 
     @settings(max_examples=200)
     @given(
         st.integers(1, 8),
-        st.integers(2, 8),
+        st.integers(1, 8),
         st.one_of(st.just(1.0), st.floats(1.0, 30.0), st.floats(1.0, 1e300)),
         st.floats(-320.0, 3.0),
         st.floats(-323.0, 300.0),
-        st.floats(-89.99999, 89.99999),
+        st.floats(-90.0, 90.0),
     )
     def test_kernels_value_or_error_over_the_float_range(
         self, m, n, ratio, log_d, log_r, deg
@@ -261,13 +271,11 @@ class TestProgressionRoute:
         else:
             assert route == kernel
 
-    def test_floor_raises_as_the_kernel(self):
-        # The user is 2e-10 m off the array line, beside the element at
-        # 0.1 m, so within the 1e-9 m floor; cos(angle) = 2e-9 is off the
-        # endfire predicate.
-        geom = ArrayGeometry(2, 2 * geometry.block_rows(2) + 1, 0.2, 2.0)
-        user = UserLocation(0.1, math.acos(2e-9))
-        assert not snr_models.is_near_endfire(user)
+    #: Two blocks and one module more, with an element at 0.1 m.
+    FLOORED = ArrayGeometry(2, 2 * geometry.block_rows(2) + 1, 0.2, 2.0)
+
+    @staticmethod
+    def assert_floor_raises_as_the_kernel(geom, user):
         with pytest.raises(DegenerateGeometryError) as kernel:
             block_ratios(geom, user)
         with warnings.catch_warnings():
@@ -275,6 +283,20 @@ class TestProgressionRoute:
             with pytest.raises(DegenerateGeometryError) as route:
                 snr_exact_sum(geom, user, LINK)
         assert str(route.value) == str(kernel.value)
+
+    def test_floor_raises_as_the_kernel(self):
+        # The user is 2e-10 m off the array line, beside the element at
+        # 0.1 m, so within the 1e-9 m floor; cos(angle) = 2e-9 is off the
+        # endfire predicate.
+        user = UserLocation(0.1, math.acos(2e-9))
+        assert not snr_models.is_near_endfire(user)
+        self.assert_floor_raises_as_the_kernel(self.FLOORED, user)
+
+    def test_floor_raises_as_the_kernel_at_endfire(self):
+        # On the array axis, 5e-10 m beyond the element at 0.1 m.
+        user = UserLocation(0.1 + 5e-10, math.pi / 2)
+        assert snr_models.is_near_endfire(user)
+        self.assert_floor_raises_as_the_kernel(self.FLOORED, user)
 
     def test_overflow_outranks_the_floor(self):
         # The same layout scaled to 1e-165 m: the floor's own ratio

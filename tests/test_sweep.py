@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from modxl.errors import ModelMismatchError, SweepPointError
@@ -45,6 +46,11 @@ class TestSweepSpec:
             SweepSpec(base, SweepVariable.RANGE, 1.0, 10.0, steps=1)
         with pytest.raises(ValueError):
             SweepSpec(base, SweepVariable.RANGE, 1.0, 10.0, steps=5.0)
+        # Any integral count is accepted, and held as an int: a numpy
+        # integer would make the points numpy floats.
+        spec = SweepSpec(base, SweepVariable.RANGE, 1.0, 10.0, steps=np.int64(40),
+                         scale=SweepScale.LOGARITHMIC)
+        assert type(spec.steps) is int and type(spec.point_value(7)) is float
         with pytest.raises(ValueError):
             SweepSpec(base, SweepVariable.RANGE, 10.0, 1.0)
         with pytest.raises(ValueError):
