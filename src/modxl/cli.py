@@ -350,7 +350,9 @@ def _write_text(path: Optional[str], text: str) -> None:
 
 
 def _fmt9(value: float) -> str:
-    "Locale-independent rendering with nine significant digits."
+    "Nine significant digits, locale-independent; inf or NaN raises OverflowError."
+    if not math.isfinite(value):
+        raise OverflowError(f"a CSV field is {value}")
     return f"{value:.9g}"
 
 
@@ -392,7 +394,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
         "snr": snr_block,
         "flags": sorted(flags),
     }
-    _write_text(args.out, json.dumps(payload, indent=2, allow_nan=False) + "\n")
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError:  # a field overflowed, as an aperture of inf metres
+        raise OverflowError("a report field is not finite") from None
+    _write_text(args.out, text + "\n")
     return EXIT_OK
 
 

@@ -1,7 +1,7 @@
 """Modular uniform-linear-array layout: spans, the blocked kernel of
-element-to-user distances with its cache of one-block element offsets, and
-:func:`run_blocks`, which runs a function on each block on threads and
-returns the results in block order.
+element-to-user distances with its cache of one-block element offsets, the
+sum over the elements of its inverse ratios, and :func:`run_blocks`, which
+runs a function on each block on threads and returns the results in order.
 
 The array lies on the y axis, symmetric about the origin.  A layout consists
 of ``module_count`` modules of ``elements_per_module`` antenna elements each.
@@ -19,13 +19,14 @@ from __future__ import annotations
 import functools
 import math
 import os
+import sys
 import threading
 from dataclasses import dataclass
 from numbers import Integral
 from typing import Callable, Tuple
 
 from .errors import DegenerateGeometryError
-from .numerics import np
+from .numerics import compensated_sum, np
 
 #: Element-to-user distances below this floor (metres) are rejected: the 1/r
 #: free-space amplitude model diverges as the user reaches an element.
@@ -57,7 +58,7 @@ _pool = None
 _pool_lock = threading.Lock()
 
 
-def centered(count: int) -> np.ndarray:
+def _centered(count: int) -> np.ndarray:
     "Centred unit-step index values for ``count`` positions."
     return np.arange(0.5 * (1 - count), 0.5 * count)
 
@@ -69,9 +70,9 @@ class ArrayGeometry:
     Parameters
     ----------
     elements_per_module :
-        Number of antenna elements per module (>= 1).
+        Number of antenna elements per module (1 to 2**53).
     module_count :
-        Number of modules (>= 1).
+        Number of modules (1 to 2**53).
     element_spacing :
         Spacing between adjacent elements within a module, metres.
     separation_ratio :
@@ -90,6 +91,8 @@ class ArrayGeometry:
             raise ValueError("elements_per_module must be an integer >= 1")
         if not (isinstance(n, Integral) and n >= 1):
             raise ValueError("module_count must be an integer >= 1")
+        if max(m, n) > 2**53:  # where centred indices stop being exact floats
+            raise ValueError("elements_per_module and module_count must be <= 2**53")
         if not 0 < self.element_spacing < math.inf:
             raise ValueError("element_spacing must be positive and finite")
         if not 1 <= self.separation_ratio < math.inf:
@@ -178,7 +181,7 @@ def block_rows(width: int) -> int:
     return max(1, BLOCK_ELEMENTS // width)
 
 
-def one_block(geom: ArrayGeometry) -> bool:
+def _one_block(geom: ArrayGeometry) -> bool:
     """Whether the array fits one block of :func:`run_ratio_blocks`; its
     offsets are then cached, and its exact sum runs the kernel."""
     return geom.total_elements <= BLOCK_ELEMENTS
@@ -224,12 +227,12 @@ def run_ratio_blocks(
     ``DISTANCE_FLOOR_M``, and any error of ``body``, from the first failing
     block in module order, after every share has finished.
     """
-    floor_ratio = checked_floor_ratio(geom, user)
+    floor_ratio = _checked_floor_ratio(geom, user)
     rows = block_rows(geom.elements_per_module)
     run_blocks(geom.module_count, rows, _ratio_block, (geom, user, floor_ratio, body))
 
 
-def checked_floor_ratio(geom: ArrayGeometry, user: UserLocation) -> float:
+def _checked_floor_ratio(geom: ArrayGeometry, user: UserLocation) -> float:
     """The squared ratio of ``DISTANCE_FLOOR_M`` to the range, after the
     kernel's range check: raises ``OverflowError`` unless it and
     :func:`largest_squared_ratio` are finite."""
@@ -240,13 +243,15 @@ def checked_floor_ratio(geom: ArrayGeometry, user: UserLocation) -> float:
     return floor_ratio
 
 
-def offset_ratios(user: UserLocation, ue: np.ndarray, floor_ratio: float) -> np.ndarray:
+def _offset_ratios(
+    user: UserLocation, ue: np.ndarray, floor_ratio: float
+) -> np.ndarray:
     """The kernel's squared distance ratios of the elements at axis offsets
     ``ue``, in units of the range (offsets in element spacings times
     :func:`normalized_spacing`).  ``ue`` is consumed: it holds the
     across-axis terms afterwards.  Raises :class:`DegenerateGeometryError`
     where a ratio is below ``floor_ratio``, from
-    :func:`checked_floor_ratio`."""
+    :func:`_checked_floor_ratio`."""
     ratios = ue * math.sin(user.angle_rad)
     np.subtract(1.0, ratios, out=ratios)  # along the array axis
     ratios *= ratios
@@ -259,6 +264,147 @@ def offset_ratios(user: UserLocation, ue: np.ndarray, floor_ratio: float) -> np.
             f"{DISTANCE_FLOOR_M:.0e} m"
         )
     return ratios
+
+
+def inverse_ratio_sum(geom: ArrayGeometry, user: UserLocation) -> float:
+    """The sum over the elements of the kernel's inverse squared distance
+    ratios, r^2 / d_n^2.
+
+    An array of :func:`_one_block` runs the kernel, and a larger one
+    :func:`_progression_sum` at any angle, or the kernel where that returns
+    None.  The kernel sums each module's terms by numpy's pairwise summation
+    and the module partials by :func:`compensated_sum`, read from their
+    buffer.  The terms are positive, so the relative error grows only as the
+    logarithm of the module size (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, ch. 4), and the fixed module-major order keeps
+    reruns bit-identical.  The progression route runs on the calling thread,
+    and its bits differ from the kernel's in the last places.  Both raise the
+    kernel's ``OverflowError`` and then its :class:`DegenerateGeometryError`.
+    """
+    total = None if _one_block(geom) else _progression_sum(geom, user)
+    if total is None:
+        partials = np.empty(geom.module_count)
+
+        def module_sums(modules: slice, inverse: np.ndarray) -> None:
+            np.reciprocal(inverse, out=inverse)
+            np.add.reduce(inverse, axis=1, out=partials[modules])
+
+        run_ratio_blocks(geom, user, module_sums)
+        total = compensated_sum(memoryview(partials))
+    return total
+
+
+#: B_2k / 2k for k = 1 to 8: the coefficients of the asymptotic series of
+#: the digamma function, psi(z) ~ ln z - 1/(2z) - sum B_2k / (2k z^2k)
+#: (DLMF 5.11.2).
+_PSI_SERIES = (
+    1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12, -3617 / 8160
+)
+#: Offsets, in steps, below which a progression's terms are added one by
+#: one: from |z| = 12 on, the first term the series leaves out is below
+#: 1.2e-19.
+_PSI_FROM = 12
+
+
+def _progression_sum(geom: ArrayGeometry, user: UserLocation) -> float | None:
+    """:func:`inverse_ratio_sum` in O(min(M, N)) operations, or None where
+    the values it needs in units of its steps leave the floating-point range.
+
+    The elements lie on a lattice, so the elements of one index in every
+    module, or the elements of one module, form an arithmetic progression
+    along the array axis.  Each runs along the longer axis, with step h
+    (the stride, or one spacing).  In units of h, with offsets v_k from the
+    user's foot on the axis and b = r cos(angle) / (h d), its terms sum to
+    sum_k 1/(v_k^2 + b^2) = -Im[psi(z + n) - psi(z)] / b for z = v_0 + ib
+    (DLMF 5.15).  Terms with |v_k| < ``_PSI_FROM`` are added one by one.
+    The rest form a part with v_k >= ``_PSI_FROM`` and a part with
+    v_k <= -``_PSI_FROM``, which is taken as its mirror image: psi has its
+    poles on the negative real axis, where its series does not hold.  A
+    part of n terms from w_0 gives atan2(n b, w_0 (w_0 + n) + b^2) / b, the
+    integral of its terms, and the series' tail at w_0 and w_0 + n.
+    :func:`compensated_sum` adds every piece.  Each offset is formed as the
+    kernel forms it, stride * module + element first and then minus the
+    user's foot, so that the offsets near the user keep their precision.
+
+    Raises the kernel's ``OverflowError`` before any work, and its
+    :class:`DegenerateGeometryError` from the kernel's ratios of each
+    progression's elements nearest the user.
+    """
+    floor_ratio = _checked_floor_ratio(geom, user)
+    m, n = geom.elements_per_module, geom.module_count
+    stride = geom.stride
+    along_modules = n >= m
+    length, rows = (n, m) if along_modules else (m, n)
+    step = stride if along_modules else 1.0
+    spacings = user.range_m / geom.element_spacing  # the range, in spacings
+    foot = math.sin(user.angle_rad) * spacings  # the user's foot on the axis
+    per_step = spacings / step  # the range, in steps
+    b = math.cos(user.angle_rad) * per_step
+    farthest = (geom.half_span + abs(foot)) / step + 1.0
+    # Where b^2 is subnormal or an offset's square overflows, as where the
+    # range is over 1e154 spacings, the kernel takes the sum.
+    if not (b * b >= sys.float_info.min and farthest * farthest + b * b < math.inf):
+        return None
+    first = 0.5 * (1 - length)  # the first centred index along a progression
+    across = _centered(rows)[:, None]
+
+    def axis_offsets(k: np.ndarray) -> np.ndarray:
+        "Axis offsets, in spacings, of element k of each progression."
+        if along_modules:
+            return stride * (first + k) + across
+        return stride * across + (first + k)
+
+    def steps(ue: np.ndarray) -> np.ndarray:
+        return (ue - foot) / step
+
+    v0 = steps(axis_offsets(np.zeros(1)))
+    # The elements before ``below`` have v <= -_PSI_FROM, and those from
+    # ``above`` on have v >= _PSI_FROM.
+    below = np.clip(np.floor(-_PSI_FROM - v0) + 1.0, 0.0, length)
+    above = np.clip(np.ceil(_PSI_FROM - v0), 0.0, length)
+    # The elements from below - 1 to above: the ones added one by one, and
+    # the nearest of each part.  One of them is the nearest to the user.
+    near = below - 1.0 + np.arange(2 * _PSI_FROM + 2)
+    single = (near >= below) & (near < above)
+    ue = axis_offsets(np.clip(near, 0.0, length - 1.0))
+    v = steps(ue)
+    ue *= normalized_spacing(geom, user)
+    _offset_ratios(user, ue, floor_ratio)  # the kernel's floor test
+    terms = np.where(single, 1.0 / (v * v + b * b), 0.0)
+
+    # Each part's first offset and the one past its last: the negative
+    # part mirrored, -v(below - 1) to -v(-1), and v(above) to v(length).
+    bounds = steps(axis_offsets(np.hstack((
+        below - 1.0, above, -np.ones_like(below), np.full_like(above, length)
+    ))))
+    bounds[:, ::2] *= -1.0
+    counts = np.hstack((below, length - above))
+    # An empty part starts and stops at _PSI_FROM, so it adds 0.
+    bounds = np.where(np.tile(counts, 2) > 0.0, bounds, _PSI_FROM)
+    start, stop = bounds[:, :2].ravel(), bounds[:, 2:].ravel()
+    # math.atan2 and real arithmetic: numpy's arctan2 and complex loops
+    # give other bits under other SIMD dispatch.
+    main = list(map(math.atan2, (counts.ravel() * b).tolist(),
+                    (start * stop + b * b).tolist()))
+    tails = _psi_series_imag(np.concatenate((start, stop)), b)
+    tails[start.size :] *= -1.0
+    pieces = np.concatenate((np.concatenate((main, tails)) / b, terms.ravel()))
+    return compensated_sum(memoryview(pieces)) * per_step * per_step
+
+
+def _psi_series_imag(w: np.ndarray, b: float) -> np.ndarray:
+    """Im T(w + ib) for the tail T(z) = -1/(2z) - sum B_2k / (2k z^2k) of
+    psi's asymptotic series, in real arithmetic."""
+    norm = w * w + b * b
+    re, im = w / norm, -b / norm  # 1/z
+    square_re, square_im = re * re - im * im, 2.0 * re * im  # 1/z^2
+    sum_re, sum_im = _PSI_SERIES[-1], 0.0
+    for coefficient in _PSI_SERIES[-2::-1]:
+        sum_re, sum_im = (
+            sum_re * square_re - sum_im * square_im + coefficient,
+            sum_re * square_im + sum_im * square_re,
+        )
+    return -0.5 * im - (square_re * sum_im + square_im * sum_re)
 
 
 def run_blocks(
@@ -309,7 +455,7 @@ def _run_share(work: Callable, args: object, count: int, starts: range) -> list:
 def _ratio_block(args: tuple, start: int, stop: int) -> None:
     """Make the block of :func:`run_ratio_blocks` of modules ``start`` to
     ``stop`` and hand it to ``body``; ``args`` is (geom, user, floor_ratio,
-    body).  An array of :func:`one_block` takes its offsets from
+    body).  An array of :func:`_one_block` takes its offsets from
     :func:`_one_block_offsets`.  A larger array's block makes its offsets
     with it, so a thread holds no array longer than a block, and two of
     them at most until ``body`` is called: a third, as ``1.0 - ue * sin``,
@@ -319,12 +465,12 @@ def _ratio_block(args: tuple, start: int, stop: int) -> None:
     geom, user, floor_ratio, body = args
     m, n, stride = geom.elements_per_module, geom.module_count, geom.stride
     eps = normalized_spacing(geom, user)
-    if one_block(geom):
+    if _one_block(geom):
         ue = _one_block_offsets(m, n, stride) * eps
     else:
         ue = _module_offsets(m, n, stride, start, stop)
         ue *= eps
-    ratios = offset_ratios(user, ue, floor_ratio)
+    ratios = _offset_ratios(user, ue, floor_ratio)
     del ue
     body(slice(start, stop), ratios)
 
@@ -336,13 +482,13 @@ def _module_offsets(
     ``start`` to ``stop`` of ``modules``: stride * module + element, on
     centred indices, shaped (modules, elements)."""
     low = 0.5 * (1 - modules)  # the first centred module index
-    return stride * np.arange(low + start, low + stop)[:, None] + centered(elements)
+    return stride * np.arange(low + start, low + stop)[:, None] + _centered(elements)
 
 
 @functools.lru_cache(maxsize=_OFFSET_CACHE_SIZE)
 def _one_block_offsets(elements: int, modules: int, stride: float) -> np.ndarray:
     """The :func:`_module_offsets` of every module, read-only, cached by
-    what they depend on.  Only arrays of :func:`one_block` come here."""
+    what they depend on.  Only arrays of :func:`_one_block` come here."""
     offsets = _module_offsets(elements, modules, stride, 0, modules)
     offsets.setflags(write=False)
     return offsets

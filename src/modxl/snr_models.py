@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -33,14 +32,10 @@ from .geometry import (
     ArrayGeometry,
     UserLocation,
     aperture,
-    centered,
-    checked_floor_ratio,
+    inverse_ratio_sum,
     normalized_spacing,
-    offset_ratios,
-    one_block,
-    run_ratio_blocks,
 )
-from .numerics import compensated_sum, linear_to_db, np
+from .numerics import linear_to_db, np
 
 
 class SnrModel(Enum):
@@ -117,150 +112,11 @@ class SnrReport:
 def snr_exact_sum(
     geom: ArrayGeometry, user: UserLocation, link: LinkBudget
 ) -> SnrReport:
-    """Exact SNR: effective power times the sum of inverse squared element
-    distances.
-
-    One rule picks the route: an array of :func:`one_block` takes the
-    distance kernel, and a larger one :func:`_progression_sum`, at any
-    angle.  The kernel sums each module's terms by numpy's pairwise
-    summation and the module partials by :func:`compensated_sum`, read from
-    their buffer.  The terms are positive, so the relative error grows only
-    as the logarithm of the module size (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, ch. 4), and the fixed module-major order keeps
-    reruns bit-identical.  The progression route takes O(min(M, N))
-    operations on the calling thread, with deterministic bits that differ
-    from the kernel's in the last places; where its values would leave the
-    float range, it leaves the sum to the kernel.  Both routes raise the
-    kernel's ``OverflowError`` and then its :class:`DegenerateGeometryError`.
-    """
-    total = None if one_block(geom) else _progression_sum(geom, user)
-    if total is None:
-        partials = np.empty(geom.module_count)
-
-        def module_sums(modules: slice, inverse: np.ndarray) -> None:
-            np.reciprocal(inverse, out=inverse)
-            np.add.reduce(inverse, axis=1, out=partials[modules])
-
-        run_ratio_blocks(geom, user, module_sums)
-        total = compensated_sum(memoryview(partials))
+    """Exact SNR: P/r^2 times :func:`inverse_ratio_sum`.  Raises its errors,
+    and then ``OverflowError`` where P/r^2 overflows (see :func:`_scale`)."""
+    total = inverse_ratio_sum(geom, user)
     scale = _scale(link.effective_power, user.range_m**2, "P/r^2")
     return SnrReport(SnrModel.EXACT_SUM, scale * total)
-
-
-#: B_2k / 2k for k = 1 to 8: the coefficients of the asymptotic series of
-#: the digamma function, psi(z) ~ ln z - 1/(2z) - sum B_2k / (2k z^2k)
-#: (DLMF 5.11.2).
-_PSI_SERIES = (
-    1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12, -3617 / 8160
-)
-#: Offsets, in steps, below which a progression's terms are added one by
-#: one: from |z| = 12 on, the first term the series leaves out is below
-#: 1.2e-19.
-_PSI_FROM = 12
-
-
-def _progression_sum(
-    geom: ArrayGeometry, user: UserLocation
-) -> float | None:
-    """The sum of the kernel's inverse squared distance ratios, in
-    O(min(M, N)) operations, or None where the values it needs in units of
-    its steps leave the floating-point range.
-
-    The elements lie on a lattice, so the elements of one index in every
-    module, or the elements of one module, form an arithmetic progression
-    along the array axis.  Each runs along the longer axis, with step h
-    (the stride, or one spacing).  In units of h, with offsets v_k from the
-    user's foot on the axis and b = r cos(angle) / (h d), its terms sum to
-    sum_k 1/(v_k^2 + b^2) = -Im[psi(z + n) - psi(z)] / b for z = v_0 + ib
-    (DLMF 5.15).  Terms with |v_k| < ``_PSI_FROM`` are added one by one.
-    The rest form a part with v_k >= ``_PSI_FROM`` and a part with
-    v_k <= -``_PSI_FROM``, which is taken as its mirror image: psi has its
-    poles on the negative real axis, where its series does not hold.  A
-    part of n terms from w_0 gives atan2(n b, w_0 (w_0 + n) + b^2) / b, the
-    integral of its terms, and the series' tail at w_0 and w_0 + n.
-    :func:`compensated_sum` adds every piece.  Each offset is formed as the
-    kernel forms it, stride * module + element first and then minus the
-    user's foot, so that the offsets near the user keep their precision.
-
-    Raises the kernel's ``OverflowError`` before any work, and its
-    :class:`DegenerateGeometryError` from the kernel's ratios of each
-    progression's elements nearest the user.
-    """
-    floor_ratio = checked_floor_ratio(geom, user)
-    m, n = geom.elements_per_module, geom.module_count
-    stride = geom.stride
-    along_modules = n >= m
-    length, rows = (n, m) if along_modules else (m, n)
-    step = stride if along_modules else 1.0
-    spacings = user.range_m / geom.element_spacing  # the range, in spacings
-    foot = math.sin(user.angle_rad) * spacings  # the user's foot on the axis
-    per_step = spacings / step  # the range, in steps
-    b = math.cos(user.angle_rad) * per_step
-    farthest = (geom.half_span + abs(foot)) / step + 1.0
-    # Where b^2 is subnormal or an offset's square overflows, as where the
-    # range is over 1e154 spacings, the kernel takes the sum.
-    if not (b * b >= sys.float_info.min and farthest * farthest + b * b < math.inf):
-        return None
-    first = 0.5 * (1 - length)  # the first centred index along a progression
-    across = centered(rows)[:, None]
-
-    def axis_offsets(k: np.ndarray) -> np.ndarray:
-        "Axis offsets, in spacings, of element k of each progression."
-        if along_modules:
-            return stride * (first + k) + across
-        return stride * across + (first + k)
-
-    def steps(ue: np.ndarray) -> np.ndarray:
-        return (ue - foot) / step
-
-    v0 = steps(axis_offsets(np.zeros(1)))
-    # The elements before ``below`` have v <= -_PSI_FROM, and those from
-    # ``above`` on have v >= _PSI_FROM.
-    below = np.clip(np.floor(-_PSI_FROM - v0) + 1.0, 0.0, length)
-    above = np.clip(np.ceil(_PSI_FROM - v0), 0.0, length)
-    # The elements from below - 1 to above: the ones added one by one, and
-    # the nearest of each part.  One of them is the nearest to the user.
-    near = below - 1.0 + np.arange(2 * _PSI_FROM + 2)
-    single = (near >= below) & (near < above)
-    ue = axis_offsets(np.clip(near, 0.0, length - 1.0))
-    v = steps(ue)
-    ue *= normalized_spacing(geom, user)
-    offset_ratios(user, ue, floor_ratio)  # the kernel's floor test
-    terms = np.where(single, 1.0 / (v * v + b * b), 0.0)
-
-    # Each part's first offset and the one past its last: the negative
-    # part mirrored, -v(below - 1) to -v(-1), and v(above) to v(length).
-    bounds = steps(axis_offsets(np.hstack((
-        below - 1.0, above, -np.ones_like(below), np.full_like(above, length)
-    ))))
-    bounds[:, ::2] *= -1.0
-    counts = np.hstack((below, length - above))
-    # An empty part starts and stops at _PSI_FROM, so it adds 0.
-    bounds = np.where(np.tile(counts, 2) > 0.0, bounds, _PSI_FROM)
-    start, stop = bounds[:, :2].ravel(), bounds[:, 2:].ravel()
-    # math.atan2 and real arithmetic: numpy's arctan2 and complex loops
-    # give other bits under other SIMD dispatch.
-    main = list(map(math.atan2, (counts.ravel() * b).tolist(),
-                    (start * stop + b * b).tolist()))
-    tails = _psi_series_imag(np.concatenate((start, stop)), b)
-    tails[start.size :] *= -1.0
-    pieces = np.concatenate((np.concatenate((main, tails)) / b, terms.ravel()))
-    return compensated_sum(memoryview(pieces)) * per_step * per_step
-
-
-def _psi_series_imag(w: np.ndarray, b: float) -> np.ndarray:
-    """Im T(w + ib) for the tail T(z) = -1/(2z) - sum B_2k / (2k z^2k) of
-    psi's asymptotic series, in real arithmetic."""
-    norm = w * w + b * b
-    re, im = w / norm, -b / norm  # 1/z
-    square_re, square_im = re * re - im * im, 2.0 * re * im  # 1/z^2
-    sum_re, sum_im = _PSI_SERIES[-1], 0.0
-    for coefficient in _PSI_SERIES[-2::-1]:
-        sum_re, sum_im = (
-            sum_re * square_re - sum_im * square_im + coefficient,
-            sum_re * square_im + sum_im * square_re,
-        )
-    return -0.5 * im - (square_re * sum_im + square_im * sum_re)
 
 
 def _scale(numerator: float, denominator: float, what: str) -> float:

@@ -32,7 +32,6 @@ from modxl.geometry import (
     BLOCK_ELEMENTS,
     ArrayGeometry,
     UserLocation,
-    one_block,
     run_ratio_blocks,
 )
 from modxl.snr_models import SnrModel, snr_exact_sum
@@ -110,7 +109,7 @@ def test_bit_identical_to_one_pass(helper, m, n, range_m, theta_rad):
     assert (
         module_sums(geom, user).tobytes() == reference_module_sums(geom, user).tobytes()
     )
-    if one_block(geom):  # larger arrays take the exact sum off the kernel
+    if geometry._one_block(geom):  # larger arrays take the exact sum off the kernel
         assert snr_exact_sum(geom, user, LINK).value_linear == reference_exact_sum(
             geom, user, LINK
         )

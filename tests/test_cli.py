@@ -141,6 +141,10 @@ class TestEval:
             # prefactor times a bracket that underflowed to 0.
             (("eval", "--spacing-m", "1e-152", "--range-m", "1e12",
               "--txsnr-db", "60", "--models", "closed"), 2),
+            # Once exit 0 with a sum 6.4 times that of 10**15 modules: centred
+            # indices above 2**53 are not exact floats.
+            (("eval", "--modules", "100000000000000000", "--range-m", "1",
+              "--models", "exact"), 2),
         ],
     )
     def test_error_exit_codes(self, capsys, argv, code):
@@ -203,6 +207,11 @@ class TestEval:
             ("--elements-per-module", "2", "--modules", "3", "--spacing-m", "1",
              "--separation-ratio", "1e308", "--range-m", "1", "--theta-deg", "17",
              "--models", "integral"),
+            # A report field overflows, normalized_spacing and then the
+            # aperture: once json's "Out of range float values are not JSON
+            # compliant: inf".
+            ("--spacing-m", "1e300", "--range-m", "1e-10", "--models", "upw"),
+            ("--spacing-m", "1e300", "--separation-ratio", "1e10", "--models", "upw"),
         ],
     )
     def test_overflow_writes_only_the_error_line(self, argv):
@@ -530,6 +539,20 @@ class TestSweep:
             "modxl: error: sweep point 1 failed: closed_form SNR is 0.0, "
             "outside the floating-point range\n"
         )
+
+    def test_overflow_writes_only_the_error_line(self, tmp_path):
+        # D_m overflows to inf: once exit 0 with "inf" in the CSV.
+        target = tmp_path / "s.csv"
+        proc = run_fresh(
+            "sweep", "--spacing-m", "1e300", "--separation-ratio", "1e10",
+            "--models", "upw", "--steps", "2", "--out", str(target),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "modxl: error: an input value is out of range "
+            "(floating-point overflow)\n"
+        )
+        assert not target.exists()
 
     def test_overflowing_sweep_point_named_as_out_of_range(self, capsys, tmp_path):
         code = main([

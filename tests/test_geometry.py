@@ -67,6 +67,15 @@ class TestArrayGeometry:
         with pytest.raises(ValueError):
             ArrayGeometry(**kwargs)
 
+    @pytest.mark.parametrize("name", ["elements_per_module", "module_count"])
+    def test_counts_up_to_2_to_the_53(self, name):
+        # Above 2**53 centred indices are not exact floats, and the exact sum
+        # of 10**17 modules was 6.4 times that of 10**15.
+        counts = dict(elements_per_module=3, module_count=3, element_spacing=0.1)
+        assert getattr(ArrayGeometry(**{**counts, name: 2**53}), name) == 2**53
+        with pytest.raises(ValueError, match=r"2\*\*53"):
+            ArrayGeometry(**{**counts, name: 2**53 + 1})
+
     def test_numpy_integer_counts_accepted(self):
         geom = ArrayGeometry(np.int64(16), np.int32(20), 0.0628, 20.0)
         assert geom.total_elements == 320

@@ -124,13 +124,13 @@ class TestExactSum:
 
     def test_compensated_sum_sees_one_partial_per_module(self, monkeypatch):
         # The Python-level fsum walks N module partials, never M*N terms.
-        compensated_sum, counts = snr_models.compensated_sum, []
+        compensated_sum, counts = geometry.compensated_sum, []
 
         def spy(values):
             counts.append(len(values))
             return compensated_sum(values)
 
-        monkeypatch.setattr(snr_models, "compensated_sum", spy)
+        monkeypatch.setattr(geometry, "compensated_sum", spy)
         snr_exact_sum(ArrayGeometry(64, 5, 0.0628, 3.0), BROADSIDE, LINK)
         assert counts == [5]
 
@@ -184,7 +184,7 @@ def progression_route():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(geometry, "BLOCK_ELEMENTS", 1)
-        patch.setattr(snr_models, "run_ratio_blocks", kernel)
+        patch.setattr(geometry, "run_ratio_blocks", kernel)
         yield
 
 
@@ -240,6 +240,18 @@ class TestProgressionRoute:
             kernel *= LINK.effective_power / user.range_m**2
             value = snr_exact_sum(geom, user, LINK).value_linear
             assert value == pytest.approx(kernel, rel=1e-14)
+
+    @pytest.mark.parametrize("m, n", [(16, 2**53), (2**53, 3)])
+    @pytest.mark.parametrize("angle", [0.0, 0.4])
+    def test_largest_counts_are_exact(self, m, n, angle):
+        # At 2**53, the largest count accepted, centred indices are still
+        # exact: the sum has converged to that of 10**15 of the same parity.
+        # Two more modules were once 17% off it.
+        user = UserLocation(1.0, angle)
+        value = snr_exact_sum(ArrayGeometry(m, n, 0.0628, 20.0), user, LINK)
+        fewer = ArrayGeometry(min(m, 10**15), min(n, 10**15), 0.0628, 20.0)
+        reference = snr_exact_sum(fewer, user, LINK).value_linear
+        assert value.value_linear == pytest.approx(reference, rel=1e-14)
 
     @settings(max_examples=200)
     @given(
