@@ -93,6 +93,8 @@ class ArrayGeometry:
             raise ValueError("module_count must be an integer >= 1")
         if max(m, n) > 2**53:  # where centred indices stop being exact floats
             raise ValueError("elements_per_module and module_count must be <= 2**53")
+        object.__setattr__(self, "elements_per_module", int(m))  # no numpy overflow
+        object.__setattr__(self, "module_count", int(n))
         if not 0 < self.element_spacing < math.inf:
             raise ValueError("element_spacing must be positive and finite")
         if not 1 <= self.separation_ratio < math.inf:

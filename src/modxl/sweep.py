@@ -16,13 +16,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 from .channel import LinkBudget
 from .errors import SweepPointError
 from .geometry import ArrayGeometry, UserLocation
-from .snr_models import (
-    EVALUATORS,
-    SnrModel,
-    SnrReport,
-    is_collocated,
-    is_near_endfire,
-)
+from .snr_models import EVALUATORS, SnrModel, SnrReport, models_outside_domain
 
 #: ``tuple(SnrModel)``, the canonical output order.  Per-point loops iterate
 #: it because iterating the Enum class runs a slower Python-level generator.
@@ -165,13 +159,13 @@ def evaluate_models(
 def applicable_models(
     scenario: Scenario, swept: Optional[SweepVariable] = None
 ) -> Tuple[SnrModel, ...]:
-    """The models valid at ``scenario`` and at every point of a sweep over
-    ``swept``, in canonical order: the collocated model only at unit
-    separation ratio, and the infinite-array limit away from endfire."""
-    excluded = set()
-    if not is_collocated(scenario.geometry) or swept is SweepVariable.SEPARATION:
+    """The models valid at ``scenario``, in canonical order: all but those of
+    ``models_outside_domain``, less ``collocated`` on a sweep over the
+    separation and ``asymptotic`` on one over the angle."""
+    excluded = set(models_outside_domain(scenario.geometry, scenario.user))
+    if swept is SweepVariable.SEPARATION:
         excluded.add(SnrModel.COLLOCATED)
-    if is_near_endfire(scenario.user) or swept is SweepVariable.THETA:
+    if swept is SweepVariable.THETA:
         excluded.add(SnrModel.ASYMPTOTIC)
     return tuple(model for model in MODEL_ORDER if model not in excluded)
 

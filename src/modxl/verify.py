@@ -26,7 +26,9 @@ from .channel import LinkBudget, array_response_nusw
 from .geometry import ArrayGeometry, UserLocation, aperture
 from .numerics import np
 from .snr_models import (
+    CONTINUUM_TOLERANCE,
     FLAG_THETA_NEAR_ENDFIRE,
+    QUADRATURE_AGREEMENT,
     SnrModel,
     snr_asymptotic,
     snr_closed_form,
@@ -108,7 +110,7 @@ def _check_closed_form_grid(base: Scenario) -> Tuple[float, float, str]:
                 closed = snr_closed_form(geom, user, base.link).value_linear
                 worst = max(worst, _rel_diff(closed, exact))
                 points += 1
-    return 1e-2, worst, f"{points} grid points"
+    return CONTINUUM_TOLERANCE, worst, f"{points} grid points"
 
 
 def _check_collocated_reduction(base: Scenario) -> Tuple[float, float, str]:
@@ -119,7 +121,7 @@ def _check_collocated_reduction(base: Scenario) -> Tuple[float, float, str]:
         exact = snr_exact_sum(geom, base.user, base.link).value_linear
         col = snr_collocated(geom, base.user, base.link).value_linear
         worst = max(worst, _rel_diff(col, exact))
-    return 1e-2, worst, "module counts 1..625"
+    return CONTINUUM_TOLERANCE, worst, "module counts 1..625"
 
 
 def _check_asymptotic_convergence(base: Scenario) -> Tuple[float, float, str]:
@@ -180,7 +182,7 @@ def _check_closed_vs_quadrature(base: Scenario) -> Tuple[float, float, str]:
         closed = snr_closed_form(base.geometry, user, base.link).value_linear
         quad = snr_double_integral(base.geometry, user, base.link).value_linear
         worst = max(worst, _rel_diff(closed, quad))
-    return 1e-6, worst, "broadside and 30 deg"
+    return QUADRATURE_AGREEMENT, worst, "broadside and 30 deg"
 
 
 def _random_unit_weights(rng: np.random.Generator, size: int) -> BeamformingWeights:

@@ -23,6 +23,8 @@ from modxl.channel import LinkBudget, array_response_nusw
 from modxl.cli import main
 from modxl.geometry import ArrayGeometry, UserLocation, aperture
 from modxl.snr_models import (
+    CONTINUUM_TOLERANCE,
+    QUADRATURE_AGREEMENT,
     SnrModel,
     snr_asymptotic,
     snr_closed_form,
@@ -53,9 +55,10 @@ def test_criterion_01_closed_form_tracks_exact_sum():
         closed = snr_closed_form(geom, BROADSIDE, LINK).value_linear
         worst = max(worst, abs(closed - exact) / exact)
     elapsed = time.monotonic() - start
-    ok = worst <= 1e-2 and elapsed < 5.0
+    ok = worst <= CONTINUUM_TOLERANCE and elapsed < 5.0
     _report(1, ok, "closed form vs exact sum over N=1..625: worst rel err "
-                   f"{worst:.3e} (tol 1e-2), {elapsed:.2f}s (budget 5s)")
+                   f"{worst:.3e} (tol {CONTINUUM_TOLERANCE:g}), {elapsed:.2f}s "
+                   "(budget 5s)")
 
 
 def test_criterion_02_quadrature_confirms_closed_form():
@@ -77,9 +80,10 @@ def test_criterion_02_quadrature_confirms_closed_form():
         integral = snr_double_integral(geom, user, LINK).value_linear
         worst = max(worst, abs(closed - integral) / integral)
     elapsed = time.monotonic() - start
-    ok = worst <= 1e-6 and elapsed < 30.0
+    ok = worst <= QUADRATURE_AGREEMENT and elapsed < 30.0
     _report(2, ok, "closed form vs double quadrature on 21 configs: worst "
-                   f"rel err {worst:.3e} (tol 1e-6), {elapsed:.2f}s "
+                   f"rel err {worst:.3e} (tol {QUADRATURE_AGREEMENT:g}), "
+                   f"{elapsed:.2f}s "
                    "(budget 30s)")
 
 
@@ -90,9 +94,9 @@ def test_criterion_03_collocated_reduction_tracks_exact_sum():
         exact = snr_exact_sum(geom, BROADSIDE, LINK).value_linear
         collocated = snr_collocated(geom, BROADSIDE, LINK).value_linear
         worst = max(worst, abs(collocated - exact) / exact)
-    ok = worst <= 1e-2
+    ok = worst <= CONTINUUM_TOLERANCE
     _report(3, ok, "collocated closed form vs exact sum over N=1..625: "
-                   f"worst rel err {worst:.3e} (tol 1e-2)")
+                   f"worst rel err {worst:.3e} (tol {CONTINUUM_TOLERANCE:g})")
 
 
 def test_criterion_04_exact_sum_reaches_asymptote():

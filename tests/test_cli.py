@@ -12,7 +12,7 @@ import pytest
 from modxl import cli, sweep
 from modxl.cli import CSV_HEADER, main
 from modxl.errors import SweepPointError
-from modxl.snr_models import SnrModel
+from modxl.snr_models import QUADRATURE_AGREEMENT, SnrModel
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "tests" / "data"
@@ -301,7 +301,24 @@ class TestEval:
         assert code == 0
         snr = json.loads(out)["snr"]
         assert snr["snr_integral_linear"] == pytest.approx(
-            snr["snr_closed_linear"], rel=1e-6
+            snr["snr_closed_linear"], rel=QUADRATURE_AGREEMENT
+        )
+
+    def test_all_leaves_out_integral_on_the_segment(self, capsys):
+        # 5 m along the axis of the 45 m reference array.
+        code, out = run_cli(capsys, "eval", "--theta-deg", "90", "--range-m", "5")
+        assert code == 0
+        payload = json.loads(out)
+        assert not any(key.startswith("snr_integral_") for key in payload["snr"])
+        assert "theta_near_endfire" in payload["flags"]
+
+    def test_integral_on_the_segment_is_a_breakdown(self, capsys):
+        code = main([
+            "eval", "--theta-deg", "90", "--range-m", "5", "--models", "integral",
+        ])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "modxl: error: integrand singular: user lies on the array segment\n"
         )
 
     @pytest.mark.parametrize(
@@ -507,6 +524,19 @@ class TestSweep:
         assert all(v != "" for v in column(target, "snr_asymptotic_db"))
         assert all(v != "" for v in column(target, "snr_integral_db"))
         assert all(v == "" for v in column(target, "snr_collocated_db"))
+
+    def test_all_leaves_out_integral_on_the_segment(self, capsys, tmp_path):
+        # The base scenario, 20 modules, reaches past the user at 5 m on the
+        # axis; once "sweep point 1 failed: integrand singular", exit 3.
+        target = tmp_path / "axis.csv"
+        code, _ = run_cli(
+            capsys, "sweep", "--theta-deg", "90", "--range-m", "5",
+            "--var", "module_count", "--start", "1", "--stop", "10",
+            "--steps", "3", "--models", "all", "--out", str(target),
+        )
+        assert code == 0
+        assert column(target, "snr_integral_db") == ["", "", ""]
+        assert all(v != "" for v in column(target, "snr_exact_db"))
 
     def test_sweep_point_failure_maps_to_usage(self, capsys, tmp_path):
         # Collocated model breaks as soon as the separation leaves 1.

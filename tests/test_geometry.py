@@ -79,6 +79,16 @@ class TestArrayGeometry:
     def test_numpy_integer_counts_accepted(self):
         geom = ArrayGeometry(np.int64(16), np.int32(20), 0.0628, 20.0)
         assert geom.total_elements == 320
+        # Held as int: numpy counts 1024 * 2**53 once wrapped to -2**63, and
+        # the exact sum was routed to the distance kernel, asking for 64 PiB.
+        counts = ArrayGeometry(np.int64(1024), np.int64(2**53), 0.0628, 20.0)
+        ints = ArrayGeometry(1024, 2**53, 0.0628, 20.0)
+        assert type(counts.elements_per_module) is int
+        assert type(counts.module_count) is int
+        assert counts.total_elements == 2**63
+        user, link = UserLocation(80.0, 0.4), LinkBudget(0.1256, transmit_snr=1e5)
+        assert (snr_exact_sum(counts, user, link).value_linear
+                == snr_exact_sum(ints, user, link).value_linear)
 
     def test_stride(self):
         assert REF.stride == 35.0

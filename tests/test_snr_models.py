@@ -21,11 +21,15 @@ from modxl.errors import (
 from modxl import geometry, snr_models
 from modxl.geometry import ArrayGeometry, UserLocation
 from modxl.snr_models import (
+    CONTINUUM_TOLERANCE,
     FLAG_EPSILON_NOT_SMALL,
     FLAG_THETA_NEAR_ENDFIRE,
+    QUADRATURE_AGREEMENT,
     SnrModel,
     SnrReport,
     is_collocated,
+    is_on_segment,
+    models_outside_domain,
     snr_asymptotic,
     snr_closed_form,
     snr_collocated,
@@ -322,12 +326,39 @@ class TestProgressionRoute:
                     call(geom, user)
 
 
+class TestDomains:
+    @pytest.mark.parametrize("range_m,angle,outside", [
+        (35.0, 0.0, {SnrModel.COLLOCATED}),
+        (35.0, math.pi / 2, {SnrModel.COLLOCATED, SnrModel.ASYMPTOTIC}),
+        (5.0, -math.pi / 2,
+         {SnrModel.COLLOCATED, SnrModel.ASYMPTOTIC, SnrModel.INTEGRAL}),
+        (5.0, 1.0, {SnrModel.COLLOCATED}),
+    ])
+    def test_models_outside_domain(self, reference, range_m, angle, outside):
+        user = UserLocation(range_m, angle)
+        assert models_outside_domain(reference.geometry, user) == outside
+
+    @pytest.mark.parametrize("range_m", [22.0, 23.0])
+    def test_segment_is_where_the_integral_raises(self, reference, range_m):
+        # The augmented half-span of the reference array is 22.48 m.
+        user = UserLocation(range_m, math.pi / 2)
+        on_segment = is_on_segment(reference.geometry, user)
+        assert on_segment is (range_m < 22.48)
+        if on_segment:
+            with pytest.raises(DegenerateGeometryError, match="integrand singular"):
+                snr_double_integral(reference.geometry, user, LINK)
+        else:
+            snr_double_integral(reference.geometry, user, LINK)
+
+
 class TestClosedForm:
     def test_reference_scenario(self, reference):
         report = snr_closed_form(reference.geometry, reference.user, reference.link)
         assert report.value_linear == pytest.approx(23324.33235764653, rel=1e-12)
         exact = snr_exact_sum(reference.geometry, reference.user, reference.link)
-        assert report.value_linear == pytest.approx(exact.value_linear, rel=1e-2)
+        assert report.value_linear == pytest.approx(
+            exact.value_linear, rel=CONTINUUM_TOLERANCE
+        )
         assert report.validity_flags == frozenset()
 
     @pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (16, 1)])
@@ -348,7 +379,7 @@ class TestClosedForm:
         user = UserLocation(35.0, math.radians(30.0))
         closed = snr_closed_form(geom, user, LINK).value_linear
         integral = snr_double_integral(geom, user, LINK).value_linear
-        assert closed == pytest.approx(integral, rel=1e-6)
+        assert closed == pytest.approx(integral, rel=QUADRATURE_AGREEMENT)
 
     def test_wide_spacing_flagged(self):
         geom = ArrayGeometry(4, 4, 0.5, 2.0)
@@ -378,7 +409,7 @@ class TestClosedForm:
         user = UserLocation(35.0, math.radians(theta_deg))
         closed = snr_closed_form(geom, user, LINK)
         exact = snr_exact_sum(geom, user, LINK)
-        assert abs(closed.value_linear / exact.value_linear - 1.0) > 1e-2
+        assert abs(closed.value_linear / exact.value_linear - 1.0) > CONTINUUM_TOLERANCE
         assert closed.validity_flags == {FLAG_EPSILON_NOT_SMALL}
 
     @given(
@@ -394,7 +425,7 @@ class TestClosedForm:
         closed = snr_closed_form(geom, user, LINK)
         exact = snr_exact_sum(geom, user, LINK).value_linear
         if not closed.validity_flags:
-            assert closed.value_linear == pytest.approx(exact, rel=1e-2)
+            assert closed.value_linear == pytest.approx(exact, rel=CONTINUUM_TOLERANCE)
 
     @pytest.mark.parametrize("theta_deg", [60.0, -45.0])
     def test_far_field_cancellation_raises(self, reference, theta_deg):
@@ -437,7 +468,9 @@ class TestClosedForm:
         exact = snr_exact_sum(geom, user, LINK).value_linear
         assert closed.value_linear > 0
         if not closed.validity_flags:
-            assert closed.value_linear == pytest.approx(exact, rel=1e-2, abs=0.0)
+            assert closed.value_linear == pytest.approx(
+                exact, rel=CONTINUUM_TOLERANCE, abs=0.0
+            )
 
 
 class TestCollocated:
@@ -461,10 +494,10 @@ class TestCollocated:
         geom = ArrayGeometry(16, 20, 0.0628, 1.0)
         value = snr_collocated(geom, BROADSIDE, LINK).value_linear
         assert value == pytest.approx(
-            snr_exact_sum(geom, BROADSIDE, LINK).value_linear, rel=1e-2
+            snr_exact_sum(geom, BROADSIDE, LINK).value_linear, rel=CONTINUUM_TOLERANCE
         )
         assert value == pytest.approx(
-            snr_closed_form(geom, BROADSIDE, LINK).value_linear, rel=1e-2
+            snr_closed_form(geom, BROADSIDE, LINK).value_linear, rel=CONTINUUM_TOLERANCE
         )
 
     def test_small_extent_approaches_plane_wave(self):
@@ -510,7 +543,9 @@ class TestCollocated:
             return
         report = snr_collocated(geom, user, LINK)
         if not report.validity_flags:
-            assert report.value_linear == pytest.approx(exact, rel=1e-2, abs=0.0)
+            assert report.value_linear == pytest.approx(
+                exact, rel=CONTINUUM_TOLERANCE, abs=0.0
+            )
 
     @pytest.mark.parametrize("theta_deg", [30.0, 45.0, 60.0, 89.9, -75.0])
     @pytest.mark.parametrize("range_m", [1e6, 1e9, 1e12, 1e14])
@@ -632,7 +667,9 @@ class TestDoubleIntegral:
         flags = snr_closed_form(geom, user, LINK).validity_flags
         assert integral.validity_flags == flags
         if not flags:
-            assert integral.value_linear == pytest.approx(exact, rel=1e-2)
+            assert integral.value_linear == pytest.approx(
+                exact, rel=CONTINUUM_TOLERANCE
+            )
 
     def test_single_element(self):
         geom = ArrayGeometry(1, 1, 0.0628, 1.0)
@@ -690,7 +727,7 @@ class TestDoubleIntegral:
             snr_double_integral(geom, user, LINK)
         assert time.monotonic() - start < 2.0
         assert "integrand evaluations" in str(info.value)
-        assert info.value.estimate == pytest.approx(exact, rel=1e-6)
+        assert info.value.estimate == pytest.approx(exact, rel=QUADRATURE_AGREEMENT)
 
     def test_unreachable_tolerance_stops_at_the_rectangle_budget(
         self, reference, monkeypatch
@@ -742,7 +779,7 @@ class TestDoubleIntegral:
         user = UserLocation(range_m, math.radians(theta_deg))
         value = snr_double_integral(geom, user, LINK).value_linear
         closed = snr_closed_form(geom, user, LINK).value_linear
-        assert value == pytest.approx(closed, rel=1e-6)
+        assert value == pytest.approx(closed, rel=QUADRATURE_AGREEMENT)
 
     @pytest.mark.parametrize(
         "m,n,ratio,range_m,theta_deg",
@@ -760,7 +797,7 @@ class TestDoubleIntegral:
         user = UserLocation(range_m, math.radians(theta_deg))
         value = snr_double_integral(geom, user, LINK).value_linear
         closed = snr_closed_form(geom, user, LINK).value_linear
-        assert value == pytest.approx(closed, rel=1e-6)
+        assert value == pytest.approx(closed, rel=QUADRATURE_AGREEMENT)
 
     @given(
         st.integers(1, 32),
@@ -778,7 +815,7 @@ class TestDoubleIntegral:
         value = snr_double_integral(geom, user, LINK).value_linear
         if user.range_m <= 1e3:
             closed = snr_closed_form(geom, user, LINK).value_linear
-            assert value == pytest.approx(closed, rel=1e-6)
+            assert value == pytest.approx(closed, rel=QUADRATURE_AGREEMENT)
 
     @given(
         st.integers(1, 20),
@@ -796,7 +833,7 @@ class TestDoubleIntegral:
         right = UserLocation(d / eps, -math.radians(deg))
         value = snr_double_integral(geom, left, LINK).value_linear
         closed = snr_closed_form(geom, left, LINK).value_linear
-        assert value == pytest.approx(closed, rel=1e-6)
+        assert value == pytest.approx(closed, rel=QUADRATURE_AGREEMENT)
         mirrored = snr_double_integral(geom, right, LINK).value_linear
         assert value == pytest.approx(mirrored, rel=1e-12)
 
