@@ -21,7 +21,7 @@ import math
 import os
 import sys
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from numbers import Integral
 from typing import Callable, Tuple
 
@@ -100,12 +100,16 @@ class ArrayGeometry:
         if not 1 <= self.separation_ratio < math.inf:
             raise ValueError("separation_ratio must be finite and >= 1")
 
+    def __getstate__(self) -> dict:
+        "The fields alone: a pickle or copy holds no span cached on first use."
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
     @property
     def module_separation(self) -> float:
         "Gap between adjacent modules, metres."
         return self.separation_ratio * self.element_spacing
 
-    @property
+    @functools.cached_property
     def stride(self) -> float:
         """Module-to-module index stride: the pitch between like elements of
         adjacent modules, in units of the element spacing."""
@@ -115,12 +119,19 @@ class ArrayGeometry:
     def total_elements(self) -> int:
         return self.elements_per_module * self.module_count
 
-    @property
+    @functools.cached_property
     def half_span(self) -> float:
         """The largest centred axis offset of an element, in element
         spacings: half the end-to-end aperture."""
         m, n = self.elements_per_module, self.module_count
         return self.stride * (0.5 * (n - 1)) + 0.5 * (m - 1)
+
+    @functools.cached_property
+    def _spans(self) -> Tuple[float, float]:
+        "The value of :func:`aperture`, computed on first use."
+        d = self.element_spacing
+        span = 2.0 * self.half_span * d
+        return span, span + self.elements_per_module * d + self.module_separation
 
 
 @dataclass(frozen=True)
@@ -144,10 +155,7 @@ def aperture(geom: ArrayGeometry) -> Tuple[float, float]:
     Returns the end-to-end aperture and the augmented span (aperture plus one
     module width plus one module separation) that drives the closed-form SNR.
     """
-    d = geom.element_spacing
-    span = 2.0 * geom.half_span * d
-    augmented = span + geom.elements_per_module * d + geom.module_separation
-    return span, augmented
+    return geom._spans
 
 
 def normalized_spacing(geom: ArrayGeometry, user: UserLocation) -> float:
@@ -185,7 +193,7 @@ def block_rows(width: int) -> int:
 
 def _one_block(geom: ArrayGeometry) -> bool:
     """Whether the array fits one block of :func:`run_ratio_blocks`; its
-    offsets are then cached, and its exact sum runs the kernel."""
+    offsets are then cached, and its exact sum makes that block itself."""
     return geom.total_elements <= BLOCK_ELEMENTS
 
 
@@ -272,20 +280,26 @@ def inverse_ratio_sum(geom: ArrayGeometry, user: UserLocation) -> float:
     """The sum over the elements of the kernel's inverse squared distance
     ratios, r^2 / d_n^2.
 
-    An array of :func:`_one_block` runs the kernel, and a larger one
-    :func:`_progression_sum` at any angle, or the kernel where that returns
-    None.  The kernel sums each module's terms by numpy's pairwise summation
-    and the module partials by :func:`compensated_sum`, read from their
-    buffer.  The terms are positive, so the relative error grows only as the
-    logarithm of the module size (Higham, *Accuracy and Stability of
+    An array of :func:`_one_block` makes its block, with the kernel's checks,
+    and sums it on the calling thread without :func:`run_blocks`; a larger
+    one takes :func:`_progression_sum`, or the kernel where that returns
+    None.  Kernel ratios are summed by numpy's pairwise summation within each
+    module and by :func:`compensated_sum` over the module partials, read from
+    their buffer.  The terms are positive, so the relative error grows only
+    as the logarithm of the module size (Higham, *Accuracy and Stability of
     Numerical Algorithms*, ch. 4), and the fixed module-major order keeps
-    reruns bit-identical.  The progression route runs on the calling thread,
-    and its bits differ from the kernel's in the last places.  Both raise the
-    kernel's ``OverflowError`` and then its :class:`DegenerateGeometryError`.
-    """
-    total = None if _one_block(geom) else _progression_sum(geom, user)
+    reruns bit-identical.  The progressions' bits differ from the kernel's in
+    the last places.  Each route raises the kernel's ``OverflowError``, then
+    its :class:`DegenerateGeometryError`."""
+    n = geom.module_count
+    if _one_block(geom):
+        partials = np.empty(n)
+        inverse = _block_ratios(geom, user, _checked_floor_ratio(geom, user), 0, n)
+        np.add.reduce(np.reciprocal(inverse, out=inverse), axis=1, out=partials)
+        return compensated_sum(memoryview(partials))
+    total = _progression_sum(geom, user)
     if total is None:
-        partials = np.empty(geom.module_count)
+        partials = np.empty(n)
 
         def module_sums(modules: slice, inverse: np.ndarray) -> None:
             np.reciprocal(inverse, out=inverse)
@@ -455,16 +469,20 @@ def _run_share(work: Callable, args: object, count: int, starts: range) -> list:
 
 
 def _ratio_block(args: tuple, start: int, stop: int) -> None:
-    """Make the block of :func:`run_ratio_blocks` of modules ``start`` to
-    ``stop`` and hand it to ``body``; ``args`` is (geom, user, floor_ratio,
-    body).  An array of :func:`_one_block` takes its offsets from
-    :func:`_one_block_offsets`.  A larger array's block makes its offsets
-    with it, so a thread holds no array longer than a block, and two of
-    them at most until ``body`` is called: a third, as ``1.0 - ue * sin``,
-    took the memory each block frees over glibc's trim threshold, and the
-    exact sum at 1.6 million elements then faulted every block's pages in
-    again (8,640 page faults a call against 419)."""
+    "One block of :func:`run_ratio_blocks`; ``args``: (geom, user, floor_ratio, body)."
     geom, user, floor_ratio, body = args
+    body(slice(start, stop), _block_ratios(geom, user, floor_ratio, start, stop))
+
+
+def _block_ratios(geom, user, floor_ratio: float, start: int, stop: int) -> np.ndarray:
+    """The kernel's ratios of modules ``start`` to ``stop``, a fresh array
+    shaped (modules, elements per module).  An array of :func:`_one_block`
+    takes its offsets from :func:`_one_block_offsets`.  A larger array's
+    block makes its offsets with it, so a thread holds no array longer than
+    a block, and two of them at most until it returns: a third, as
+    ``1.0 - ue * sin``, took the memory each block frees over glibc's trim
+    threshold, and the exact sum at 1.6 million elements then faulted every
+    block's pages in again (8,640 page faults a call against 419)."""
     m, n, stride = geom.elements_per_module, geom.module_count, geom.stride
     eps = normalized_spacing(geom, user)
     if _one_block(geom):
@@ -472,9 +490,7 @@ def _ratio_block(args: tuple, start: int, stop: int) -> None:
     else:
         ue = _module_offsets(m, n, stride, start, stop)
         ue *= eps
-    ratios = _offset_ratios(user, ue, floor_ratio)
-    del ue
-    body(slice(start, stop), ratios)
+    return _offset_ratios(user, ue, floor_ratio)
 
 
 def _module_offsets(

@@ -52,6 +52,8 @@ class SnrModel(Enum):
     UPW = "upw", "upw"
     INTEGRAL = "integral", "integral"
 
+    __hash__ = object.__hash__  # identity, as == is; Enum's runs hash(name) in Python
+
     def __new__(cls, value: str, token: str) -> "SnrModel":
         member = object.__new__(cls)
         member._value_ = value
@@ -134,10 +136,11 @@ def _scale(numerator: float, denominator: float, what: str) -> float:
     return quotient
 
 
-def _endfire_fallback(geom, user, link, model: SnrModel, flags: frozenset) -> SnrReport:
+def _endfire_fallback(geom, user, link, model: SnrModel) -> SnrReport:
+    "The exact sum for a closed form, flagged, with the continuum step d/r alone."
     exact = snr_exact_sum(geom, user, link)
-    flags = flags | {FLAG_THETA_NEAR_ENDFIRE}
-    return SnrReport(model, exact.value_linear, frozenset(flags))
+    flags = _continuum_flags(geom, user, 1.0) | {FLAG_THETA_NEAR_ENDFIRE}
+    return SnrReport(model, exact.value_linear, flags)
 
 
 def snr_closed_form(
@@ -156,10 +159,10 @@ def snr_closed_form(
     (see :func:`_continuum_bracket`) non-positive, as at a range of 1e200 m
     off broadside, and :class:`SnrReport` rejects the value then.
     """
-    flags = _continuum_flags(geom, user)
     if is_near_endfire(user):
-        return _endfire_fallback(geom, user, link, SnrModel.CLOSED_FORM, flags)
+        return _endfire_fallback(geom, user, link, SnrModel.CLOSED_FORM)
     cos_t = math.cos(user.angle_rad)
+    flags = _continuum_flags(geom, user, cos_t)
     d = geom.element_spacing
     _, augmented = aperture(geom)
     extent_scale = 2.0 * user.range_m * cos_t
@@ -177,15 +180,12 @@ def snr_closed_form(
     return SnrReport(SnrModel.CLOSED_FORM, prefactor * bracket, flags)
 
 
-def _continuum_flags(geom: ArrayGeometry, user: UserLocation) -> frozenset:
+def _continuum_flags(geom, user, cos_t: float) -> frozenset:
     """The continuum models' own flag: ``epsilon_not_small`` where the
-    continuum step exceeds ``EPSILON_WARN_THRESHOLD``.  The step is the
-    element spacing over the range and, beside the array segment, over
-    ``r |cos(angle)|``, the user's distance from the array line; near
-    endfire, where the closed form returns the exact sum, only the first."""
-    eps = normalized_spacing(geom, user)
-    if not is_near_endfire(user):
-        eps /= abs(math.cos(user.angle_rad))
+    continuum step d/(r |cos_t|) exceeds ``EPSILON_WARN_THRESHOLD``.  With
+    cos_t = cos(angle), r |cos_t| is the user's distance from the array
+    line; the endfire fallback passes 1, for the spacing over the range."""
+    eps = normalized_spacing(geom, user) / abs(cos_t)
     return _EPSILON_FLAGS if eps > EPSILON_WARN_THRESHOLD else frozenset()
 
 
@@ -262,10 +262,10 @@ def snr_collocated(
             "collocated model requires separation_ratio == 1, got "
             f"{geom.separation_ratio}"
         )
-    flags = _continuum_flags(geom, user)
     if is_near_endfire(user):
-        return _endfire_fallback(geom, user, link, SnrModel.COLLOCATED, flags)
+        return _endfire_fallback(geom, user, link, SnrModel.COLLOCATED)
     cos_t = math.cos(user.angle_rad)
+    flags = _continuum_flags(geom, user, cos_t)
     tan_t = math.tan(user.angle_rad)
     d = geom.element_spacing
     prefactor = _scale(link.effective_power, user.range_m * d * cos_t, "P/(r d cos)")
@@ -381,9 +381,8 @@ def snr_double_integral(
         integrand, (-u_max, -knee, knee, u_max), QUADRATURE_REL_TOL
     )
     # Judged before the accuracy test, so that raw is positive there.
-    report = SnrReport(
-        SnrModel.INTEGRAL, scale * (raw / geom.stride), _continuum_flags(geom, user)
-    )
+    flags = _continuum_flags(geom, user, cos_t)
+    report = SnrReport(SnrModel.INTEGRAL, scale * (raw / geom.stride), flags)
     if not abserr <= QUADRATURE_REL_TOL * raw:
         raise QuadratureAccuracyError(
             f"quadrature stopped at relative error estimate {abserr / raw:.2e} "

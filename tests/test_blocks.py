@@ -226,6 +226,25 @@ def test_one_block_runs_in_the_caller(monkeypatch):
     assert block_threads(geom, UserLocation(50.0, 0.2)) == [threading.get_ident()]
 
 
+@pytest.mark.parametrize(
+    "m, n", [(m, n) for m, n in block_cases() if m * n <= BLOCK_ELEMENTS]
+)
+def test_one_block_exact_sum_skips_the_runner(monkeypatch, m, n):
+    # The exact sum of one block makes that block itself, on the caller.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a one-block exact sum reached the block runner")
+
+    monkeypatch.setattr(geometry, "run_ratio_blocks", refuse)
+    monkeypatch.setattr(geometry, "run_blocks", refuse)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    geom = ArrayGeometry(m, n, 0.0628, 2.5)
+    for range_m, theta_rad in [(0.7, 0.3), (80.0, -1.2), (3e7, 1.5)]:
+        user = UserLocation(range_m, theta_rad)
+        assert snr_exact_sum(geom, user, LINK).value_linear == reference_exact_sum(
+            geom, user, LINK
+        )
+
+
 def test_shares_are_contiguous_and_the_caller_runs_the_first(monkeypatch):
     monkeypatch.setattr(geometry, "_HELPERS", 1)
     geom = ArrayGeometry(16, 5 * (BLOCK_ELEMENTS // 16), 0.0628, 2.5)

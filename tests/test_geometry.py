@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -98,6 +100,20 @@ class TestArrayGeometry:
     def test_module_separation_and_counts(self):
         assert REF.module_separation == pytest.approx(1.256, rel=1e-15)
         assert REF.total_elements == 320
+
+    def test_cached_spans_stay_out_of_equality_repr_and_pickle(self):
+        # The stride, half-span and aperture are kept on the instance from
+        # first use.
+        fresh = ArrayGeometry(16, 20, 0.0628, 20.0)
+        used = ArrayGeometry(16, 20, 0.0628, 20.0)
+        assert aperture(used) == aperture(REF)
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.dumps(used, protocol) == pickle.dumps(fresh, protocol)
+        for clone in (pickle.loads(pickle.dumps(used)), copy.deepcopy(used)):
+            assert clone == used and vars(clone) == vars(fresh)
+            assert (clone.stride, clone.half_span) == (used.stride, used.half_span)
 
     @given(geometries())
     def test_stride_at_least_module_size(self, geom):

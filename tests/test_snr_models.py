@@ -1,5 +1,6 @@
 import contextlib
 import math
+import pickle
 import time
 import warnings
 from fractions import Fraction
@@ -22,6 +23,7 @@ from modxl import geometry, snr_models
 from modxl.geometry import ArrayGeometry, UserLocation
 from modxl.snr_models import (
     CONTINUUM_TOLERANCE,
+    EVALUATORS,
     FLAG_EPSILON_NOT_SMALL,
     FLAG_THETA_NEAR_ENDFIRE,
     QUADRATURE_AGREEMENT,
@@ -54,6 +56,15 @@ def rational_squared_distances(geom, user):
     if min(squared) < Fraction(1e-2 * user.range_m) ** 2:
         return None
     return squared
+
+
+@pytest.mark.parametrize("model", list(SnrModel))
+def test_model_survives_a_pickle(model):
+    # Members hash by identity: a round trip must give the member itself,
+    # and so a key that every dict of models finds.
+    copy = pickle.loads(pickle.dumps(model))
+    assert copy is model and hash(copy) == hash(model)
+    assert EVALUATORS[copy] is EVALUATORS[model]
 
 
 class TestSnrReport:
@@ -681,6 +692,24 @@ class TestDoubleIntegral:
         left = snr_double_integral(geom, UserLocation(35.0, 0.5), LINK)
         right = snr_double_integral(geom, UserLocation(35.0, -0.5), LINK)
         assert left.value_linear == pytest.approx(right.value_linear, rel=1e-12)
+
+    @pytest.mark.parametrize("theta_deg", [89.9999999, 89.99999999, 90.0])
+    def test_flagged_beyond_the_tip_at_endfire(self, reference, theta_deg):
+        # Beyond the tip the value stays the continuum's, 43161.13 against an
+        # exact 43030.73 at 35 m, at all three angles.  The flag once dropped
+        # at the closed forms' endfire threshold, |cos| < 1e-9, which lies
+        # between the first two angles.
+        user = UserLocation(35.0, math.radians(theta_deg))
+        report = snr_double_integral(reference.geometry, user, LINK)
+        assert report.validity_flags == {FLAG_EPSILON_NOT_SMALL}
+        assert report.value_linear == pytest.approx(43161.13, rel=1e-7)
+        # The closed form's flags stay its own: the continuum step off
+        # endfire, and only the fallback's flag on it.
+        closed = snr_closed_form(reference.geometry, user, LINK)
+        off_endfire = theta_deg == 89.9999999
+        assert closed.validity_flags == {
+            FLAG_EPSILON_NOT_SMALL if off_endfire else FLAG_THETA_NEAR_ENDFIRE
+        }
 
     def test_user_on_segment_rejected(self):
         geom = ArrayGeometry(3, 1, 1.0, 1.0)

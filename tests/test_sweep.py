@@ -176,6 +176,18 @@ class TestEvaluateModels:
         reports = evaluate_models(default_scenario(), iter([SnrModel.UPW, EXACT]))
         assert list(reports) == [EXACT, SnrModel.UPW]
 
+    @pytest.mark.parametrize(
+        "wrap",
+        [lambda models: models[::-1], set, frozenset],
+        ids=["reversed", "set", "frozenset"],
+    )
+    def test_order_does_not_depend_on_hashing(self, wrap):
+        # Models hash by identity, so a set of them iterates in an order
+        # that changes from process to process; the reports must not.
+        models = [m for m in MODEL_ORDER if m is not SnrModel.COLLOCATED]
+        reports = evaluate_models(default_scenario(), wrap(models))
+        assert list(reports) == models
+
     def test_record_flag_union(self):
         scen = default_scenario()
         reports = evaluate_models(scen, {SnrModel.CLOSED_FORM, SnrModel.UPW})
