@@ -37,6 +37,7 @@ from .sweep import (
     SweepSpec,
     SweepVariable,
     applicable_models,
+    apply_variable,
     default_scenario,
     evaluate_models,
     run_sweep,
@@ -325,15 +326,19 @@ def _resolve_scenario(args: argparse.Namespace) -> Scenario:
 
 
 def _resolve_models(
-    text: str, scenario: Scenario, swept: Optional[SweepVariable]
+    text: str, scenarios: Sequence[Scenario], swept: Optional[SweepVariable]
 ) -> frozenset:
+    """The models that ``text`` names; ``all`` names those that
+    :func:`applicable_models` gives at every one of ``scenarios``."""
     tokens = [t.strip().lower() for t in text.split(",") if t.strip()]
     if not tokens:
         raise UsageError("empty models list")
     chosen = set()
     for token in tokens:
         if token == "all":
-            chosen.update(applicable_models(scenario, swept))
+            chosen.update(set.intersection(
+                *(set(applicable_models(scenario, swept)) for scenario in scenarios)
+            ))
         elif token in _MODEL_BY_TOKEN:
             chosen.add(_MODEL_BY_TOKEN[token])
         else:
@@ -358,7 +363,7 @@ def _fmt9(value: float) -> str:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     scenario = _resolve_scenario(args)
-    models = _resolve_models(_default(args.models, "all"), scenario, None)
+    models = _resolve_models(_default(args.models, "all"), [scenario], None)
     reports = evaluate_models(scenario, models)
 
     geom = scenario.geometry
@@ -422,19 +427,24 @@ def _resolve_sweep_spec(args: argparse.Namespace, scenario: Scenario) -> SweepSp
             f"sweeping {variable.value} needs explicit --start and --stop"
         )
 
-    if args.models is None:
-        models = preset.models
-    else:
-        models = _resolve_models(args.models, scenario, variable)
-    return replace(
+    spec = replace(
         preset,
         variable=variable,
         start=start,
         stop=stop,
         steps=_default(args.steps, preset.steps),
         scale=preset.scale if args.scale is None else SweepScale(args.scale),
-        models=models,
     )
+    if args.models is None:
+        return spec
+    # Past the two swept-variable rules of applicable_models, each domain
+    # test is monotone along the swept variable, and on an angle sweep only
+    # an end can lie within the endfire floor: the ends decide.
+    ends = [
+        apply_variable(scenario, variable, spec.point_value(index))
+        for index in (0, spec.steps - 1)
+    ]
+    return replace(spec, models=_resolve_models(args.models, ends, variable))
 
 
 def _render_csv(spec: SweepSpec, records) -> str:

@@ -33,8 +33,11 @@ from .numerics import compensated_sum, np
 DISTANCE_FLOOR_M = 1e-9
 #: Elements per block of the distance kernel, of the Monte-Carlo uplink and
 #: of the beamforming reductions.  A block of 65,536 float64 values is
-#: 512 KiB, so the few arrays of one block stay within a 4 MiB L2 cache
-#: while it is run through.  A kernel or uplink block holds whole rows
+#: 512 KiB.  The size is the fastest measured, not one derived from a
+#: cache: the channel at 1.6 million elements on two threads took 60.5,
+#: 34.1, 20.5, 16.0, 15.5, 17.6 and 19.7 ms with blocks of 4K, 8K, 16K,
+#: 32K, 64K, 128K and 256K elements (medians of 8, 2-core x86_64 with
+#: 2 MiB of L2 cache a core).  A kernel or uplink block holds whole rows
 #: (modules, or uplink samples), and at least one.
 BLOCK_ELEMENTS = 1 << 16
 #: Threads of :func:`run_blocks` at most, the caller's among them.  A
@@ -237,9 +240,9 @@ def run_ratio_blocks(
     ``DISTANCE_FLOOR_M``, and any error of ``body``, from the first failing
     block in module order, after every share has finished.
     """
-    floor_ratio = _checked_floor_ratio(geom, user)
+    args = (geom, user, _checked_floor_ratio(geom, user), _one_block(geom), body)
     rows = block_rows(geom.elements_per_module)
-    run_blocks(geom.module_count, rows, _ratio_block, (geom, user, floor_ratio, body))
+    run_blocks(geom.module_count, rows, _ratio_block, args)
 
 
 def _checked_floor_ratio(geom: ArrayGeometry, user: UserLocation) -> float:
@@ -261,19 +264,53 @@ def _offset_ratios(
     :func:`normalized_spacing`).  ``ue`` is consumed: it holds the
     across-axis terms afterwards.  Raises :class:`DegenerateGeometryError`
     where a ratio is below ``floor_ratio``, from
-    :func:`_checked_floor_ratio`."""
-    ratios = ue * math.sin(user.angle_rad)
+    :func:`_checked_floor_ratio`.
+
+    The scan for such a ratio runs only where :func:`_floor_may_fire`
+    holds: elsewhere every ratio is at least c^2 / 2 > floor_ratio, for the
+    computed sine s and cosine c below (each within one ulp, a factor
+    1 + 2u, u = 2^-53) and any offset ue.  Each rounding is a factor 1 + d,
+    |d| <= u (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    ch. 2-3): p = fl(ue*s) = ue*s', s' = s(1 + d1); q = fl(1 - p)
+    = (1 - p)(1 + d2); A = fl(q*q) >= (1 - ue*s')^2 (1 - u)^3;
+    t = fl(ue*c) = ue*c(1 + d4); B = fl(t*t) >= (ue*c)^2 (1 - u)^3; the
+    ratio fl(A + B) >= (A + B)(1 - u) >= (1 - u)^4 ((1 - ue*s')^2 + (ue*c)^2).
+    Over ue that quadratic is least at c^2 / (s'^2 + c^2), and
+    s'^2 + c^2 <= (1 + u)^2 (1 + 2u)^2, so the ratio is at least
+    c^2 (1 - 11u).  A product that underflows errs by up to 2^-1075
+    instead.  Where |t| >= 2^-511, B is normal, and p underflows only where
+    A is about 1, so the bound stands.  Where |t| < 2^-511, |c| >= 1e-150
+    (c^2 >= 1e-300) makes |ue| < 1.5e-4, so A alone is above 0.999 c^2.
+    The test reads c*c rounded, within a factor 1 + u of c^2, so where it
+    passes, c*c >= 4 * floor_ratio, each ratio is at least
+    4 * floor_ratio (1 - 12u).  Users within twice ``DISTANCE_FLOOR_M`` of
+    the array's line keep the scan, as do users at 90 degrees
+    (c = 6.1e-17) closer than 3.3e7 m.
+    """
+    sin_t, cos_t = math.sin(user.angle_rad), math.cos(user.angle_rad)
+    ratios = ue * sin_t
     np.subtract(1.0, ratios, out=ratios)  # along the array axis
     ratios *= ratios
-    ue *= math.cos(user.angle_rad)  # across it
+    ue *= cos_t  # across it
     ue *= ue
     ratios += ue
-    if ratios.min() < floor_ratio:
+    if _floor_may_fire(cos_t, floor_ratio) and ratios.min() < floor_ratio:
         raise DegenerateGeometryError(
             "user lies on the array: an element distance falls below "
             f"{DISTANCE_FLOOR_M:.0e} m"
         )
     return ratios
+
+
+def _floor_may_fire(c: float, floor_ratio: float) -> bool:
+    """Whether a ratio of :func:`_offset_ratios`, whose across-axis factor
+    is the computed cosine ``c``, can fall below ``floor_ratio``: False
+    only where c^2 >= 4 * floor_ratio, as for a user at least twice
+    ``DISTANCE_FLOOR_M`` from the array's line, and c^2 >= 1e-300.  The
+    cosine of an angle in [-pi/2, pi/2] is at least 6.1e-17, so the second
+    test holds for every user; it keeps the bound inside the normal range."""
+    c_squared = c * c
+    return not (c_squared >= 4.0 * floor_ratio and c_squared >= 1e-300)
 
 
 def inverse_ratio_sum(geom: ArrayGeometry, user: UserLocation) -> float:
@@ -294,7 +331,8 @@ def inverse_ratio_sum(geom: ArrayGeometry, user: UserLocation) -> float:
     n = geom.module_count
     if _one_block(geom):
         partials = np.empty(n)
-        inverse = _block_ratios(geom, user, _checked_floor_ratio(geom, user), 0, n)
+        floor_ratio = _checked_floor_ratio(geom, user)
+        inverse = _block_ratios(geom, user, floor_ratio, 0, n, True)
         np.add.reduce(np.reciprocal(inverse, out=inverse), axis=1, out=partials)
         return compensated_sum(memoryview(partials))
     total = _progression_sum(geom, user)
@@ -469,23 +507,28 @@ def _run_share(work: Callable, args: object, count: int, starts: range) -> list:
 
 
 def _ratio_block(args: tuple, start: int, stop: int) -> None:
-    "One block of :func:`run_ratio_blocks`; ``args``: (geom, user, floor_ratio, body)."
-    geom, user, floor_ratio, body = args
-    body(slice(start, stop), _block_ratios(geom, user, floor_ratio, start, stop))
+    """One block of :func:`run_ratio_blocks`; ``args``: (geom, user,
+    floor_ratio, one_block, body)."""
+    geom, user, floor_ratio, one_block, body = args
+    ratios = _block_ratios(geom, user, floor_ratio, start, stop, one_block)
+    body(slice(start, stop), ratios)
 
 
-def _block_ratios(geom, user, floor_ratio: float, start: int, stop: int) -> np.ndarray:
+def _block_ratios(
+    geom, user, floor_ratio: float, start: int, stop: int, one_block: bool
+) -> np.ndarray:
     """The kernel's ratios of modules ``start`` to ``stop``, a fresh array
-    shaped (modules, elements per module).  An array of :func:`_one_block`
-    takes its offsets from :func:`_one_block_offsets`.  A larger array's
-    block makes its offsets with it, so a thread holds no array longer than
-    a block, and two of them at most until it returns: a third, as
+    shaped (modules, elements per module).  ``one_block`` is
+    :func:`_one_block`, which each caller tests once: such an array takes
+    its offsets from :func:`_one_block_offsets`.  A larger array's block
+    makes its offsets with it, so a thread holds no array longer than a
+    block, and two of them at most until it returns: a third, as
     ``1.0 - ue * sin``, took the memory each block frees over glibc's trim
     threshold, and the exact sum at 1.6 million elements then faulted every
     block's pages in again (8,640 page faults a call against 419)."""
     m, n, stride = geom.elements_per_module, geom.module_count, geom.stride
     eps = normalized_spacing(geom, user)
-    if _one_block(geom):
+    if one_block:
         ue = _one_block_offsets(m, n, stride) * eps
     else:
         ue = _module_offsets(m, n, stride, start, stop)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .channel import LinkBudget
@@ -81,7 +81,18 @@ QUADRATURE_MAX_PANELS = 4096
 FLAG_EPSILON_NOT_SMALL = "epsilon_not_small"
 FLAG_THETA_NEAR_ENDFIRE = "theta_near_endfire"
 FLAG_FAR_FIELD_ASSUMED = "far_field_assumed"
+_NO_FLAGS = frozenset()
 _EPSILON_FLAGS = frozenset({FLAG_EPSILON_NOT_SMALL})
+_FAR_FIELD_FLAGS = frozenset({FLAG_FAR_FIELD_ASSUMED})
+
+# The members that the model functions report, bound once: on CPython 3.11
+# reading a member as a class attribute costs about ten times a global's read.
+_EXACT_SUM = SnrModel.EXACT_SUM
+_CLOSED_FORM = SnrModel.CLOSED_FORM
+_COLLOCATED = SnrModel.COLLOCATED
+_ASYMPTOTIC = SnrModel.ASYMPTOTIC
+_UPW = SnrModel.UPW
+_INTEGRAL = SnrModel.INTEGRAL
 
 
 @dataclass(frozen=True)
@@ -96,18 +107,23 @@ class SnrReport:
 
     model: SnrModel
     value_linear: float
-    validity_flags: frozenset = field(default_factory=frozenset)
+    validity_flags: frozenset = _NO_FLAGS
 
     def __post_init__(self) -> None:
+        # One test on the good path; NaN and -0.0 fail it too.
+        if not 0.0 < self.value_linear < math.inf:
+            self._reject()
+
+    def _reject(self) -> None:
+        "Raises the error for a value that is not positive and finite."
         if self.value_linear == math.inf:
             raise OverflowError("SNR value overflows to inf")
         if math.isnan(self.value_linear):
             raise ModelBreakdownError(f"{self.model.value} model returned NaN")
-        if not self.value_linear > 0:
-            raise ValueError(
-                f"{self.model.value} SNR is {self.value_linear}, "
-                "outside the floating-point range"
-            )
+        raise ValueError(
+            f"{self.model.value} SNR is {self.value_linear}, "
+            "outside the floating-point range"
+        )
 
     @property
     def value_db(self) -> float:
@@ -121,7 +137,7 @@ def snr_exact_sum(
     and then ``OverflowError`` where P/r^2 overflows (see :func:`_scale`)."""
     total = inverse_ratio_sum(geom, user)
     scale = _scale(link.effective_power, user.range_m**2, "P/r^2")
-    return SnrReport(SnrModel.EXACT_SUM, scale * total)
+    return SnrReport(_EXACT_SUM, scale * total)
 
 
 def _scale(numerator: float, denominator: float, what: str) -> float:
@@ -160,7 +176,7 @@ def snr_closed_form(
     off broadside, and :class:`SnrReport` rejects the value then.
     """
     if is_near_endfire(user):
-        return _endfire_fallback(geom, user, link, SnrModel.CLOSED_FORM)
+        return _endfire_fallback(geom, user, link, _CLOSED_FORM)
     cos_t = math.cos(user.angle_rad)
     flags = _continuum_flags(geom, user, cos_t)
     d = geom.element_spacing
@@ -177,7 +193,7 @@ def snr_closed_form(
         (geom.elements_per_module - 1) * d * d + geom.module_separation * d,
         "closed form prefactor",
     )
-    return SnrReport(SnrModel.CLOSED_FORM, prefactor * bracket, flags)
+    return SnrReport(_CLOSED_FORM, prefactor * bracket, flags)
 
 
 def _continuum_flags(geom, user, cos_t: float) -> frozenset:
@@ -186,7 +202,7 @@ def _continuum_flags(geom, user, cos_t: float) -> frozenset:
     cos_t = cos(angle), r |cos_t| is the user's distance from the array
     line; the endfire fallback passes 1, for the spacing over the range."""
     eps = normalized_spacing(geom, user) / abs(cos_t)
-    return _EPSILON_FLAGS if eps > EPSILON_WARN_THRESHOLD else frozenset()
+    return _EPSILON_FLAGS if eps > EPSILON_WARN_THRESHOLD else _NO_FLAGS
 
 
 def _continuum_bracket(o: float, i: float, t: float) -> float:
@@ -263,7 +279,7 @@ def snr_collocated(
             f"{geom.separation_ratio}"
         )
     if is_near_endfire(user):
-        return _endfire_fallback(geom, user, link, SnrModel.COLLOCATED)
+        return _endfire_fallback(geom, user, link, _COLLOCATED)
     cos_t = math.cos(user.angle_rad)
     flags = _continuum_flags(geom, user, cos_t)
     tan_t = math.tan(user.angle_rad)
@@ -278,7 +294,7 @@ def snr_collocated(
         bracket = math.pi
     else:
         bracket = math.atan2(extent, 1.0 + tan_t * tan_t - half_extent * half_extent)
-    return SnrReport(SnrModel.COLLOCATED, prefactor * bracket, flags)
+    return SnrReport(_COLLOCATED, prefactor * bracket, flags)
 
 
 def snr_asymptotic(
@@ -298,19 +314,17 @@ def snr_asymptotic(
         pitch * user.range_m * cos_t,
         "infinite-array limit",
     )
-    return SnrReport(SnrModel.ASYMPTOTIC, value)
+    return SnrReport(_ASYMPTOTIC, value)
 
 
 def snr_upw(geom: ArrayGeometry, user: UserLocation, link: LinkBudget) -> SnrReport:
     """Plane-wave SNR: element count times the single-element value.
     Independent of the module separation and the user direction."""
-    flags = set()
     _, augmented = aperture(geom)
-    if user.range_m < FAR_FIELD_MARGIN * augmented:
-        flags.add(FLAG_FAR_FIELD_ASSUMED)
+    near = user.range_m < FAR_FIELD_MARGIN * augmented
     scale = _scale(link.effective_power, user.range_m**2, "P/r^2")
     value = scale * geom.total_elements
-    return SnrReport(SnrModel.UPW, value, frozenset(flags))
+    return SnrReport(_UPW, value, _FAR_FIELD_FLAGS if near else _NO_FLAGS)
 
 
 def snr_double_integral(
@@ -382,7 +396,7 @@ def snr_double_integral(
     )
     # Judged before the accuracy test, so that raw is positive there.
     flags = _continuum_flags(geom, user, cos_t)
-    report = SnrReport(SnrModel.INTEGRAL, scale * (raw / geom.stride), flags)
+    report = SnrReport(_INTEGRAL, scale * (raw / geom.stride), flags)
     if not abserr <= QUADRATURE_REL_TOL * raw:
         raise QuadratureAccuracyError(
             f"quadrature stopped at relative error estimate {abserr / raw:.2e} "

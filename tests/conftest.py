@@ -10,6 +10,8 @@ settings.register_profile(
     max_examples=60,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# A deep run of chosen properties: ``--hypothesis-profile=deep``.
+settings.register_profile("deep", settings.get_profile("suite"), max_examples=2000)
 settings.load_profile("suite")
 
 

@@ -538,6 +538,24 @@ class TestSweep:
         assert column(target, "snr_integral_db") == ["", "", ""]
         assert all(v != "" for v in column(target, "snr_exact_db"))
 
+    @pytest.mark.parametrize("sweep", [
+        # An angle sweep whose last point is endfire at 5 m, within the span.
+        ("--var", "theta", "--start", "0", "--stop", "90", "--range-m", "5"),
+        # A range sweep at endfire whose base range, 35 m, lies beyond the
+        # span while its first point lies inside it.
+        ("--var", "range", "--start", "5", "--stop", "30", "--theta-deg", "90"),
+    ])
+    def test_all_resolves_on_the_sweep_ends(self, capsys, tmp_path, sweep):
+        # Once "sweep point 2 failed" and "sweep point 0 failed": exit 3.
+        target = tmp_path / "ends.csv"
+        code, _ = run_cli(
+            capsys, "sweep", *sweep, "--steps", "3", "--models", "all",
+            "--out", str(target),
+        )
+        assert code == 0
+        assert column(target, "snr_integral_db") == ["", "", ""]
+        assert all(v != "" for v in column(target, "snr_exact_db"))
+
     def test_sweep_point_failure_maps_to_usage(self, capsys, tmp_path):
         # Collocated model breaks as soon as the separation leaves 1.
         code = main([

@@ -8,6 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from elements import block_ratios, element_distances, element_positions
+from modxl import geometry
 from modxl.channel import LinkBudget, array_response_nusw
 from modxl.errors import DegenerateGeometryError
 from modxl.geometry import (
@@ -323,3 +324,80 @@ class TestDistance:
         for i, left in enumerate(held):
             for right in held[i + 1:]:
                 assert not np.shares_memory(left, right)
+
+
+#: A user 2e-9 m from the array line beside the element at 1 m of a
+#: three-element, 1 m array, at 1 m from its centre.
+TWICE_THE_FLOOR = math.acos(2e-9)
+
+
+class TestFloorScan:
+    """The kernel scans for a ratio below the floor only where
+    ``geometry._floor_may_fire`` holds: wherever it does not, no ratio may
+    lie below the floor."""
+
+    @given(
+        st.integers(1, 16),
+        st.integers(1, 16),
+        st.floats(1e-3, 2.0),
+        st.floats(1.0, 30.0),
+        st.floats(-12.0, 14.0).map(lambda exponent: 10.0**exponent),
+        st.floats(-math.pi / 2, math.pi / 2),
+    )
+    # r |cos(angle)| at 2e-9 m, the bound's edge, and one ulp of r either
+    # side, at broadside and beside an element.
+    @example(1, 1, 1e-3, 1.0, math.nextafter(2e-9, 0.0), 0.0)
+    @example(1, 1, 1e-3, 1.0, 2e-9, 0.0)
+    @example(1, 1, 1e-3, 1.0, math.nextafter(2e-9, 1.0), 0.0)
+    @example(3, 1, 1.0, 1.0, math.nextafter(1.0, 0.0), TWICE_THE_FLOOR)
+    @example(3, 1, 1.0, 1.0, 1.0, TWICE_THE_FLOOR)
+    @example(3, 1, 1.0, 1.0, math.nextafter(1.0, 2.0), TWICE_THE_FLOOR)
+    # 7e-10 m from the line beside that element: within the floor, where a
+    # bound four times too weak would skip the scan.
+    @example(3, 1, 1.0, 1.0, 1.0, math.acos(7e-10))
+    # At endfire, beyond the array and on an element.
+    @example(3, 1, 1.0, 1.0, 2.0, math.pi / 2)
+    @example(3, 1, 1.0, 1.0, 1.0, math.pi / 2)
+    @example(3, 1, 1.0, 1.0, 1.0, -math.pi / 2)
+    def test_no_ratio_below_the_floor_where_the_scan_is_skipped(
+        self, m, n, spacing, ratio, range_m, angle
+    ):
+        geom = ArrayGeometry(m, n, spacing, ratio)
+        user = UserLocation(range_m, angle)
+        try:
+            floor_ratio = geometry._checked_floor_ratio(geom, user)
+        except OverflowError:
+            return
+        if geometry._floor_may_fire(math.cos(angle), floor_ratio):
+            return
+        # The kernel's ratios, scanned in full: the floor 0 never fires.
+        ue = geometry._module_offsets(m, n, geom.stride, 0, n)
+        ue *= normalized_spacing(geom, user)
+        assert geometry._offset_ratios(user, ue, 0.0).min() >= floor_ratio
+        block_ratios(geom, user)  # the kernel's own floor test agrees
+
+    @pytest.mark.parametrize("c, floor_ratio, may_fire", [
+        (1.0, 0.25, False),  # c^2 = 4 * floor_ratio exactly
+        (1.0, math.nextafter(0.25, 1.0), True),
+        (2e-9, 1e-16, True),  # 2e-10 m from the line at 0.1 m
+        (math.cos(math.pi / 2), 1e-40, False),  # 90 degrees, at 1e11 m
+        (math.cos(math.pi / 2), 1e-18, True),  # 90 degrees, at 1 m
+        # No user's cosine is this small: the guard keeps the bound's proof
+        # in the normal range, whatever the floor.
+        (1e-151, 0.0, True),
+        (1e-149, 0.0, False),
+    ])
+    def test_skip_needs_twice_the_floor_and_a_normal_square(
+        self, c, floor_ratio, may_fire
+    ):
+        assert geometry._floor_may_fire(c, floor_ratio) is may_fire
+
+    def test_floor_within_twice_its_distance_raises(self):
+        # 7e-10 m from the line beside the element at 1 m: the scan runs
+        # and fires, off endfire, in the kernel and in the exact sum.
+        geom = ArrayGeometry(3, 1, 1.0, 1.0)
+        user = UserLocation(1.0, math.acos(7e-10))
+        with pytest.raises(DegenerateGeometryError):
+            block_ratios(geom, user)
+        with pytest.raises(DegenerateGeometryError):
+            snr_exact_sum(geom, user, LinkBudget(0.1))

@@ -85,6 +85,28 @@ class TestSnrReport:
         with pytest.raises(ModelBreakdownError):
             SnrReport(SnrModel.EXACT_SUM, math.nan)
 
+    @pytest.mark.parametrize("value, error, message", [
+        (math.inf, OverflowError, "SNR value overflows to inf"),
+        (-math.inf, ValueError, "upw SNR is -inf, outside the floating-point range"),
+        (math.nan, ModelBreakdownError, "upw model returned NaN"),
+        (0.0, ValueError, "upw SNR is 0.0, outside the floating-point range"),
+        (-0.0, ValueError, "upw SNR is -0.0, outside the floating-point range"),
+        (-1.0, ValueError, "upw SNR is -1.0, outside the floating-point range"),
+        (5e-324, None, None),
+        (1.7976931348623157e308, None, None),
+    ])
+    def test_judges_each_edge_value(self, value, error, message):
+        # The exact type and message, or acceptance with the value's bits.
+        if error is None:
+            report = SnrReport(SnrModel.UPW, value)
+            assert report.value_linear.hex() == value.hex()
+            assert report.validity_flags == frozenset()
+            return
+        with pytest.raises(Exception) as caught:
+            SnrReport(SnrModel.UPW, value)
+        assert type(caught.value) is error
+        assert str(caught.value) == message
+
 
 class TestExactSum:
     def test_single_element(self):
