@@ -6,16 +6,15 @@ the combined channel w^H h, state what one block of ``BLOCK_ELEMENTS``
 elements does, and :func:`geometry.run_blocks` runs the blocks on every
 usable CPU (three at most) and returns their results in block order: the
 partial sums of the norm and of w^H h, and nothing for the scaling, which
-writes its block of the weights.  A vector of one block skips the runner:
-each pass calls its block function once, on the calling thread.  A
-block's sums are numpy ``einsum`` loops over its interleaved real and
-imaginary parts, never a BLAS call: einsum's own loops give the same bits
-on every CPU and start no thread, while OpenBLAS picks its kernel by CPU
-and, above 10,000 elements, wakes a thread of its own.
-:func:`compensated_sum` adds the partials in block order on the calling
-thread.  So a vector of one block gets one einsum's bits, and a longer
-one bits that depend on the block boundaries alone, never on the number
-of threads.
+writes its block of the weights.  A block's sums are numpy ``einsum``
+loops over its interleaved real and imaginary parts, never a BLAS call:
+einsum's own loops give the same bits on every CPU and start no thread,
+while OpenBLAS picks its kernel by CPU and, above 10,000 elements, wakes a
+thread of its own.  :func:`compensated_sum` adds the partials in block
+order on the calling thread.  A vector of one block runs on the calling
+thread, and the sum of its one partial is that partial, so it gets one
+einsum's bits; a longer one gets bits that depend on the block boundaries
+alone, never on the number of threads.
 """
 
 from __future__ import annotations
@@ -38,8 +37,6 @@ def _norm_block(vector: np.ndarray, start: int, stop: int) -> float:
 def _squared_norm(vector: np.ndarray) -> float:
     "Sum of squared magnitudes of a complex vector, block by block."
     vector = np.ascontiguousarray(vector, dtype=np.complex128)
-    if len(vector) <= BLOCK_ELEMENTS:
-        return _norm_block(vector, 0, len(vector))
     return compensated_sum(run_blocks(len(vector), BLOCK_ELEMENTS, _norm_block, vector))
 
 
@@ -63,8 +60,6 @@ def _combine(weights: BeamformingWeights, response: np.ndarray) -> complex:
         )
     h = np.ascontiguousarray(response, dtype=np.complex128)
     args = (weights.weights, h)
-    if len(h) <= BLOCK_ELEMENTS:
-        return complex(*_combine_block(args, 0, len(h)))
     real, imag = zip(*run_blocks(len(h), BLOCK_ELEMENTS, _combine_block, args))
     return complex(compensated_sum(real), compensated_sum(imag))
 
@@ -126,10 +121,7 @@ def mrc_weights(response: np.ndarray) -> BeamformingWeights:
     # numpy divides by a real scalar as a product with its reciprocal, so
     # this multiplication gives the same bits without the complex division.
     args = (response, 1.0 / norm, weights)
-    if len(response) <= BLOCK_ELEMENTS:
-        _scale_block(args, 0, len(response))
-    else:
-        run_blocks(len(response), BLOCK_ELEMENTS, _scale_block, args)
+    run_blocks(len(response), BLOCK_ELEMENTS, _scale_block, args)
     return BeamformingWeights(weights)
 
 

@@ -85,16 +85,20 @@ def array_response_nusw(
     longest = math.sqrt(largest_squared_ratio(geom, user)) * user.range_m
     if not longest / link.wavelength_m < math.inf:
         raise OverflowError(f"element distances at range {user.range_m:.3g} m overflow")
-    gain = math.sqrt(link.reference_gain)
     out = np.empty((geom.module_count, geom.elements_per_module), dtype=np.complex128)
-
-    def coefficients(modules: slice, path: np.ndarray) -> None:
-        np.sqrt(path, out=path)
-        path *= user.range_m
-        amplitude = gain / path
-        path /= link.wavelength_m
-        _write_phasors(amplitude, path, out[modules])
-
-    run_ratio_blocks(geom, user, coefficients)
+    args = (math.sqrt(link.reference_gain), user.range_m, link.wavelength_m, out)
+    run_ratio_blocks(geom, user, _coefficients, args)
     out.setflags(write=False)
     return out.ravel()
+
+
+def _coefficients(args: tuple, start: int, stop: int, path: np.ndarray) -> None:
+    """A block function of :func:`run_ratio_blocks`: the coefficients of
+    modules ``start`` to ``stop``, into those rows of ``out``; ``path`` is
+    overwritten.  ``args`` is (sqrt(gain), range, wavelength, out)."""
+    gain, range_m, wavelength_m, out = args
+    np.sqrt(path, out=path)
+    path *= range_m
+    amplitude = gain / path
+    path /= wavelength_m
+    _write_phasors(amplitude, path, out[start:stop])

@@ -3,6 +3,13 @@ element-to-user distances with its cache of one-block element offsets, the
 sum over the elements of its inverse ratios, and :func:`run_blocks`, which
 runs a function on each block on threads and returns the results in order.
 
+Every pass in blocks, here and in the channel and beamforming, is a
+module-level block function ``work(args, start, stop)`` (the kernel's take
+the block's ``ratios`` too) whose results :func:`run_blocks` returns in
+block order; only :func:`run_blocks` decides whether a block runs on the
+calling thread.  The one call past the runner is the exact sum's of an
+array of one block (:func:`inverse_ratio_sum` says why).
+
 The array lies on the y axis, symmetric about the origin.  A layout consists
 of ``module_count`` modules of ``elements_per_module`` antenna elements each.
 Elements inside a module are ``element_spacing`` metres apart, and the gap
@@ -215,34 +222,32 @@ def largest_squared_ratio(geom: ArrayGeometry, user: UserLocation) -> float:
 def run_ratio_blocks(
     geom: ArrayGeometry,
     user: UserLocation,
-    body: Callable[[slice, np.ndarray], None],
-) -> None:
+    work: Callable[[object, int, int, np.ndarray], object],
+    args: object,
+) -> list:
     """Squared element-to-user distances over the squared range, in
     cache-sized blocks: the toolkit's one distance kernel.
 
     Each ratio is (1 - u*eps*sin)^2 + (u*eps*cos)^2 for axis offset u and
     eps = spacing/range, which keeps the precision that
     1 - 2*u*eps*sin + (u*eps)^2 loses to cancellation near the array axis.
-    Calls ``body(modules, ratios)`` for each run of whole modules of at most
-    ``BLOCK_ELEMENTS`` elements (of one module, where a module alone is
-    larger): the slice of module indices and their ratios, shaped
-    (modules, elements per module).  Each block is a fresh array that the
-    body owns.
+    Returns ``work(args, start, stop, ratios)`` for each run of whole
+    modules ``start`` to ``stop`` of at most ``BLOCK_ELEMENTS`` elements
+    (of one module, where a module alone is larger), in module order:
+    ``ratios`` are those modules' ratios, shaped (modules, elements per
+    module), a fresh array that ``work`` owns.
 
-    The blocks run on :func:`run_blocks`: the calling thread runs the
-    first contiguous share and helper threads the others, every share in
-    module order, so bodies of different blocks must write disjoint data.
-
-    Raises ``OverflowError`` before the first block unless the floor's ratio
-    and :func:`largest_squared_ratio` are finite, as below a range of about
-    7.5e-164 m or once u*eps passes about 1.3e154.  Raises
-    :class:`DegenerateGeometryError` for a distance below
-    ``DISTANCE_FLOOR_M``, and any error of ``body``, from the first failing
-    block in module order, after every share has finished.
+    The blocks run on :func:`run_blocks`, so ``work`` on different blocks
+    must write disjoint data.  Raises ``OverflowError`` before the first
+    block unless the floor's ratio and :func:`largest_squared_ratio` are
+    finite, as below a range of about 7.5e-164 m or once u*eps passes about
+    1.3e154.  Raises :class:`DegenerateGeometryError` for a distance below
+    ``DISTANCE_FLOOR_M``, and any error of ``work``, as :func:`run_blocks`
+    raises an error of its blocks.
     """
-    args = (geom, user, _checked_floor_ratio(geom, user), _one_block(geom), body)
+    kernel = (geom, user, _checked_floor_ratio(geom, user), work, args)
     rows = block_rows(geom.elements_per_module)
-    run_blocks(geom.module_count, rows, _ratio_block, args)
+    return run_blocks(geom.module_count, rows, _ratio_block, kernel)
 
 
 def _checked_floor_ratio(geom: ArrayGeometry, user: UserLocation) -> float:
@@ -318,34 +323,33 @@ def inverse_ratio_sum(geom: ArrayGeometry, user: UserLocation) -> float:
     ratios, r^2 / d_n^2.
 
     An array of :func:`_one_block` makes its block, with the kernel's checks,
-    and sums it on the calling thread without :func:`run_blocks`; a larger
-    one takes :func:`_progression_sum`, or the kernel where that returns
-    None.  Kernel ratios are summed by numpy's pairwise summation within each
-    module and by :func:`compensated_sum` over the module partials, read from
-    their buffer.  The terms are positive, so the relative error grows only
-    as the logarithm of the module size (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, ch. 4), and the fixed module-major order keeps
-    reruns bit-identical.  The progressions' bits differ from the kernel's in
-    the last places.  Each route raises the kernel's ``OverflowError``, then
-    its :class:`DegenerateGeometryError`."""
-    n = geom.module_count
+    and reduces it by :func:`_module_sums` itself: through
+    :func:`run_ratio_blocks` that cost about 1 us more, some 5% of a small
+    sweep point.  A larger array takes :func:`_progression_sum`, or the
+    kernel where that returns None.  Kernel ratios are summed by numpy's
+    pairwise summation within each module and by :func:`compensated_sum`
+    over the module partials.  The terms are positive, so the relative
+    error grows only as the logarithm of the module size (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, ch. 4), and the fixed
+    module-major order keeps reruns bit-identical.  The progressions' bits
+    differ from the kernel's in the last places.  Each route raises the
+    kernel's ``OverflowError``, then its :class:`DegenerateGeometryError`."""
     if _one_block(geom):
-        partials = np.empty(n)
-        floor_ratio = _checked_floor_ratio(geom, user)
-        inverse = _block_ratios(geom, user, floor_ratio, 0, n, True)
-        np.add.reduce(np.reciprocal(inverse, out=inverse), axis=1, out=partials)
-        return compensated_sum(memoryview(partials))
-    total = _progression_sum(geom, user)
-    if total is None:
-        partials = np.empty(n)
+        n = geom.module_count
+        ratios = _block_ratios(geom, user, _checked_floor_ratio(geom, user), 0, n)
+        partials = _module_sums(None, 0, n, ratios)
+    else:
+        total = _progression_sum(geom, user)
+        if total is not None:
+            return total
+        partials = np.concatenate(run_ratio_blocks(geom, user, _module_sums, None))
+    return compensated_sum(memoryview(partials))
 
-        def module_sums(modules: slice, inverse: np.ndarray) -> None:
-            np.reciprocal(inverse, out=inverse)
-            np.add.reduce(inverse, axis=1, out=partials[modules])
 
-        run_ratio_blocks(geom, user, module_sums)
-        total = compensated_sum(memoryview(partials))
-    return total
+def _module_sums(args: None, start: int, stop: int, ratios: np.ndarray) -> np.ndarray:
+    """A block function of :func:`run_ratio_blocks`: each module's sum of
+    its inverse ratios, taken in place of ``ratios``."""
+    return np.add.reduce(np.reciprocal(ratios, out=ratios), axis=1)
 
 
 #: B_2k / 2k for k = 1 to 8: the coefficients of the asymptotic series of
@@ -506,29 +510,26 @@ def _run_share(work: Callable, args: object, count: int, starts: range) -> list:
     return [work(args, start, min(start + step, count)) for start in starts]
 
 
-def _ratio_block(args: tuple, start: int, stop: int) -> None:
+def _ratio_block(args: tuple, start: int, stop: int) -> object:
     """One block of :func:`run_ratio_blocks`; ``args``: (geom, user,
-    floor_ratio, one_block, body)."""
-    geom, user, floor_ratio, one_block, body = args
-    ratios = _block_ratios(geom, user, floor_ratio, start, stop, one_block)
-    body(slice(start, stop), ratios)
+    floor_ratio, work, its args)."""
+    geom, user, floor_ratio, work, work_args = args
+    ratios = _block_ratios(geom, user, floor_ratio, start, stop)
+    return work(work_args, start, stop, ratios)
 
 
-def _block_ratios(
-    geom, user, floor_ratio: float, start: int, stop: int, one_block: bool
-) -> np.ndarray:
+def _block_ratios(geom, user, floor_ratio: float, start: int, stop: int) -> np.ndarray:
     """The kernel's ratios of modules ``start`` to ``stop``, a fresh array
-    shaped (modules, elements per module).  ``one_block`` is
-    :func:`_one_block`, which each caller tests once: such an array takes
-    its offsets from :func:`_one_block_offsets`.  A larger array's block
-    makes its offsets with it, so a thread holds no array longer than a
-    block, and two of them at most until it returns: a third, as
+    shaped (modules, elements per module).  An array of :func:`_one_block`
+    takes its offsets from :func:`_one_block_offsets`.  A larger array's
+    block makes its offsets with it, so a thread holds no array longer than
+    a block, and two of them at most until it returns: a third, as
     ``1.0 - ue * sin``, took the memory each block frees over glibc's trim
     threshold, and the exact sum at 1.6 million elements then faulted every
     block's pages in again (8,640 page faults a call against 419)."""
     m, n, stride = geom.elements_per_module, geom.module_count, geom.stride
     eps = normalized_spacing(geom, user)
-    if one_block:
+    if _one_block(geom):
         ue = _one_block_offsets(m, n, stride) * eps
     else:
         ue = _module_offsets(m, n, stride, start, stop)

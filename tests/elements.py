@@ -5,16 +5,16 @@ index formula, offset = stride*n + m for element and module indices m and n
 centred on 0.  It shares no code with ``modxl.geometry``, so the tests that
 compare the toolkit against it stay independent of the layout they check.
 ``user_position`` is the user's Cartesian position, r*cos(angle) and
-r*sin(angle).  ``ratio_blocks`` collects the blocks of the distance kernel,
-``block_ratios`` joins them into one array, and ``module_sums`` reduces
-them as the exact sum reduces an array of one block.
+r*sin(angle).  ``ratio_blocks`` returns the blocks of the distance kernel
+as (start, stop, ratios), ``block_ratios`` joins them into one array, and
+``module_sums`` runs the kernel with the exact sum's own block function.
 """
 
 import math
 
 import numpy as np
 
-from modxl.geometry import run_ratio_blocks
+from modxl.geometry import _module_sums, run_ratio_blocks
 
 
 def element_positions(geom):
@@ -42,28 +42,22 @@ def element_distances(geom, user):
     return [math.hypot(x - ex, y - ey) for ex, ey in element_positions(geom)]
 
 
+def _block(args, start, stop, ratios):
+    return start, stop, ratios
+
+
 def ratio_blocks(geom, user):
-    """The ``(modules, ratios)`` blocks of ``run_ratio_blocks``, as its
-    threads hand them over, sorted into module order."""
-    blocks = []
-    run_ratio_blocks(geom, user, lambda *block: blocks.append(block))
-    return sorted(blocks, key=lambda block: block[0].start)
+    "The ``(start, stop, ratios)`` blocks of ``run_ratio_blocks``, in order."
+    return run_ratio_blocks(geom, user, _block, None)
 
 
 def block_ratios(geom, user):
     """The squared distance ratios of ``run_ratio_blocks`` in one
     module-major array, joined from its blocks."""
-    return np.concatenate([ratios.ravel() for _, ratios in ratio_blocks(geom, user)])
+    return np.concatenate([ratios.ravel() for *_, ratios in ratio_blocks(geom, user)])
 
 
 def module_sums(geom, user):
-    """Each module's sum of the kernel's inverse ratios, block by block, as
-    the exact sum reduces an array of one block."""
-    partials = np.empty(geom.module_count)
-
-    def body(modules, inverse):
-        np.reciprocal(inverse, out=inverse)
-        np.add.reduce(inverse, axis=1, out=partials[modules])
-
-    run_ratio_blocks(geom, user, body)
-    return partials
+    """Each module's sum of the kernel's inverse ratios, block by block, by
+    the exact sum's block function."""
+    return np.concatenate(run_ratio_blocks(geom, user, _module_sums, None))

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from modxl import beamforming, geometry
+from modxl import geometry
 from modxl.beamforming import (
     BeamformingWeights,
     UplinkSimulation,
@@ -345,31 +345,6 @@ class TestBlockedReductions:
             combined = combined_channel(w.weights, response)
             assert _combine(w, response) == combined
             assert snr(w, response, LINK) == LINK.transmit_snr * abs(combined) ** 2
-
-    @pytest.mark.parametrize("n", [1, 320, BLOCK_ELEMENTS])
-    def test_one_block_skips_the_runner(self, monkeypatch, n):
-        # Each pass calls its block function on the caller, with the bits
-        # that it had through the runner.
-        rng = np.random.Generator(np.random.PCG64(n))
-        response = random_vector(rng, n)
-        weights = unit(random_vector(rng, n))
-
-        def results():
-            mrc = mrc_weights(response)
-            return (
-                _squared_norm(response).hex(),
-                mrc.weights.tobytes(),
-                [_combine(w, response) for w in (weights, mrc)],
-                [snr(w, response, LINK).hex() for w in (weights, mrc)],
-            )
-
-        expected = results()
-
-        def runner(*args):
-            raise AssertionError("a vector of one block ran the block runner")
-
-        monkeypatch.setattr(beamforming, "run_blocks", runner)
-        assert results() == expected
 
     def test_fsum_of_the_products(self):
         # An exact sum of the rounded products, independent of the blocks:

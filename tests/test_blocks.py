@@ -1,10 +1,11 @@
 """The block runner, the blocked distance kernel, its offset cache and its
 consumers.
 
-The kernel runs in blocks of whole modules of at most ``BLOCK_ELEMENTS``
-elements, split into contiguous shares: the caller runs the first, helper
-threads the others.  Its values must be bit-identical to one whole-array
-pass of the same formulas, which the reference below takes; a ratio that
+The kernel runs a block function on blocks of whole modules of at most
+``BLOCK_ELEMENTS`` elements, split into contiguous shares: the caller runs
+the first, helper threads the others.  Its values must be bit-identical to
+one whole-array pass of the same formulas, which the reference below takes;
+the block function's results must come back in module order; a ratio that
 would overflow must raise before the first block, ahead of a floor error in
 any block; an error in any block must raise from the first failing block in
 module order once every share has finished; and its temporaries must stay
@@ -123,10 +124,10 @@ def test_blocks_are_whole_modules_in_order(m, n):
     user = UserLocation(50.0, 0.2)
     rows = min(n, max(1, BLOCK_ELEMENTS // m))
     seen = []
-    for modules, ratios in ratio_blocks(geom, user):
-        assert ratios.shape == (modules.stop - modules.start, m)
+    for start, stop, ratios in ratio_blocks(geom, user):
+        assert ratios.shape == (stop - start, m)
         assert ratios.size <= max(BLOCK_ELEMENTS, m)
-        seen.append((modules.start, modules.stop))
+        seen.append((start, stop))
     assert seen == [(s, min(s + rows, n)) for s in range(0, n, rows)]
 
 
@@ -135,7 +136,7 @@ def test_kept_blocks_keep_their_values():
     # one pass of three full blocks still hold their own ratios after it.
     geom = ArrayGeometry(16, 3 * (BLOCK_ELEMENTS // 16), 0.0628, 2.5)
     user = UserLocation(50.0, 0.2)
-    kept = [ratios for _, ratios in ratio_blocks(geom, user)]
+    kept = [ratios for *_, ratios in ratio_blocks(geom, user)]
     assert len(kept) == 3
     joined = np.concatenate([ratios.ravel() for ratios in kept])
     assert joined.tobytes() == block_ratios(geom, user).tobytes()
@@ -171,7 +172,7 @@ def test_overflow_raised_before_the_first_block():
     user = UserLocation(1e-153, 1.0)
     blocks = []
     with pytest.raises(OverflowError):
-        run_ratio_blocks(geom, user, lambda modules, ratios: blocks.append(modules))
+        run_ratio_blocks(geom, user, lambda args, *block: blocks.append(block), None)
     assert blocks == []
     assert_every_consumer_overflows(geom, user)
 
@@ -188,14 +189,7 @@ def test_overflow_where_the_floor_is_infinite(range_m):
 
 def block_threads(geom, user):
     "The thread that ran each block, by block index."
-    rows = max(1, BLOCK_ELEMENTS // geom.elements_per_module)
-    threads = {}
-
-    def body(modules, ratios):
-        threads[modules.start // rows] = threading.get_ident()
-
-    run_ratio_blocks(geom, user, body)
-    return [threads[block] for block in sorted(threads)]
+    return run_ratio_blocks(geom, user, lambda *block: threading.get_ident(), None)
 
 
 STEP = 5
@@ -263,7 +257,7 @@ def test_floor_in_a_helpers_share(monkeypatch):
     user = UserLocation(40_000.5, math.pi / 2)
     ran = []
     with pytest.raises(DegenerateGeometryError):
-        run_ratio_blocks(geom, user, lambda modules, ratios: ran.append(modules.start))
+        run_ratio_blocks(geom, user, lambda args, start, *rest: ran.append(start), None)
     assert sorted(ran) == [0, BLOCK_ELEMENTS]
     calls = (
         lambda: block_ratios(geom, user),
@@ -286,8 +280,8 @@ def test_first_failing_block_raises_after_every_share(monkeypatch):
     geom = ArrayGeometry(16, 4 * rows, 0.0628, 2.5)
     finished = []
 
-    def body(modules, ratios):
-        block = modules.start // rows
+    def work(args, start, stop, ratios):
+        block = start // rows
         if block == 3:
             time.sleep(0.2)
         finished.append(block)
@@ -295,8 +289,57 @@ def test_first_failing_block_raises_after_every_share(monkeypatch):
             raise ValueError(f"block {block}")
 
     with pytest.raises(ValueError, match="^block 1$"):
-        run_ratio_blocks(geom, UserLocation(50.0, 0.2), body)
+        run_ratio_blocks(geom, UserLocation(50.0, 0.2), work, None)
     assert sorted(finished) == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("helpers", [0, 1, geometry._MAX_THREADS - 1])
+def test_ratio_blocks_return_each_result_in_module_order(set_helpers, helpers):
+    # Six blocks, the last of three modules: each block's result, with the
+    # caller's args, in module order however the shares fall.
+    set_helpers(helpers)
+    rows = BLOCK_ELEMENTS // 16
+    n = 5 * rows + 3
+    geom = ArrayGeometry(16, n, 0.0628, 2.5)
+    results = run_ratio_blocks(
+        geom,
+        UserLocation(50.0, 0.2),
+        lambda args, start, stop, ratios: (args, start, stop, ratios.shape),
+        "args",
+    )
+    assert results == [
+        ("args", start, min(start + rows, n), (min(start + rows, n) - start, 16))
+        for start in range(0, n, rows)
+    ]
+
+
+@pytest.mark.parametrize(
+    "helpers, finished",
+    # Shares [0-5]; [0-2], [3-5]; [0, 1], [2, 3], [4, 5].  Blocks 2 and 5
+    # fail, and each share stops at its first failure.
+    [(0, [0, 1, 2]), (1, [0, 1, 2, 3, 4, 5]), (2, [0, 1, 2, 4, 5])],
+)
+def test_ratio_blocks_raise_the_first_failure_after_every_share(
+    set_helpers, helpers, finished
+):
+    # Block 5, in the last share, fails late; the call waits for it and
+    # still raises block 2's error.
+    set_helpers(helpers)
+    rows = BLOCK_ELEMENTS // 16
+    geom = ArrayGeometry(16, 6 * rows, 0.0628, 2.5)
+    ran = []
+
+    def work(args, start, stop, ratios):
+        block = start // rows
+        if block == 5:
+            time.sleep(0.2)
+        ran.append(block)
+        if block in (2, 5):
+            raise ValueError(f"block {block}")
+
+    with pytest.raises(ValueError, match="^block 2$"):
+        run_ratio_blocks(geom, UserLocation(50.0, 0.2), work, None)
+    assert sorted(ran) == finished
 
 
 def test_concurrent_callers_share_the_helpers(set_helpers):
@@ -448,13 +491,13 @@ class TestOffsetCache:
             offsets[0, 0] = 1.0
         assert offsets is self.cache(16, 20, geom.stride)
 
-        def scribble(modules, ratios):
+        def scribble(args, start, stop, ratios):
             np.reciprocal(ratios, out=ratios)  # as the exact sum does
             ratios[...] = -1.0
 
         expected = reference_ratios(geom, user).tobytes()
         for _ in range(2):
-            run_ratio_blocks(geom, user, scribble)
+            run_ratio_blocks(geom, user, scribble, None)
             assert block_ratios(geom, user).tobytes() == expected
         assert snr_exact_sum(geom, user, LINK).value_linear == reference_exact_sum(
             geom, user, LINK

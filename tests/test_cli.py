@@ -365,12 +365,13 @@ class TestEval:
         self, capsys, tmp_path, monkeypatch, argv, prefix, message
     ):
         # `--modules 1000000000000 --models exact` once crashed with numpy's
-        # _ArrayMemoryError and exit 1.  The allocation is faked: a real one
-        # could succeed under an overcommitting kernel and exhaust memory.
+        # _ArrayMemoryError and exit 1.  The failure is faked, in the exact
+        # sum's reciprocal of its ratios: a real allocation could succeed
+        # under an overcommitting kernel and exhaust memory.
         def unable_to_allocate(*args, **kwargs):
             raise MemoryError(message)
 
-        monkeypatch.setattr(numpy, "empty", unable_to_allocate)
+        monkeypatch.setattr(numpy, "reciprocal", unable_to_allocate)
         target = tmp_path / "out"
         assert main([*argv, "--out", str(target)]) == 2
         captured = capsys.readouterr()

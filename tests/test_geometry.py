@@ -315,7 +315,7 @@ class TestDistance:
         before = [array.copy() for array in held]
         for array in held:
             array.setflags(write=False)
-        run_ratio_blocks(geom, user, lambda modules, ratios: None)
+        run_ratio_blocks(geom, user, lambda *block: None, None)
         snr_exact_sum(geom, user, link)
         held.append(block_ratios(geom, user))
         held.append(array_response_nusw(geom, user, link))

@@ -10,7 +10,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from elements import block_ratios, element_positions, module_sums, user_position
+from elements import (
+    block_ratios,
+    element_positions,
+    module_sums,
+    ratio_blocks,
+    user_position,
+)
 from modxl.channel import LinkBudget
 from modxl.errors import (
     DegenerateGeometryError,
@@ -278,6 +284,22 @@ class TestProgressionRoute:
             value = snr_exact_sum(geom, user, LINK).value_linear
             assert value == pytest.approx(kernel, rel=1e-14)
 
+    #: 80,000 elements at 1e154 m: the route returns None, and the kernel
+    #: runs two blocks.
+    FALLBACK = ArrayGeometry(16, 5000, 1e-3, 3.0), UserLocation(1e154, 0.4)
+
+    @pytest.mark.parametrize("helpers", [0, 1, geometry._MAX_THREADS - 1])
+    def test_kernel_fallback_bits(self, set_helpers, helpers):
+        set_helpers(helpers)
+        assert geometry._progression_sum(*self.FALLBACK) is None
+        assert len(ratio_blocks(*self.FALLBACK)) == 2
+        value = snr_exact_sum(*self.FALLBACK, LINK).value_linear
+        assert value.hex() == "0x1.ac9a7b3b7302fp-991"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(geometry, "BLOCK_ELEMENTS", 1 << 17)  # one block
+            assert geometry._one_block(self.FALLBACK[0])
+            assert snr_exact_sum(*self.FALLBACK, LINK).value_linear == value
+
     @pytest.mark.parametrize("m, n", [(16, 2**53), (2**53, 3)])
     @pytest.mark.parametrize("angle", [0.0, 0.4])
     def test_largest_counts_are_exact(self, m, n, angle):
@@ -290,7 +312,8 @@ class TestProgressionRoute:
         reference = snr_exact_sum(fewer, user, LINK).value_linear
         assert value.value_linear == pytest.approx(reference, rel=1e-14)
 
-    @settings(max_examples=200)
+    # 200 examples in the suite, and the profile's count in a deep run.
+    @settings(max_examples=max(200, settings.default.max_examples))
     @given(
         st.integers(1, 8),
         st.integers(1, 8),
@@ -304,18 +327,27 @@ class TestProgressionRoute:
     ):
         # Where the route's values would leave the floating-point range, the
         # kernel takes the sum; elsewhere the two agree, and raise alike.
+        # Where the route returns None, the kernel's blocks of one module
+        # give the one-block kernel's bits.
         geom = ArrayGeometry(m, n, 10.0**log_d, ratio)
         user = UserLocation(10.0**log_r, math.radians(deg))
-        outcomes = []
+        outcomes, progressions = [], []
+        route_sum = geometry._progression_sum
+
+        def progression_sum(*args):
+            progressions.append(route_sum(*args))
+            return progressions[-1]
+
         for block_elements in (1, geometry.BLOCK_ELEMENTS):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(geometry, "BLOCK_ELEMENTS", block_elements)
+                patch.setattr(geometry, "_progression_sum", progression_sum)
                 try:
                     outcomes.append(snr_exact_sum(geom, user, LINK).value_linear)
                 except (OverflowError, ValueError, DegenerateGeometryError) as error:
                     outcomes.append((type(error), str(error)))
         route, kernel = outcomes
-        if isinstance(kernel, float):
+        if isinstance(kernel, float) and any(p is not None for p in progressions):
             assert route == pytest.approx(kernel, rel=1e-14)
         else:
             assert route == kernel
