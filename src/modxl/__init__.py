@@ -31,7 +31,6 @@ from .geometry import (
     DISTANCE_FLOOR_M,
     ArrayGeometry,
     UserLocation,
-    aperture,
     normalized_spacing,
 )
 from .numerics import compensated_sum, db_to_linear, linear_to_db
@@ -84,7 +83,6 @@ __all__ = [
     "UnboundedLimitError",
     "UplinkSimulation",
     "UserLocation",
-    "aperture",
     "apply_variable",
     "array_response_nusw",
     "compensated_sum",

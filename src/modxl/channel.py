@@ -1,4 +1,4 @@
-"""The complex array response vector for line-of-sight propagation.
+"""The link budget and the complex array response for line-of-sight propagation.
 
 The non-uniform spherical wave (NUSW) response, in which amplitude and phase
 both follow the exact per-element distance, is returned as a read-only
@@ -10,7 +10,7 @@ comparison enters only through its SNR, ``snr_models.snr_upw``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .geometry import (
     ArrayGeometry,
@@ -27,26 +27,26 @@ class LinkBudget:
     the 1 m reference distance, and transmit SNR (both linear).
 
     Only the product ``transmit_snr * reference_gain`` enters any SNR formula;
-    it is exposed as :attr:`effective_power`.
+    the constructor sets it as :attr:`effective_power`, outside equality,
+    hashing and the repr.
     """
 
     wavelength_m: float
     reference_gain: float = 1.0
     transmit_snr: float = 1.0
+    effective_power: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("wavelength_m", "reference_gain", "transmit_snr"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
-        if not 0 < self.effective_power < math.inf:
+        power = self.transmit_snr * self.reference_gain
+        if not 0 < power < math.inf:
             raise ValueError(
                 "effective_power (transmit_snr * reference_gain) must be "
                 "positive and finite"
             )
-
-    @property
-    def effective_power(self) -> float:
-        return self.transmit_snr * self.reference_gain
+        object.__setattr__(self, "effective_power", power)
 
 
 def _write_phasors(amplitude: np.ndarray, cycles: np.ndarray, out: np.ndarray) -> None:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -26,7 +27,7 @@ from .errors import (
     MalformedDataError,
     SweepPointError,
 )
-from .geometry import ArrayGeometry, aperture, normalized_spacing
+from .geometry import ArrayGeometry, normalized_spacing
 from .numerics import db_to_linear, linear_to_db
 from .snr_models import SnrModel
 from .sweep import (
@@ -37,9 +38,9 @@ from .sweep import (
     SweepSpec,
     SweepVariable,
     applicable_models,
-    apply_variable,
     default_scenario,
     evaluate_models,
+    flag_union,
     run_sweep,
 )
 from .svgchart import ChartSeries, render_line_chart
@@ -207,9 +208,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_text(path: str, error: type) -> str:
+    """The text of the UTF-8 file at ``path``, decoded whole; ``error`` names
+    the file and the offset in it of the first byte that is not UTF-8."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text (byte 0x{data[exc.start]:02x} "
+                    f"at offset {exc.start}: {exc.reason})") from None
+
+
 def _read_config_file(path: str) -> Dict[str, str]:
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read()
+    text = _read_text(path, UsageError)
     entries: Dict[str, str] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -367,13 +379,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     reports = evaluate_models(scenario, models)
 
     geom = scenario.geometry
-    span, augmented = aperture(geom)
     snr_block: Dict[str, float] = {}
-    flags = set()
     for model, report in reports.items():
         snr_block[f"snr_{model.token}_linear"] = report.value_linear
         snr_block[f"snr_{model.token}_db"] = report.value_db
-        flags |= report.validity_flags
     payload = {
         "geometry": {
             "elements_per_module": geom.elements_per_module,
@@ -383,8 +392,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
             "module_separation_m": geom.module_separation,
             "stride": geom.stride,
             "total_elements": geom.total_elements,
-            "aperture_m": span,
-            "augmented_span_m": augmented,
+            "aperture_m": geom.aperture,
+            "augmented_span_m": geom.augmented_span,
         },
         "user": {
             "range_m": scenario.user.range_m,
@@ -397,7 +406,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             "txsnr_db": linear_to_db(scenario.link.effective_power),
         },
         "snr": snr_block,
-        "flags": sorted(flags),
+        "flags": sorted(flag_union(reports)),
     }
     try:
         text = json.dumps(payload, indent=2, allow_nan=False)
@@ -440,11 +449,7 @@ def _resolve_sweep_spec(args: argparse.Namespace, scenario: Scenario) -> SweepSp
     # Past the two swept-variable rules of applicable_models, each domain
     # test is monotone along the swept variable, and on an angle sweep only
     # an end can lie within the endfire floor: the ends decide.
-    ends = [
-        apply_variable(scenario, variable, spec.point_value(index))
-        for index in (0, spec.steps - 1)
-    ]
-    return replace(spec, models=_resolve_models(args.models, ends, variable))
+    return replace(spec, models=_resolve_models(args.models, spec.ends, variable))
 
 
 def _render_csv(spec: SweepSpec, records) -> str:
@@ -483,8 +488,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _read_csv_table(path: str) -> Tuple[List[str], List[List[str]]]:
-    with open(path, encoding="utf-8", newline="") as handle:
-        rows = list(csv.reader(handle))
+    reader = csv.reader(io.StringIO(_read_text(path, MalformedDataError), newline=""))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:  # as a field over csv.field_size_limit()
+        raise MalformedDataError(f"{path}:{reader.line_num}: {exc}") from None
     if not rows:
         raise MalformedDataError(f"{path}: empty file")
     header, data = rows[0], rows[1:]

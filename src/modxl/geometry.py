@@ -1,7 +1,8 @@
-"""Modular uniform-linear-array layout: spans, the blocked kernel of
-element-to-user distances with its cache of one-block element offsets, the
-sum over the elements of its inverse ratios, and :func:`run_blocks`, which
-runs a function on each block on threads and returns the results in order.
+"""Modular uniform-linear-array layout: its derived lengths, set once at
+construction; the blocked kernel of element-to-user distances with its
+cache of one-block element offsets; the sum over the elements of its
+inverse ratios; and :func:`run_blocks`, which runs a function on each block
+on threads and returns the results in order.
 
 Every pass in blocks, here and in the channel and beamforming, is a
 module-level block function ``work(args, start, stop)`` (the kernel's take
@@ -28,9 +29,9 @@ import math
 import os
 import sys
 import threading
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field
 from numbers import Integral
-from typing import Callable, Tuple
+from typing import Callable
 
 from .errors import DegenerateGeometryError
 from .numerics import compensated_sum, np
@@ -88,12 +89,30 @@ class ArrayGeometry:
     separation_ratio :
         Module separation in units of the element spacing (>= 1, real).
         A ratio of 1 collapses the layout to a conventional collocated array.
+
+    The constructor sets the fields that follow the four inputs, as
+    ``dataclasses.replace`` sets them again; they stay out of equality,
+    hashing and the repr.
     """
 
     elements_per_module: int
     module_count: int
     element_spacing: float
     separation_ratio: float = 1.0
+    #: Gap between adjacent modules, metres.
+    module_separation: float = field(init=False, repr=False, compare=False)
+    total_elements: int = field(init=False, repr=False, compare=False)
+    #: Module-to-module index stride: the pitch between like elements of
+    #: adjacent modules, in units of the element spacing.
+    stride: float = field(init=False, repr=False, compare=False)
+    #: The largest centred axis offset of an element, in element spacings:
+    #: half the end-to-end aperture.
+    half_span: float = field(init=False, repr=False, compare=False)
+    #: The end-to-end aperture, metres.
+    aperture: float = field(init=False, repr=False, compare=False)
+    #: The aperture plus one module width plus one module separation, metres:
+    #: the span that drives the closed-form SNR.
+    augmented_span: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         m, n = self.elements_per_module, self.module_count
@@ -103,45 +122,21 @@ class ArrayGeometry:
             raise ValueError("module_count must be an integer >= 1")
         if max(m, n) > 2**53:  # where centred indices stop being exact floats
             raise ValueError("elements_per_module and module_count must be <= 2**53")
-        object.__setattr__(self, "elements_per_module", int(m))  # no numpy overflow
-        object.__setattr__(self, "module_count", int(n))
-        if not 0 < self.element_spacing < math.inf:
+        m, n = int(m), int(n)  # no numpy overflow
+        d, ratio = self.element_spacing, self.separation_ratio
+        if not 0 < d < math.inf:
             raise ValueError("element_spacing must be positive and finite")
-        if not 1 <= self.separation_ratio < math.inf:
+        if not 1 <= ratio < math.inf:
             raise ValueError("separation_ratio must be finite and >= 1")
-
-    def __getstate__(self) -> dict:
-        "The fields alone: a pickle or copy holds no span cached on first use."
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @property
-    def module_separation(self) -> float:
-        "Gap between adjacent modules, metres."
-        return self.separation_ratio * self.element_spacing
-
-    @functools.cached_property
-    def stride(self) -> float:
-        """Module-to-module index stride: the pitch between like elements of
-        adjacent modules, in units of the element spacing."""
-        return self.elements_per_module + self.separation_ratio - 1.0
-
-    @property
-    def total_elements(self) -> int:
-        return self.elements_per_module * self.module_count
-
-    @functools.cached_property
-    def half_span(self) -> float:
-        """The largest centred axis offset of an element, in element
-        spacings: half the end-to-end aperture."""
-        m, n = self.elements_per_module, self.module_count
-        return self.stride * (0.5 * (n - 1)) + 0.5 * (m - 1)
-
-    @functools.cached_property
-    def _spans(self) -> Tuple[float, float]:
-        "The value of :func:`aperture`, computed on first use."
-        d = self.element_spacing
-        span = 2.0 * self.half_span * d
-        return span, span + self.elements_per_module * d + self.module_separation
+        separation, stride = ratio * d, m + ratio - 1.0
+        half_span = stride * (0.5 * (n - 1)) + 0.5 * (m - 1)
+        span = 2.0 * half_span * d
+        # A frozen instance's attributes are set past its __setattr__.
+        self.__dict__.update(
+            elements_per_module=m, module_count=n, module_separation=separation,
+            total_elements=m * n, stride=stride, half_span=half_span,
+            aperture=span, augmented_span=span + m * d + separation,
+        )
 
 
 @dataclass(frozen=True)
@@ -157,15 +152,6 @@ class UserLocation:
             raise ValueError("range_m must be positive and finite")
         if not abs(self.angle_rad) <= 0.5 * math.pi:
             raise ValueError("angle_rad must lie in [-pi/2, pi/2]")
-
-
-def aperture(geom: ArrayGeometry) -> Tuple[float, float]:
-    """Physical spans of the array, metres.
-
-    Returns the end-to-end aperture and the augmented span (aperture plus one
-    module width plus one module separation) that drives the closed-form SNR.
-    """
-    return geom._spans
 
 
 def normalized_spacing(geom: ArrayGeometry, user: UserLocation) -> float:

@@ -31,7 +31,6 @@ from .errors import (
 from .geometry import (
     ArrayGeometry,
     UserLocation,
-    aperture,
     inverse_ratio_sum,
     normalized_spacing,
 )
@@ -180,13 +179,12 @@ def snr_closed_form(
     cos_t = math.cos(user.angle_rad)
     flags = _continuum_flags(geom, user, cos_t)
     d = geom.element_spacing
-    _, augmented = aperture(geom)
     extent_scale = 2.0 * user.range_m * cos_t
-    outer = _scale(augmented, extent_scale, "closed form argument")
+    outer = _scale(geom.augmented_span, extent_scale, "closed form argument")
     # The bracket squares its arguments; where that overflows, it is NaN.
     if outer * outer == math.inf:
         raise OverflowError("closed form argument squared overflows")
-    inner = (augmented - 2.0 * geom.elements_per_module * d) / extent_scale
+    inner = (geom.augmented_span - 2.0 * geom.elements_per_module * d) / extent_scale
     bracket = _continuum_bracket(outer, inner, abs(math.tan(user.angle_rad)))
     prefactor = _scale(
         link.effective_power,
@@ -320,8 +318,7 @@ def snr_asymptotic(
 def snr_upw(geom: ArrayGeometry, user: UserLocation, link: LinkBudget) -> SnrReport:
     """Plane-wave SNR: element count times the single-element value.
     Independent of the module separation and the user direction."""
-    _, augmented = aperture(geom)
-    near = user.range_m < FAR_FIELD_MARGIN * augmented
+    near = user.range_m < FAR_FIELD_MARGIN * geom.augmented_span
     scale = _scale(link.effective_power, user.range_m**2, "P/r^2")
     value = scale * geom.total_elements
     return SnrReport(_UPW, value, _FAR_FIELD_FLAGS if near else _NO_FLAGS)
@@ -340,7 +337,7 @@ def snr_double_integral(
     globally adaptive Gauss-Legendre rule (see
     :func:`_adaptive_gauss_legendre`) to an estimated relative error of
     ``QUADRATURE_REL_TOL``.  It uses neither :func:`_continuum_bracket` nor
-    :func:`aperture`, so it stays an independent oracle for the closed form.
+    the augmented span, so it stays an independent oracle for the closed form.
     Raises :class:`QuadratureAccuracyError`, carrying the current estimate,
     when ``QUADRATURE_MAX_PANELS`` panels do not reach that, as when the
     user is so close to the tip of the array segment that rounding alone

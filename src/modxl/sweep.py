@@ -51,7 +51,9 @@ class SweepSpec:
 
     ``start``/``stop`` are in the variable's native unit: counts for
     ``module_count``, meters for ``separation``, ``range`` and
-    ``element_spacing``, radians for ``theta``.
+    ``element_spacing``, radians for ``theta``.  The constructor sets
+    ``ends``, the scenarios at the first and the last point, outside
+    equality, hashing and the repr.
     """
 
     base: Scenario
@@ -61,6 +63,7 @@ class SweepSpec:
     steps: int = 40
     scale: SweepScale = SweepScale.LINEAR
     models: frozenset = frozenset({SnrModel.EXACT_SUM, SnrModel.CLOSED_FORM})
+    ends: Tuple[Scenario, Scenario] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "models", frozenset(self.models))
@@ -81,8 +84,10 @@ class SweepSpec:
         # Every bound on a swept quantity is an interval and both scales are
         # monotonic, so the scenario constructors, run at the two endpoints,
         # reject a bad start or stop before any point is evaluated.
-        for index in (0, self.steps - 1):
+        object.__setattr__(self, "ends", tuple(
             apply_variable(self.base, self.variable, self.point_value(index))
+            for index in (0, self.steps - 1)
+        ))
 
     def point_value(self, index: int) -> float:
         "Variable value at a 0-based point index; endpoints are exact."
@@ -112,10 +117,12 @@ class SweepRecord:
 
     @property
     def validity_flags(self) -> frozenset:
-        flags: set = set()
-        for report in self.reports.values():
-            flags |= report.validity_flags
-        return frozenset(flags)
+        return flag_union(self.reports)
+
+
+def flag_union(reports: Dict[SnrModel, SnrReport]) -> frozenset:
+    "The union of the validity flags of ``reports``."
+    return frozenset().union(*(report.validity_flags for report in reports.values()))
 
 
 def apply_variable(

@@ -23,7 +23,7 @@ from .beamforming import (
     snr,
 )
 from .channel import LinkBudget, array_response_nusw
-from .geometry import ArrayGeometry, UserLocation, aperture
+from .geometry import ArrayGeometry, UserLocation
 from .numerics import np
 from .snr_models import (
     CONTINUUM_TOLERANCE,
@@ -140,8 +140,8 @@ def _check_asymptotic_convergence(base: Scenario) -> Tuple[float, float, str]:
 
 def _check_far_field_consistency(base: Scenario) -> Tuple[float, float, str]:
     "At 10 augmented spans the closed form matches the plane-wave value."
-    _, augmented = aperture(base.geometry)
-    user = replace(base.user, range_m=10.0 * augmented, angle_rad=0.0)
+    range_m = 10.0 * base.geometry.augmented_span
+    user = replace(base.user, range_m=range_m, angle_rad=0.0)
     closed = snr_closed_form(base.geometry, user, base.link).value_linear
     plane = snr_upw(base.geometry, user, base.link).value_linear
     return 1e-2, _rel_diff(closed, plane), f"range {user.range_m:.1f} m"

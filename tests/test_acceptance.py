@@ -21,7 +21,7 @@ from modxl.beamforming import (
 )
 from modxl.channel import LinkBudget, array_response_nusw
 from modxl.cli import main
-from modxl.geometry import ArrayGeometry, UserLocation, aperture
+from modxl.geometry import ArrayGeometry, UserLocation
 from modxl.snr_models import (
     CONTINUUM_TOLERANCE,
     QUADRATURE_AGREEMENT,
@@ -116,8 +116,7 @@ def test_criterion_04_exact_sum_reaches_asymptote():
 
 def test_criterion_05_far_user_matches_plane_wave():
     geom = ArrayGeometry(16, 20, 0.0628, 20.0)
-    _, augmented = aperture(geom)
-    user = UserLocation(10.0 * augmented, 0.0)
+    user = UserLocation(10.0 * geom.augmented_span, 0.0)
     closed = snr_closed_form(geom, user, LINK).value_linear
     upw = snr_upw(geom, user, LINK).value_linear
     rel = abs(closed - upw) / upw

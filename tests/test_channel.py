@@ -1,5 +1,7 @@
 import cmath
 import math
+import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from elements import element_distances, element_positions, user_position
 from modxl import channel
 from modxl.channel import LinkBudget, array_response_nusw
 from modxl.errors import DegenerateGeometryError
-from modxl.geometry import ArrayGeometry, UserLocation, aperture
+from modxl.geometry import ArrayGeometry, UserLocation
 
 WAVELENGTH = 0.1256
 LINK = LinkBudget(wavelength_m=WAVELENGTH)
@@ -49,6 +51,23 @@ class TestLinkBudget:
         link = LinkBudget(wavelength_m=0.1, reference_gain=3.0, transmit_snr=2.0)
         assert link.effective_power == 6.0
         assert LINK.effective_power == 1.0
+
+    def test_effective_power_is_a_derived_field(self):
+        # Set by the constructor, again by replace, and outside equality,
+        # hashing and the repr.
+        link = LinkBudget(wavelength_m=0.1, reference_gain=3.0, transmit_snr=2.0)
+        assert replace(link, transmit_snr=5.0).effective_power == 15.0
+        assert replace(link, reference_gain=0.5).effective_power == 1.0
+        with pytest.raises(ValueError, match="effective_power"):
+            replace(link, transmit_snr=1e308)
+        altered = LinkBudget(wavelength_m=0.1, reference_gain=3.0, transmit_snr=2.0)
+        object.__setattr__(altered, "effective_power", 7.0)
+        assert altered == link and hash(altered) == hash(link)
+        assert repr(altered) == repr(link) == (
+            "LinkBudget(wavelength_m=0.1, reference_gain=3.0, transmit_snr=2.0)"
+        )
+        clone = pickle.loads(pickle.dumps(link))
+        assert clone == link and clone.effective_power == 6.0
 
 
 class TestArrayResponse:
@@ -136,8 +155,7 @@ class TestSphericalWave:
 
     def test_far_field_amplitude_is_one_over_range(self):
         geom = ArrayGeometry(8, 4, 0.0628, 10.0)
-        _, augmented = aperture(geom)
-        user = UserLocation(1e3 * augmented, 0.5)
+        user = UserLocation(1e3 * geom.augmented_span, 0.5)
         resp = array_response_nusw(geom, user, LINK)
         ratio = np.abs(resp) * user.range_m
         assert np.max(np.abs(ratio - 1.0)) < 1e-3

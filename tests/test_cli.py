@@ -761,6 +761,18 @@ class TestConfig:
         assert main(["eval", "--config", str(tmp_path / "nope.cfg")]) == 4
         capsys.readouterr()
 
+    def test_not_utf8(self, capsys, tmp_path):
+        # Still a usage error, now naming the file.
+        cfg = tmp_path / "settings.cfg"
+        cfg.write_bytes(b"modules = 3\n\xfe\n")
+        assert main(["eval", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"modxl: error: {cfg}: not UTF-8 text "
+            "(byte 0xfe at offset 12: invalid start byte)\n"
+        )
+
     def test_post_merge_exclusivity(self, capsys, tmp_path):
         cfg = self.write(tmp_path, "spacing_m = 0.1\nspacing_wl = 0.5\n")
         assert main(["eval", "--config", cfg]) == 2
@@ -973,6 +985,32 @@ class TestPlot:
         err = capsys.readouterr().err
         assert code == 5
         assert f"{bad}:3: non-finite value" in err
+
+    def test_field_over_the_csv_limit(self, capsys, tmp_path):
+        # csv's field limit once raised _csv.Error, which main let through
+        # as a traceback and exit 1, the code of a failed verification.
+        bad = tmp_path / "wide.csv"
+        bad.write_text("var_value,snr_exact_db\n1.0,44.0\n2.0," + "4" * 131073 + "\n")
+        out = tmp_path / "c.svg"
+        code = main(["plot", "--in", str(bad), "--out", str(out)])
+        assert code == 5
+        assert capsys.readouterr().err == (
+            f"modxl: error: {bad}:3: field larger than field limit (131072)\n"
+        )
+        assert not out.exists()
+
+    def test_not_utf8(self, capsys, tmp_path):
+        # A decode error once exited 2, as a usage error, naming no file.
+        bad = tmp_path / "latin.csv"
+        bad.write_bytes(b"var_value,snr_exact_db\n1.0,44.0\n2.0,\xff43\n")
+        out = tmp_path / "c.svg"
+        code = main(["plot", "--in", str(bad), "--out", str(out)])
+        assert code == 5
+        assert capsys.readouterr().err == (
+            f"modxl: error: {bad}: not UTF-8 text "
+            "(byte 0xff at offset 36: invalid start byte)\n"
+        )
+        assert not out.exists()
 
     def test_underflowed_sweep_round_trip(self, capsys, tmp_path):
         # An SNR that underflows to 0 stops the sweep at that point, so no

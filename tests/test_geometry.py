@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from modxl.errors import DegenerateGeometryError
 from modxl.geometry import (
     ArrayGeometry,
     UserLocation,
-    aperture,
     normalized_spacing,
     run_ratio_blocks,
 )
@@ -24,6 +24,14 @@ REF = ArrayGeometry(
     elements_per_module=16, module_count=20,
     element_spacing=0.0628, separation_ratio=20.0,
 )
+#: The fields that the constructor derives from the four inputs.
+DERIVED = ("module_separation", "total_elements", "stride", "half_span",
+           "aperture", "augmented_span")
+
+
+def inputs(geom):
+    "The constructor's arguments of ``geom``, by name."
+    return {f.name: getattr(geom, f.name) for f in fields(geom) if f.init}
 
 
 def geometries():
@@ -102,19 +110,37 @@ class TestArrayGeometry:
         assert REF.module_separation == pytest.approx(1.256, rel=1e-15)
         assert REF.total_elements == 320
 
-    def test_cached_spans_stay_out_of_equality_repr_and_pickle(self):
-        # The stride, half-span and aperture are kept on the instance from
-        # first use.
+    def test_derived_fields_stay_out_of_equality_hash_and_repr(self):
+        # The derived lengths are set by the constructor; an instance whose
+        # fields were set otherwise still compares, hashes and prints as the
+        # four inputs say.
+        assert DERIVED == tuple(f.name for f in fields(REF) if not f.init)
         fresh = ArrayGeometry(16, 20, 0.0628, 20.0)
-        used = ArrayGeometry(16, 20, 0.0628, 20.0)
-        assert aperture(used) == aperture(REF)
-        assert used == fresh and hash(used) == hash(fresh)
-        assert repr(used) == repr(fresh)
+        altered = ArrayGeometry(16, 20, 0.0628, 20.0)
+        for name in DERIVED:
+            object.__setattr__(altered, name, -1.0)
+        assert altered == fresh and hash(altered) == hash(fresh)
+        assert repr(altered) == repr(fresh) == (
+            "ArrayGeometry(elements_per_module=16, module_count=20, "
+            "element_spacing=0.0628, separation_ratio=20.0)"
+        )
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-            assert pickle.dumps(used, protocol) == pickle.dumps(fresh, protocol)
-        for clone in (pickle.loads(pickle.dumps(used)), copy.deepcopy(used)):
-            assert clone == used and vars(clone) == vars(fresh)
-            assert (clone.stride, clone.half_span) == (used.stride, used.half_span)
+            assert pickle.dumps(fresh, protocol) == pickle.dumps(REF, protocol)
+            clone = pickle.loads(pickle.dumps(fresh, protocol))
+            assert clone == fresh and vars(clone) == vars(fresh)
+        for clone in (copy.copy(fresh), copy.deepcopy(fresh)):
+            assert clone == fresh and vars(clone) == vars(fresh)
+
+    def test_replace_sets_the_derived_fields_again(self):
+        for changes in (
+            dict(elements_per_module=7), dict(module_count=3),
+            dict(element_spacing=0.5), dict(separation_ratio=1.0),
+        ):
+            changed = replace(REF, **changes)
+            built = ArrayGeometry(**{**inputs(REF), **changes})
+            assert vars(changed) == vars(built) != vars(REF)
+        with pytest.raises(ValueError, match="init=False"):
+            replace(REF, stride=1.0)
 
     @given(geometries())
     def test_stride_at_least_module_size(self, geom):
@@ -123,19 +149,20 @@ class TestArrayGeometry:
 
 class TestAperture:
     def test_single_element(self):
-        span, augmented = aperture(ArrayGeometry(1, 1, 0.0628, 1.0))
+        single = ArrayGeometry(1, 1, 0.0628, 1.0)
+        span, augmented = single.aperture, single.augmented_span
         assert span == 0.0
         assert augmented == pytest.approx(0.1256, rel=1e-15)
 
     def test_reference_values(self):
-        span, augmented = aperture(REF)
+        span, augmented = REF.aperture, REF.augmented_span
         assert span == pytest.approx(680 * 0.0628, rel=1e-15)
         assert span == pytest.approx(42.704, rel=1e-12)
         assert augmented == pytest.approx(44.9648, rel=1e-12)
 
     @given(geometries())
     def test_augmented_exceeds_span(self, geom):
-        span, augmented = aperture(geom)
+        span, augmented = geom.aperture, geom.augmented_span
         assert augmented > span
         single = geom.elements_per_module == 1 and geom.module_count == 1
         assert (span == 0.0) == single
@@ -143,7 +170,7 @@ class TestAperture:
     @given(geometries())
     def test_span_is_max_pairwise_distance(self, geom):
         ys = [y for _, y in element_positions(geom)]
-        span, _ = aperture(geom)
+        span = geom.aperture
         assert span == pytest.approx(max(ys) - min(ys), rel=1e-12, abs=1e-15)
 
 
@@ -158,7 +185,7 @@ def axis_offsets(geom):
     beyond the array, sees the element at offset u at distance ratio
     1 - u*2^-k, so u = (1 - sqrt(ratio))*2^k.  With eps = 2^-k, every step
     is exact where u*eps fits the significand beside the 1."""
-    span, _ = aperture(geom)
+    span = geom.aperture
     scale = 2.0 ** math.ceil(math.log2(span / geom.element_spacing + 2.0))
     user = UserLocation(scale * geom.element_spacing, math.pi / 2)
     return (1.0 - np.sqrt(block_ratios(geom, user))) * scale

@@ -12,7 +12,7 @@ from modxl.errors import (
     SweepPointError,
     UnboundedLimitError,
 )
-from modxl.geometry import ArrayGeometry, UserLocation, aperture
+from modxl.geometry import ArrayGeometry, UserLocation
 from modxl.snr_models import CONTINUUM_TOLERANCE, SnrModel
 from modxl.sweep import (
     PRESETS,
@@ -133,6 +133,42 @@ class TestSweepSpec:
         with pytest.raises(IndexError):
             spec.point_value(5)
 
+    @pytest.mark.parametrize("variable,start,stop", [
+        (SweepVariable.MODULE_COUNT, 1.0, 625.0),
+        (SweepVariable.SEPARATION, 0.0628, 2.512),
+        (SweepVariable.THETA, -1.2, 1.5),
+        (SweepVariable.RANGE, 2.0, 1e6),
+        (SweepVariable.ELEMENT_SPACING, 0.01, 0.5),
+    ])
+    def test_ends_are_the_scenarios_at_the_first_and_last_points(
+        self, variable, start, stop
+    ):
+        base = default_scenario()
+        spec = SweepSpec(base, variable, start, stop, steps=7)
+        assert spec.ends == tuple(
+            apply_variable(base, variable, spec.point_value(index))
+            for index in (0, spec.steps - 1)
+        )
+
+    def test_replace_sets_the_ends_again(self):
+        spec = SweepSpec(default_scenario(), SweepVariable.RANGE, 1.0, 100.0,
+                         steps=3, scale=SweepScale.LOGARITHMIC)
+        other = replace(spec, start=4.0, stop=9.0)
+        assert [end.user.range_m for end in other.ends] == [4.0, 9.0]
+        far = replace(spec, base=replace(spec.base, user=UserLocation(5.0, 0.3)))
+        assert [end.user.angle_rad for end in far.ends] == [0.3, 0.3]
+        assert replace(spec, variable=SweepVariable.THETA, start=0.1, stop=0.2,
+                       scale=SweepScale.LINEAR).ends[1].user.angle_rad == 0.2
+        with pytest.raises(ValueError):
+            replace(spec, stop=math.inf)
+
+    def test_ends_stay_out_of_equality_hash_and_repr(self):
+        spec = SweepSpec(default_scenario(), SweepVariable.RANGE, 1.0, 10.0)
+        altered = SweepSpec(default_scenario(), SweepVariable.RANGE, 1.0, 10.0)
+        object.__setattr__(altered, "ends", ())
+        assert altered == spec and hash(altered) == hash(spec)
+        assert repr(altered) == repr(spec) and "ends" not in repr(spec)
+
 
 class TestApplyVariable:
     def test_module_count(self):
@@ -241,7 +277,7 @@ class TestApplicableModels:
         # above.  A named model may still fail for its own reasons, as
         # where the user sits on an element; never for its domain.
         geom = ArrayGeometry(m, n, 0.0628, ratio)
-        user = UserLocation(half_spans * aperture(geom)[1] / 2, math.radians(deg))
+        user = UserLocation(half_spans * geom.augmented_span / 2, math.radians(deg))
         scen = replace(default_scenario(), geometry=geom, user=user)
         for model in applicable_models(scen):
             try:

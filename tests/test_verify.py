@@ -14,12 +14,13 @@ from modxl.verify import CheckResult, run_checks
 
 class _SkewedGeometry(ArrayGeometry):
     """Deliberately inconsistent geometry: the module stride reads half a
-    spacing wide, so routes that integrate the continuum no longer agree
-    with the closed form."""
+    spacing wider than the spans that the constructor derived from it, so
+    routes that integrate the continuum no longer agree with the closed
+    form."""
 
-    @property
-    def stride(self) -> float:
-        return super().stride + 0.5
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        object.__setattr__(self, "stride", self.stride + 0.5)
 
 
 class TestCheckResult:
