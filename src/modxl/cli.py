@@ -209,12 +209,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_text(path: str, error: type) -> str:
-    """The text of the UTF-8 file at ``path``, decoded whole; ``error`` names
-    the file and the offset in it of the first byte that is not UTF-8."""
+    """The text of the UTF-8 file at ``path``, decoded whole, less a leading
+    byte-order mark, as some editors write; ``error`` names the file and the
+    offset in it of the first byte that is not UTF-8.  The mark is dropped
+    after decoding, so the offset counts it (``utf-8-sig`` counts from past
+    it)."""
     with open(path, "rb") as handle:
         data = handle.read()
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text (byte 0x{data[exc.start]:02x} "
                     f"at offset {exc.start}: {exc.reason})") from None

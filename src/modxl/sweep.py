@@ -8,6 +8,7 @@ bit-identical records.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
 from numbers import Integral
@@ -18,18 +19,28 @@ from .errors import SweepPointError
 from .geometry import ArrayGeometry, UserLocation
 from .snr_models import EVALUATORS, SnrModel, SnrReport, models_outside_domain
 
-#: ``tuple(SnrModel)``, the canonical output order.  Per-point loops iterate
-#: it because iterating the Enum class runs a slower Python-level generator.
+#: ``tuple(SnrModel)``, the canonical output order.  Loops iterate it
+#: because iterating the Enum class runs a slower Python-level generator.
 MODEL_ORDER: Tuple[SnrModel, ...] = tuple(SnrModel)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Scenario:
-    "A complete evaluation context: array, user position, link budget."
+    """A complete evaluation context: array, user position, link budget.
+    A sweep point builds one, so the constructor is written out, as
+    :class:`~modxl.snr_models.SnrReport`'s is."""
 
     geometry: ArrayGeometry
     user: UserLocation
     link: LinkBudget
+
+    def __init__(
+        self, geometry: ArrayGeometry, user: UserLocation, link: LinkBudget
+    ) -> None:
+        fields = self.__dict__
+        fields["geometry"] = geometry
+        fields["user"] = user
+        fields["link"] = link
 
 
 class SweepVariable(Enum):
@@ -106,14 +117,29 @@ class SweepSpec:
         return raw
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SweepRecord:
-    "Evaluated models at one sweep point."
+    """Evaluated models at one sweep point; ``reports`` is a fresh dict where
+    it is not given.  The constructor is written out, as
+    :class:`~modxl.snr_models.SnrReport`'s is."""
 
     index: int
     variable_value: float
     scenario: Scenario
     reports: Dict[SnrModel, SnrReport] = field(default_factory=dict)
+
+    def __init__(
+        self,
+        index: int,
+        variable_value: float,
+        scenario: Scenario,
+        reports: Optional[Dict[SnrModel, SnrReport]] = None,
+    ) -> None:
+        fields = self.__dict__
+        fields["index"] = index
+        fields["variable_value"] = variable_value
+        fields["scenario"] = scenario
+        fields["reports"] = {} if reports is None else reports
 
     @property
     def validity_flags(self) -> frozenset:
@@ -152,15 +178,26 @@ def apply_variable(
 def evaluate_models(
     scenario: Scenario, models: Iterable[SnrModel]
 ) -> Dict[SnrModel, SnrReport]:
-    """Evaluate the requested models in canonical order.  A set, such as a
-    sweep's frozenset, is used as it is; other iterables are copied into one."""
-    if not isinstance(models, (set, frozenset)):
-        models = set(models)
-    return {
-        model: EVALUATORS[model](scenario.geometry, scenario.user, scenario.link)
-        for model in MODEL_ORDER
-        if model in models
-    }
+    """Evaluate the requested models in canonical order: the one dispatch of
+    ``eval`` and of every sweep point.  A frozenset, such as a sweep's, is
+    used as it is; other iterables are copied into one.  Each evaluator is
+    read from ``EVALUATORS`` at the call, so that a swapped one, such as a
+    tracer's, is called.  The order is looked up (:func:`_in_order`) and the
+    dict filled in a loop: the test of all six members and a dict
+    comprehension cost four models about 0.2 us more (CPython 3.11)."""
+    if type(models) is not frozenset:
+        models = frozenset(models)
+    geom, user, link = scenario.geometry, scenario.user, scenario.link
+    reports = {}
+    for model in _in_order(models):
+        reports[model] = EVALUATORS[model](geom, user, link)
+    return reports
+
+
+@functools.lru_cache(maxsize=64)
+def _in_order(models: frozenset) -> Tuple[SnrModel, ...]:
+    "The models of ``models`` in ``MODEL_ORDER``, worked out once for each set."
+    return tuple(model for model in MODEL_ORDER if model in models)
 
 
 def applicable_models(

@@ -1,3 +1,4 @@
+import codecs
 import json
 import math
 import os
@@ -772,6 +773,25 @@ class TestConfig:
             f"modxl: error: {cfg}: not UTF-8 text "
             "(byte 0xfe at offset 12: invalid start byte)\n"
         )
+        # After a byte-order mark the offset is still the file's, counting
+        # the mark's three bytes.
+        cfg.write_bytes(codecs.BOM_UTF8 + b"ab\xff")
+        assert main(["eval", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            f"modxl: error: {cfg}: not UTF-8 text "
+            "(byte 0xff at offset 5: invalid start byte)\n"
+        )
+
+    def test_byte_order_mark_is_skipped(self, capsys, tmp_path):
+        # The mark once stayed in the first key: "unknown config key
+        # '\ufeffmodules'", exit 2.
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_bytes(b"modules = 3\ntheta_deg = 15\n")
+        marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        _, expected = run_cli(capsys, "eval", "--config", str(plain))
+        code, got = run_cli(capsys, "eval", "--config", str(marked))
+        assert code == 0
+        assert got == expected
 
     def test_post_merge_exclusivity(self, capsys, tmp_path):
         cfg = self.write(tmp_path, "spacing_m = 0.1\nspacing_wl = 0.5\n")
@@ -1011,6 +1031,22 @@ class TestPlot:
             "(byte 0xff at offset 36: invalid start byte)\n"
         )
         assert not out.exists()
+
+    def test_byte_order_mark_is_skipped(self, capsys, tmp_path):
+        # The mark once stayed in the first column's name: "unknown x
+        # column 'var_value'", exit 2.
+        text = b"var_value,snr_exact_db,snr_upw_db\n1.0,44.0,44.5\n2.0,43.0,43.2\n"
+        charts = []
+        for prefix in (b"", codecs.BOM_UTF8):
+            folder = tmp_path / f"mark{len(prefix)}"
+            folder.mkdir()
+            source, out = folder / "sweep.csv", folder / "chart.svg"
+            source.write_bytes(prefix + text)
+            code = main(["plot", "--in", str(source), "--out", str(out)])
+            capsys.readouterr()
+            assert code == 0
+            charts.append(out.read_bytes())
+        assert charts[1] == charts[0]
 
     def test_underflowed_sweep_round_trip(self, capsys, tmp_path):
         # An SNR that underflows to 0 stops the sweep at that point, so no
