@@ -97,47 +97,55 @@ def _u64(raw: str) -> int:
     return value
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Action]]:
+    """The parser, and each config key's action over every subcommand: the key
+    is the long option without ``--``, dashes as underscores (``in`` is
+    ``--in``)."""
+    actions: Dict[str, argparse.Action] = {}
+
+    def option(container, flag: str, **kwargs) -> None:
+        actions[flag[2:].replace("-", "_")] = container.add_argument(flag, **kwargs)
+
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--config", metavar="PATH",
         help="flat key = value settings file; explicit flags override it",
     )
-    common.add_argument("--out", metavar="PATH", help="output file path")
+    option(common, "--out", metavar="PATH", help="output file path")
 
     scenario = argparse.ArgumentParser(add_help=False)
     group = scenario.add_argument_group("scenario")
-    group.add_argument("--elements-per-module", type=int, metavar="M")
-    group.add_argument("--modules", type=int, metavar="N")
-    group.add_argument(
-        "--spacing-m", type=float, metavar="METERS",
+    option(group, "--elements-per-module", type=int, metavar="M")
+    option(group, "--modules", type=int, metavar="N")
+    option(
+        group, "--spacing-m", type=float, metavar="METERS",
         help="element spacing in meters",
     )
-    group.add_argument(
-        "--spacing-wl", type=float, metavar="WL",
+    option(
+        group, "--spacing-wl", type=float, metavar="WL",
         help="element spacing in wavelengths",
     )
-    group.add_argument(
-        "--separation-m", type=float, metavar="METERS",
+    option(
+        group, "--separation-m", type=float, metavar="METERS",
         help="module separation in meters",
     )
-    group.add_argument(
-        "--separation-ratio", type=float, metavar="L",
+    option(
+        group, "--separation-ratio", type=float, metavar="L",
         help="module separation in element spacings",
     )
-    group.add_argument("--frequency-ghz", type=float, metavar="GHZ")
-    group.add_argument("--wavelength-m", type=float, metavar="METERS")
-    group.add_argument("--range-m", type=float, metavar="METERS")
-    group.add_argument(
-        "--theta-deg", type=float, metavar="DEG",
+    option(group, "--frequency-ghz", type=float, metavar="GHZ")
+    option(group, "--wavelength-m", type=float, metavar="METERS")
+    option(group, "--range-m", type=float, metavar="METERS")
+    option(
+        group, "--theta-deg", type=float, metavar="DEG",
         help="user direction off broadside, degrees in [-90, 90]",
     )
-    group.add_argument(
-        "--txsnr-db", type=float, metavar="DB",
+    option(
+        group, "--txsnr-db", type=float, metavar="DB",
         help="joint transmit SNR (power times reference gain), dB",
     )
-    scenario.add_argument(
-        "--models", metavar="LIST",
+    option(
+        scenario, "--models", metavar="LIST",
         help="comma-separated subset of "
         + ",".join(model.token for model in SnrModel)
         + ", or 'all' for every applicable model",
@@ -159,53 +167,51 @@ def _build_parser() -> argparse.ArgumentParser:
         "sweep", parents=[common, scenario],
         help="sweep one variable and write a CSV of model SNRs",
     )
-    p_sweep.add_argument(
-        "--preset", choices=tuple(PRESETS),
+    option(
+        p_sweep, "--preset", choices=tuple(PRESETS),
         help="named sweep configuration (default: element-count)",
     )
-    p_sweep.add_argument(
-        "--var", choices=tuple(v.value for v in SweepVariable),
+    option(
+        p_sweep, "--var", choices=tuple(v.value for v in SweepVariable),
         help="swept variable",
     )
-    p_sweep.add_argument(
-        "--start", type=float,
+    option(
+        p_sweep, "--start", type=float,
         help="sweep start (degrees for theta, meters/counts otherwise)",
     )
-    p_sweep.add_argument("--stop", type=float, help="sweep stop")
-    p_sweep.add_argument("--steps", type=int, help="number of sweep points")
-    p_sweep.add_argument("--scale", choices=tuple(s.value for s in SweepScale))
+    option(p_sweep, "--stop", type=float, help="sweep stop")
+    option(p_sweep, "--steps", type=int, help="number of sweep points")
+    option(p_sweep, "--scale", choices=tuple(s.value for s in SweepScale))
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_plot = sub.add_parser(
         "plot", parents=[common],
         help="render sweep CSV columns as an SVG line chart",
     )
-    p_plot.add_argument("--in", dest="input_path", metavar="CSV")
-    p_plot.add_argument(
-        "--x", metavar="COLUMN", help="x column (default var_value)"
-    )
-    p_plot.add_argument(
-        "--y", metavar="LIST",
+    option(p_plot, "--in", dest="input_path", metavar="CSV")
+    option(p_plot, "--x", metavar="COLUMN", help="x column (default var_value)")
+    option(
+        p_plot, "--y", metavar="LIST",
         help="comma-separated y columns (default: all populated SNR columns)",
     )
-    p_plot.add_argument(
-        "--logx", action="store_true", default=None,
+    option(
+        p_plot, "--logx", action="store_true", default=None,
         help="logarithmic x axis",
     )
-    p_plot.add_argument("--title", metavar="TEXT")
+    option(p_plot, "--title", metavar="TEXT")
     p_plot.set_defaults(func=cmd_plot)
 
     p_verify = sub.add_parser(
         "verify", parents=[common],
         help="run the built-in verification checks",
     )
-    p_verify.add_argument(
-        "--seed", type=_u64, metavar="U64",
+    option(
+        p_verify, "--seed", type=_u64, metavar="U64",
         help="seed for the stochastic verification check",
     )
     p_verify.set_defaults(func=cmd_verify)
 
-    return parser
+    return parser, actions
 
 
 def _read_text(path: str, error: type) -> str:
@@ -239,27 +245,12 @@ def _read_config_file(path: str) -> Dict[str, str]:
     return entries
 
 
-def _config_actions(parser: argparse.ArgumentParser) -> Dict[str, argparse.Action]:
-    """Each config key's argparse action, over every subcommand: the key is the
-    long option without ``--``, dashes as underscores (``in`` is ``--in``)."""
-    actions: Dict[str, argparse.Action] = {}
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for command in action.choices.values():
-                actions.update(_config_actions(command))
-        if action.dest in ("help", "config"):
-            continue
-        for option in action.option_strings:
-            if option.startswith("--"):
-                actions[option[2:].replace("-", "_")] = action
-    return actions
-
-
-def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+def _apply_config(
+    args: argparse.Namespace, actions: Dict[str, argparse.Action]
+) -> None:
     if getattr(args, "config", None) is None:
         return
     entries = _read_config_file(args.config)
-    actions = _config_actions(parser)
     given = {dest for dest, value in vars(args).items() if value is not None}
     inert = set(given)  # an explicit flag silences its whole family
     for family in _FLAG_FAMILIES:
@@ -627,10 +618,10 @@ def _failure(exc: BaseException) -> Optional[Tuple[int, str]]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
+    parser, actions = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args, parser)
+        _apply_config(args, actions)
         _check_exclusive(args)
         return args.func(args)
     except Exception as exc:  # mapped to documented exit codes

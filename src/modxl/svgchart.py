@@ -85,28 +85,38 @@ def _log_ticks(lo: float, hi: float) -> List[float]:
     return ticks
 
 
-def _fmt(value: float) -> str:
-    return f"{value:g}"
+def _mapper(lo: float, hi: float, pix_lo: float, pix_hi: float, log: bool):
+    "The affine map from data coordinates to the pixel plot box."
+    if log:
+        lo, hi = math.log10(lo), math.log10(hi)
+    if not hi - lo >= _NARROWEST:
+        # Flat extent, or too narrow to map: pad so the line sits mid-box.
+        pad = max(abs(lo) * 0.05, 0.5)
+        lo, hi = lo - pad, hi + pad
+    scale = (pix_hi - pix_lo) / (hi - lo)
+
+    def to_pixel(value: float) -> float:
+        return pix_lo + ((math.log10(value) if log else value) - lo) * scale
+
+    return to_pixel
 
 
-class _Mapper:
-    "Affine map from data coordinates to the pixel plot box."
+def _text(x, y, size: int, body: str, anchor: str = "", transform: str = "") -> str:
+    "An SVG text element; ``x`` and ``y`` come formatted."
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    transform = f' transform="{transform}"' if transform else ""
+    return (
+        f'<text x="{x}" y="{y}"{anchor} font-family="sans-serif" '
+        f'font-size="{size}"{transform}>{html.escape(body, quote=False)}</text>'
+    )
 
-    def __init__(self, lo: float, hi: float, pix_lo: float, pix_hi: float, log: bool):
-        self.log = log
-        if log:
-            lo, hi = math.log10(lo), math.log10(hi)
-        if not hi - lo >= _NARROWEST:
-            # Flat extent, or too narrow to map: pad so the line sits mid-box.
-            pad = max(abs(lo) * 0.05, 0.5)
-            lo, hi = lo - pad, hi + pad
-        self._lo = lo
-        self._scale = (pix_hi - pix_lo) / (hi - lo)
-        self._pix_lo = pix_lo
 
-    def __call__(self, value: float) -> float:
-        v = math.log10(value) if self.log else value
-        return self._pix_lo + (v - self._lo) * self._scale
+def _line(x1, y1, x2, y2, stroke: str = "#dddddd", width: str = "1") -> str:
+    "An SVG line element; the coordinates come formatted."
+    return (
+        f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
+        f'stroke="{stroke}" stroke-width="{width}"/>'
+    )
 
 
 def render_line_chart(
@@ -142,8 +152,8 @@ def render_line_chart(
     box_right = _WIDTH - _MARGIN_RIGHT
     box_top = _MARGIN_TOP
     box_bottom = _HEIGHT - _MARGIN_BOTTOM
-    map_x = _Mapper(x_lo, x_hi, box_left, box_right, log_x)
-    map_y = _Mapper(y_lo, y_hi, box_bottom, box_top, False)
+    map_x = _mapper(x_lo, x_hi, box_left, box_right, log_x)
+    map_y = _mapper(y_lo, y_hi, box_bottom, box_top, False)
 
     parts: List[str] = []
     parts.append(
@@ -153,54 +163,28 @@ def render_line_chart(
     )
     parts.append(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>')
     if title:
-        parts.append(
-            f'<text x="{_WIDTH / 2:.1f}" y="19" text-anchor="middle" '
-            'font-family="sans-serif" font-size="14">'
-            f"{html.escape(title, quote=False)}</text>"
-        )
+        parts.append(_text(f"{_WIDTH / 2:.1f}", 19, 14, title, "middle"))
 
-    if log_x:
-        x_ticks = _log_ticks(x_lo, x_hi)
-    else:
-        x_ticks = _linear_ticks(x_lo, x_hi)
-    y_ticks = _linear_ticks(y_lo, y_hi)
-
+    x_ticks = _log_ticks(x_lo, x_hi) if log_x else _linear_ticks(x_lo, x_hi)
     for t in x_ticks:
-        px = map_x(t)
-        parts.append(
-            f'<line x1="{px:.2f}" y1="{box_top}" x2="{px:.2f}" '
-            f'y2="{box_bottom}" stroke="#dddddd" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{px:.2f}" y="{box_bottom + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{_fmt(t)}</text>'
-        )
-    for t in y_ticks:
+        px = f"{map_x(t):.2f}"
+        parts.append(_line(px, box_top, px, box_bottom))
+        parts.append(_text(px, box_bottom + 18, 11, f"{t:g}", "middle"))
+    for t in _linear_ticks(y_lo, y_hi):
         py = map_y(t)
-        parts.append(
-            f'<line x1="{box_left}" y1="{py:.2f}" x2="{box_right}" '
-            f'y2="{py:.2f}" stroke="#dddddd" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{box_left - 6}" y="{py + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{_fmt(t)}</text>'
-        )
+        parts.append(_line(box_left, f"{py:.2f}", box_right, f"{py:.2f}"))
+        parts.append(_text(box_left - 6, f"{py + 4:.2f}", 11, f"{t:g}", "end"))
 
     parts.append(
         f'<rect x="{box_left}" y="{box_top}" width="{box_right - box_left}" '
         f'height="{box_bottom - box_top}" fill="none" stroke="black" '
         'stroke-width="1"/>'
     )
+    x_mid = f"{(box_left + box_right) / 2:.1f}"
+    parts.append(_text(x_mid, _HEIGHT - 12, 12, x_label, "middle"))
+    y_mid = f"{(box_top + box_bottom) / 2:.1f}"
     parts.append(
-        f'<text x="{(box_left + box_right) / 2:.1f}" y="{_HEIGHT - 12}" '
-        'text-anchor="middle" font-family="sans-serif" font-size="12">'
-        f"{html.escape(x_label, quote=False)}</text>"
-    )
-    parts.append(
-        f'<text x="16" y="{(box_top + box_bottom) / 2:.1f}" '
-        'text-anchor="middle" font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 16 {(box_top + box_bottom) / 2:.1f})">'
-        f"{html.escape(y_label, quote=False)}</text>"
+        _text(16, y_mid, 12, y_label, "middle", f"rotate(-90 16 {y_mid})")
     )
 
     for i, s in enumerate(series):
@@ -216,16 +200,11 @@ def render_line_chart(
     legend_x = box_left + 12
     legend_y = box_top + 10
     for i, s in enumerate(series):
-        color = _PALETTE[i % len(_PALETTE)]
         y = legend_y + 18 * i
         parts.append(
-            f'<line x1="{legend_x}" y1="{y}" x2="{legend_x + 26}" y2="{y}" '
-            f'stroke="{color}" stroke-width="1.8"/>'
+            _line(legend_x, y, legend_x + 26, y, _PALETTE[i % len(_PALETTE)], "1.8")
         )
-        parts.append(
-            f'<text x="{legend_x + 32}" y="{y + 4}" font-family="sans-serif" '
-            f'font-size="11">{html.escape(s.label, quote=False)}</text>'
-        )
+        parts.append(_text(legend_x + 32, y + 4, 11, s.label))
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

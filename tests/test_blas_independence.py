@@ -1,5 +1,5 @@
 """The same bytes on every OpenBLAS kernel and thread count, and the exact
-sum's on every numpy SIMD dispatch.
+sum's, the goldens' and ``verify``'s on every numpy SIMD dispatch.
 
 No reduction on the ``verify`` or the beamforming path calls BLAS, so the
 stdout of ``verify`` and the MRC SNR at 40,000 and 1.6 million elements do
@@ -124,14 +124,38 @@ def dispatched_features() -> list:
     return list(__cpu_dispatch__)
 
 
-@pytest.mark.skipif(
+#: ``verify`` and the two ``eval --models all`` golden commands, whose
+#: stdout is the contract, where the channel's last bits are not.
+_GOLDEN_PROBE = """
+from modxl import cli
+for argv in (["verify"], ["eval", "--models", "all"],
+             ["eval", "--theta-deg", "-89.9", "--modules", "100", "--models", "all"]):
+    print(cli.main(argv))
+"""
+
+x86_only = pytest.mark.skipif(
     platform.machine().lower() not in ("x86_64", "amd64"),
     reason="numpy's baseline features are named for x86-64",
 )
-def test_exact_sum_same_bytes_on_the_baseline_loops():
+
+
+def with_and_without_baseline(script: str) -> tuple:
+    "The stdout of ``script`` on numpy's own dispatch and on its baseline loops."
     missing = set(_BASELINE_FEATURES.split()) - set(dispatched_features())
     if missing:
         pytest.skip(f"numpy {np.__version__} does not dispatch {sorted(missing)}")
-    default = probe({}, _EXACT_SUM_PROBE)
-    baseline = probe({"NPY_DISABLE_CPU_FEATURES": _BASELINE_FEATURES}, _EXACT_SUM_PROBE)
+    return (probe({}, script),
+            probe({"NPY_DISABLE_CPU_FEATURES": _BASELINE_FEATURES}, script))
+
+
+@x86_only
+def test_exact_sum_same_bytes_on_the_baseline_loops():
+    default, baseline = with_and_without_baseline(_EXACT_SUM_PROBE)
+    assert baseline == default
+
+
+@x86_only
+def test_goldens_same_bytes_on_the_baseline_loops():
+    default, baseline = with_and_without_baseline(_GOLDEN_PROBE)
+    assert default.splitlines().count(b"0") == 3  # every command exited 0
     assert baseline == default

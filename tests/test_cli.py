@@ -1,4 +1,7 @@
+import argparse
 import codecs
+import contextlib
+import io
 import json
 import math
 import os
@@ -9,6 +12,8 @@ from pathlib import Path
 
 import numpy
 import pytest
+from hypothesis import event, given
+from hypothesis import strategies as st
 
 from modxl import cli, sweep
 from modxl.cli import CSV_HEADER, main
@@ -743,6 +748,23 @@ class TestConfig:
         assert from_config.read_bytes() == from_flag.read_bytes()
         assert from_config.read_bytes() != chart.with_suffix(".svg").read_bytes()
 
+    def test_option_table_holds_every_long_option(self):
+        # The table's keys are the config keys; argparse's own lists, which
+        # the package does not read, are the reference here.
+        parser, actions = cli._build_parser()
+        (subparsers,) = [
+            action for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        expected = {}
+        for command in ("eval", "sweep", "plot", "verify"):
+            for action in subparsers.choices[command]._actions:
+                for option in action.option_strings:
+                    if option.startswith("--") and option not in ("--help", "--config"):
+                        expected[option[2:].replace("-", "_")] = action
+        assert set(subparsers.choices) == {"eval", "sweep", "plot", "verify"}
+        assert actions == expected
+
     def test_unknown_key(self, capsys, tmp_path):
         cfg = self.write(tmp_path, "wavelength = 0.1\n")
         assert main(["eval", "--config", cfg]) == 2
@@ -875,15 +897,27 @@ class TestPlot:
         assert len(polylines) == 3  # exact, closed and upw are populated
 
     @pytest.mark.parametrize(
-        "name",
-        ["sweep_element_count", "sweep_separation_0deg", "sweep_separation_75deg"],
+        "argv,golden",
+        [
+            pytest.param(("--in", str(DATA / f"{name}.csv")), f"{name}.svg", id=name)
+            for name in (
+                "sweep_element_count", "sweep_separation_0deg", "sweep_separation_75deg"
+            )
+        ] + [
+            # Decade ticks, and a title with markup characters to escape.
+            pytest.param(
+                ("--in", str(DATA / "sweep_range_log.csv"), "--logx",
+                 "--title", "SNR vs range <log> & dB"),
+                "sweep_range_log_logx.svg", id="sweep_range_log_logx",
+            ),
+        ],
     )
-    def test_preset_chart_matches_golden_file(self, capsys, tmp_path, name):
+    def test_preset_chart_matches_golden_file(self, capsys, tmp_path, argv, golden):
         out = tmp_path / "chart.svg"
-        code = main(["plot", "--in", str(DATA / f"{name}.csv"), "--out", str(out)])
+        code = main(["plot", *argv, "--out", str(out)])
         capsys.readouterr()
         assert code == 0
-        assert out.read_bytes() == (DATA / f"{name}.svg").read_bytes()
+        assert out.read_bytes() == (DATA / golden).read_bytes()
 
     def test_subnormal_extent_renders(self, capsys, tmp_path):
         # The x extent 5e-324 once made a tick step that underflowed to 0,
@@ -1082,3 +1116,75 @@ class TestVerify:
         code, out = run_cli(capsys, "verify", *argv)
         assert code == 0
         assert out.encode() == (DATA / golden).read_bytes()
+
+
+def _numeric_eval_options():
+    """Each int and float option of ``eval``, from the option table that
+    ``cli._build_parser`` returns, keyed by its flag."""
+    parser, actions = cli._build_parser()
+    dests = vars(parser.parse_args(["eval"]))
+    return {
+        "--" + key.replace("_", "-"): action
+        for key, action in sorted(actions.items())
+        if action.dest in dests and action.type in (int, float)
+    }
+
+
+NUMERIC_EVAL_OPTIONS = _numeric_eval_options()
+_FLOAT_EDGES = ("0", "-1", "-0.0", "5e-324", "1e308", "inf", "nan")
+_COUNT_EDGES = ("0", "-1", str(2**53 + 1))
+
+
+def _option_values(action):
+    """Edge values, moderate ones and any finite float; counts up to 1000,
+    so that an array holds at most a million elements."""
+    if action.type is int:
+        return st.sampled_from(_COUNT_EDGES) | st.integers(1, 1000).map(str)
+    return st.one_of(
+        st.sampled_from(_FLOAT_EDGES),
+        st.floats(0.01, 100.0).map(repr),
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    )
+
+
+@st.composite
+def eval_argv(draw):
+    """``eval`` with some of its numeric options, at most one of each pair
+    that sets one quantity in two units."""
+    argv, given_dests = ["eval"], set()
+    for flag, action in NUMERIC_EVAL_OPTIONS.items():
+        siblings = {d for family in cli._FLAG_FAMILIES if action.dest in family
+                    for d in family}
+        if given_dests & siblings or not draw(st.booleans()):
+            continue
+        given_dests.add(action.dest)
+        argv.append(f"{flag}={draw(_option_values(action))}")
+    return argv
+
+
+class TestFailureContract:
+    """``eval`` over its numeric options at edge values: an exit code of 0, 2
+    or 3, never a traceback; one error line on failure; strict JSON on
+    success."""
+
+    def test_numeric_options_come_from_the_table(self):
+        assert set(NUMERIC_EVAL_OPTIONS) == {
+            "--elements-per-module", "--modules", "--spacing-m", "--spacing-wl",
+            "--separation-m", "--separation-ratio", "--frequency-ghz",
+            "--wavelength-m", "--range-m", "--theta-deg", "--txsnr-db",
+        }
+
+    @given(eval_argv())
+    def test_eval_exits_cleanly(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        event(f"exit {code}")
+        assert code in (0, 2, 3), (code, err.getvalue())
+        if code:
+            assert err.getvalue().startswith("modxl: error: ")
+            assert err.getvalue().count("\n") == 1
+            assert out.getvalue() == ""
+        else:
+            assert err.getvalue() == ""
+            json.dumps(json.loads(out.getvalue()), allow_nan=False)

@@ -231,6 +231,10 @@ def progression_route():
         yield
 
 
+class KernelReached(Exception):
+    "Raised where a test forbids the kernel's walk over the elements."
+
+
 class TestProgressionRoute:
     """Arrays of more than one block, at every angle, sum their progressions
     of like elements through psi differences rather than element by
@@ -351,6 +355,29 @@ class TestProgressionRoute:
             assert route == pytest.approx(kernel, rel=1e-14)
         else:
             assert route == kernel
+
+    #: 3 x 2**40 elements, 3.3e12.  Past about 1e154 spacings, and at
+    #: endfire where b^2 is subnormal, the route returns None, and the kernel
+    #: would walk every element: ``eval`` ran for more than 15 s on either
+    #: user before it was stopped, against 0.3 s at 1e150 m.
+    HUGE = ArrayGeometry(3, 2**40, 0.0628, 20.0)
+
+    @pytest.mark.xfail(
+        strict=True, raises=KernelReached,
+        reason="_progression_sum returns None, and the kernel walks 3.3e12 elements",
+    )
+    @pytest.mark.parametrize(
+        "user",
+        [UserLocation(1e160, 0.0), UserLocation(1e-140, math.pi / 2)],
+        ids=["far", "endfire"],
+    )
+    def test_huge_array_takes_no_kernel_walk(self, monkeypatch, user):
+        def reached(*args):
+            raise KernelReached
+
+        monkeypatch.setattr(geometry, "run_ratio_blocks", reached)
+        with contextlib.suppress(OverflowError, ValueError, DegenerateGeometryError):
+            snr_exact_sum(self.HUGE, user, LINK)
 
     #: Two blocks and one module more, with an element at 0.1 m.
     FLOORED = ArrayGeometry(2, 2 * geometry.block_rows(2) + 1, 0.2, 2.0)
