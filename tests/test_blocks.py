@@ -110,7 +110,7 @@ def test_bit_identical_to_one_pass(helper, m, n, range_m, theta_rad):
     assert (
         module_sums(geom, user).tobytes() == reference_module_sums(geom, user).tobytes()
     )
-    if geometry._one_block(geom):  # larger arrays take the exact sum off the kernel
+    if m * n <= geometry.BLOCK_ELEMENTS:  # larger arrays sum off the kernel
         assert snr_exact_sum(geom, user, LINK).value_linear == reference_exact_sum(
             geom, user, LINK
         )
@@ -432,8 +432,10 @@ def test_memory_bounds_hold_with_the_most_helpers(set_helpers):
 
 
 class TestOffsetCache:
-    """``geometry._one_block_offsets``: each test starts from an empty
-    cache, so no verdict depends on which test ran before."""
+    """``geometry._one_block_offsets``, the exact sum's cache of a one-block
+    array's element offsets; the channel's blocks make their own.  Each
+    test starts from an empty cache, so no verdict depends on which test
+    ran before."""
 
     cache = staticmethod(geometry._one_block_offsets)
 
@@ -502,6 +504,14 @@ class TestOffsetCache:
         assert snr_exact_sum(geom, user, LINK).value_linear == reference_exact_sum(
             geom, user, LINK
         )
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (16, 20), (16, BLOCK_ELEMENTS // 16)])
+    def test_channel_never_enters(self, m, n):
+        geom = ArrayGeometry(m, n, 0.0628, 2.5)
+        for user in (UserLocation(0.7, 0.3), UserLocation(80.0, math.pi / 2)):
+            block_ratios(geom, user)
+            array_response_nusw(geom, user, LINK)
+        assert self.cache.cache_info().currsize == 0
 
     @pytest.mark.parametrize(
         "m, n", [(16, BLOCK_ELEMENTS // 16 + 1), (BLOCK_ELEMENTS + 1, 1)]

@@ -7,12 +7,13 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy
 import pytest
-from hypothesis import event, given
+from hypothesis import event, example, given
 from hypothesis import strategies as st
 
 from modxl import cli, sweep
@@ -1118,19 +1119,21 @@ class TestVerify:
         assert out.encode() == (DATA / golden).read_bytes()
 
 
-def _numeric_eval_options():
-    """Each int and float option of ``eval``, from the option table that
+_PARSER, OPTIONS = cli._build_parser()
+
+
+def _numeric_options(command):
+    """Each int and float option of ``command``, from the option table that
     ``cli._build_parser`` returns, keyed by its flag."""
-    parser, actions = cli._build_parser()
-    dests = vars(parser.parse_args(["eval"]))
+    dests = vars(_PARSER.parse_args([command]))
     return {
         "--" + key.replace("_", "-"): action
-        for key, action in sorted(actions.items())
+        for key, action in sorted(OPTIONS.items())
         if action.dest in dests and action.type in (int, float)
     }
 
 
-NUMERIC_EVAL_OPTIONS = _numeric_eval_options()
+NUMERIC_EVAL_OPTIONS = _numeric_options("eval")
 _FLOAT_EDGES = ("0", "-1", "-0.0", "5e-324", "1e308", "inf", "nan")
 _COUNT_EDGES = ("0", "-1", str(2**53 + 1))
 
@@ -1147,11 +1150,10 @@ def _option_values(action):
     )
 
 
-@st.composite
-def eval_argv(draw):
-    """``eval`` with some of its numeric options, at most one of each pair
-    that sets one quantity in two units."""
-    argv, given_dests = ["eval"], set()
+def _scenario_options(draw, argv):
+    """Append some of ``eval``'s numeric options to ``argv``, at most one of
+    each pair that sets one quantity in two units."""
+    given_dests = set()
     for flag, action in NUMERIC_EVAL_OPTIONS.items():
         siblings = {d for family in cli._FLAG_FAMILIES if action.dest in family
                     for d in family}
@@ -1162,10 +1164,80 @@ def eval_argv(draw):
     return argv
 
 
+@st.composite
+def eval_argv(draw):
+    "``eval`` with some of its numeric options."
+    return _scenario_options(draw, ["eval"])
+
+
+#: Bounds of a module-count sweep: edges that the layout rejects (2**53 + 1
+#: past its largest count), and counts up to 1000.  A larger array's exact
+#: sum walks every element where the range leaves the progressions' float
+#: range, as the strict xfails of ``test_huge_array_takes_no_kernel_walk``
+#: record.
+_MODULE_BOUNDS = st.sampled_from(_FLOAT_EDGES + (str(2**53 + 1),)) | st.floats(
+    0.0, 1000.0
+).map(repr)
+_MODEL_TOKENS = tuple(model.token for model in SnrModel) + ("all", "bogus")
+
+
+@st.composite
+def sweep_argv(draw):
+    """``sweep`` with some of its options: the scenario's numeric options as
+    ``eval_argv`` draws them, or none; the choices of ``--preset``,
+    ``--var`` and ``--scale``; the bounds at the same edges; 2 to 20 steps
+    or an edge; and a list of model tokens, ``all`` and an unknown one
+    among them."""
+    argv, chosen = ["sweep"], {}
+    for key in ("preset", "var", "scale"):
+        if draw(st.booleans()):
+            chosen[key] = draw(st.sampled_from(OPTIONS[key].choices))
+            argv.append(f"--{key}={chosen[key]}")
+    preset = sweep.PRESETS[chosen.get("preset", "element-count")]
+    variable = chosen.get("var", preset(sweep.default_scenario()).variable.value)
+    for flag in ("--start", "--stop"):
+        if draw(st.booleans()):
+            values = (_MODULE_BOUNDS if variable == "module_count"
+                      else _option_values(OPTIONS[flag[2:]]))
+            argv.append(f"{flag}={draw(values)}")
+    if draw(st.booleans()):
+        # No count far past 20: 2**53 + 1 steps would run for ever.
+        steps = st.sampled_from(("0", "-1", "1")) | st.integers(2, 20).map(str)
+        argv.append(f"--steps={draw(steps)}")
+    if draw(st.booleans()):
+        tokens = st.lists(st.sampled_from(_MODEL_TOKENS), min_size=1, max_size=3)
+        argv.append(f"--models={','.join(draw(tokens))}")
+    # Half the draws leave the scenario at its default.  A bad scenario
+    # value fails before the sweep options are read: with scenario options
+    # in every draw, 1-2% of the sweeps of a deep run succeeded, against
+    # about 5% so.
+    return _scenario_options(draw, argv) if draw(st.booleans()) else argv
+
+
+def _run_main(argv):
+    "``main(argv)``'s exit code, stdout and stderr."
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_clean_exit(code, out, err):
+    "An exit code of 0, 2 or 3, and on failure one error line and no output."
+    event(f"exit {code}")
+    assert code in (0, 2, 3), (code, err)
+    if code:
+        assert err.startswith("modxl: error: ")
+        assert err.count("\n") == 1
+        assert out == ""
+    else:
+        assert err == ""
+
+
 class TestFailureContract:
-    """``eval`` over its numeric options at edge values: an exit code of 0, 2
-    or 3, never a traceback; one error line on failure; strict JSON on
-    success."""
+    """``eval`` and ``sweep`` over their options at edge values: an exit
+    code of 0, 2 or 3, never a traceback; one error line on failure; on
+    success strict JSON, or a CSV that ``plot`` reads back."""
 
     def test_numeric_options_come_from_the_table(self):
         assert set(NUMERIC_EVAL_OPTIONS) == {
@@ -1173,18 +1245,28 @@ class TestFailureContract:
             "--separation-m", "--separation-ratio", "--frequency-ghz",
             "--wavelength-m", "--range-m", "--theta-deg", "--txsnr-db",
         }
+        assert set(_numeric_options("sweep")) == {
+            *NUMERIC_EVAL_OPTIONS, "--start", "--stop", "--steps"
+        }
 
     @given(eval_argv())
     def test_eval_exits_cleanly(self, argv):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-        event(f"exit {code}")
-        assert code in (0, 2, 3), (code, err.getvalue())
-        if code:
-            assert err.getvalue().startswith("modxl: error: ")
-            assert err.getvalue().count("\n") == 1
-            assert out.getvalue() == ""
-        else:
-            assert err.getvalue() == ""
-            json.dumps(json.loads(out.getvalue()), allow_nan=False)
+        code, out, err = _run_main(argv)
+        _assert_clean_exit(code, out, err)
+        if code == 0:
+            json.dumps(json.loads(out), allow_nan=False)
+
+    @given(sweep_argv())
+    # Module counts that round to one value, so every x is 1; both endfire
+    # directions with every applicable model.
+    @example(["sweep", "--start=1.2", "--stop=1.4", "--steps=3"])
+    @example(["sweep", "--var=theta", "--start=-90", "--stop=90", "--models=all"])
+    def test_sweep_exits_cleanly(self, argv):
+        with tempfile.TemporaryDirectory() as folder:
+            csv_path = os.path.join(folder, "sweep.csv")
+            code, out, err = _run_main([*argv, "--out", csv_path])
+            _assert_clean_exit(code, out, err)
+            if code == 0:
+                svg_path = os.path.join(folder, "sweep.svg")
+                plotted = _run_main(["plot", "--in", csv_path, "--out", svg_path])
+                assert plotted == (0, "", ""), plotted

@@ -87,6 +87,29 @@ class TestArrayGeometry:
         with pytest.raises(ValueError, match=r"2\*\*53"):
             ArrayGeometry(**{**counts, name: 2**53 + 1})
 
+    @pytest.mark.parametrize("name", ["elements_per_module", "module_count"])
+    @pytest.mark.parametrize("count", [np.int64(3), True], ids=["int64", "True"])
+    def test_integral_counts_are_stored_as_int(self, name, count):
+        # Neither is of type int, so each takes the Integral check.
+        counts = dict(elements_per_module=3, module_count=3, element_spacing=0.1)
+        value = getattr(ArrayGeometry(**{**counts, name: count}), name)
+        assert type(value) is int and value == int(count)
+
+    @pytest.mark.parametrize("name", ["elements_per_module", "module_count"])
+    @pytest.mark.parametrize(
+        "count", [16.0, np.bool_(True)], ids=["float", "numpy-bool"]
+    )
+    def test_non_integral_counts_are_rejected(self, name, count):
+        counts = dict(elements_per_module=3, module_count=3, element_spacing=0.1)
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer >= 1$"):
+            ArrayGeometry(**{**counts, name: count})
+
+    def test_counts_are_checked_in_order(self):
+        with pytest.raises(ValueError, match="^elements_per_module must"):
+            ArrayGeometry(16.0, np.bool_(True), 0.1)
+        with pytest.raises(ValueError, match="^module_count must"):
+            ArrayGeometry(True, 0, -1.0)
+
     def test_numpy_integer_counts_accepted(self):
         geom = ArrayGeometry(np.int64(16), np.int32(20), 0.0628, 20.0)
         assert geom.total_elements == 320

@@ -301,7 +301,7 @@ class TestProgressionRoute:
         assert value.hex() == "0x1.ac9a7b3b7302fp-991"
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(geometry, "BLOCK_ELEMENTS", 1 << 17)  # one block
-            assert geometry._one_block(self.FALLBACK[0])
+            assert self.FALLBACK[0].total_elements <= geometry.BLOCK_ELEMENTS
             assert snr_exact_sum(*self.FALLBACK, LINK).value_linear == value
 
     @pytest.mark.parametrize("m, n", [(16, 2**53), (2**53, 3)])
